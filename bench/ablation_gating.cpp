@@ -12,6 +12,7 @@
 #include "bench_util.hpp"
 #include "noc/simulator.hpp"
 #include "power/noc_power.hpp"
+#include "sprint/cdor.hpp"
 #include "sprint/network_builder.hpp"
 #include "sprint/power_gating.hpp"
 #include "sprint/topology.hpp"

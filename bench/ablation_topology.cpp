@@ -8,10 +8,8 @@
 // latency at a fixed load.
 //
 // The simulated path runs through the topology-agnostic core: the mesh is
-// built as a noc::Topology and the network through
-// make_topology_sprinting_network, which on a mesh resolves to the exact
-// CDOR construction (so the numbers match the legacy builder bit for bit)
-// while also exercising the deadlock check the generalized path requires.
+// built as a noc::Topology and the network through make_sprinting_network,
+// which on a mesh routes with the paper's CDOR.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -30,7 +28,8 @@ namespace {
 // latency is dominated by hop distance.
 double sim_latency_euclidean(const noc::NetworkParams& params,
                              const noc::Topology& topo, int level) {
-  auto b = make_topology_sprinting_network(params, topo, level, "uniform", 3);
+  auto b = make_sprinting_network(params, topo, NetworkScheme::kNoc, level,
+                                  "uniform", 3);
   noc::SimConfig sim;
   sim.injection_rate = 0.1;
   return noc::run_simulation(*b.network, sim).avg_packet_latency;

@@ -12,6 +12,7 @@
 #include "noc/simulator.hpp"
 #include "sprint/floorplanner.hpp"
 #include "sprint/network_builder.hpp"
+#include "sprint/physical_wires.hpp"
 
 using namespace nocs;
 using namespace nocs::sprint;
@@ -25,6 +26,7 @@ int main(int argc, char** argv) {
                 net);
 
   const MeshShape mesh = net.shape();
+  const noc::Topology topo = noc::Topology::mesh(net.width, net.height);
   const std::uint64_t seed = cfg.get_int("seed", 17);
   const auto identity = identity_floorplan(mesh).positions;
   const auto remapped = thermal_aware_floorplan(mesh, 0).positions;
@@ -55,8 +57,8 @@ int main(int argc, char** argv) {
       WireParams wires = conventional;
       wires.smart_max_pitches = c.smart;
       const PhysicalWires phys(mesh, *c.positions, wires);
-      auto b = make_floorplanned_network(net, level, "uniform", seed,
-                                         *c.positions, wires);
+      auto b = make_sprinting_network(net, topo, NetworkScheme::kNoc, level,
+                                      "uniform", seed, 0, phys.latency_fn());
       const noc::SimResults r = run_simulation(*b.network, sim);
       if (c.positions == &identity) base_latency = r.avg_packet_latency;
       t.add_row({c.name, Table::fmt(phys.average_link_length_mm(), 2),

@@ -100,10 +100,13 @@ int main(int argc, char** argv) {
     std::vector<RunResult> rows;
     for (int level : levels) {
       for (const std::string& traffic : traffics) {
-        auto b = sprint::make_topology_sprinting_network(
-            tc.params, tc.topo, level, traffic, seed);
+        auto b = sprint::make_sprinting_network(
+            tc.params, tc.topo, sprint::NetworkScheme::kNoc, level, traffic,
+            seed);
+        const noc::DeadlockCheckResult deadlock =
+            sprint::require_deadlock_free(b, level);
         ++deadlock_total;
-        if (b.deadlock.ok) ++deadlock_passes;
+        if (deadlock.ok) ++deadlock_passes;
         const noc::SimResults r = noc::run_simulation(*b.network, sim);
         RunResult row;
         row.level = level;
@@ -115,8 +118,8 @@ int main(int argc, char** argv) {
                           .total();
         row.energy_j =
             row.power_w * static_cast<double>(r.cycles) / rp.op.frequency;
-        row.deadlock_channels = b.deadlock.channels_used;
-        row.deadlock_deps = b.deadlock.dependencies;
+        row.deadlock_channels = deadlock.channels_used;
+        row.deadlock_deps = deadlock.dependencies;
         rows.push_back(std::move(row));
       }
     }

@@ -28,11 +28,11 @@ namespace {
 /// Builds the standard tick-benchmark network: side x side mesh, every
 /// node an endpoint, uniform traffic at 0.2 flits/cycle, pipelines warm.
 std::unique_ptr<noc::Network> make_tick_network(
-    int side, const noc::RoutingFunction* routing) {
+    int side, const noc::RoutingPolicy* policy) {
   noc::NetworkParams p;
   p.width = side;
   p.height = side;
-  auto net = std::make_unique<noc::Network>(p, routing);
+  auto net = std::make_unique<noc::Network>(p, policy);
   std::vector<NodeId> all;
   for (int i = 0; i < p.num_nodes(); ++i) all.push_back(i);
   net->set_endpoints(all, noc::make_traffic("uniform", p.num_nodes()));
@@ -54,7 +54,7 @@ static void BM_NetworkTick(benchmark::State& state) {
 BENCHMARK(BM_NetworkTick)->Arg(4)->Arg(8);
 
 // Sharded barrier-synchronous tick: same network as BM_NetworkTick but
-// with tick() partitioned into row-band shards on sim_threads threads.
+// with tick() partitioned into node-id-range shards on sim_threads threads.
 // Results are bit-identical to serial; this measures the wall-clock win.
 static void BM_NetworkTickSharded(benchmark::State& state) {
   noc::XyRouting xy;
@@ -151,13 +151,14 @@ BENCHMARK(BM_SprintOrder)->Arg(4)->Arg(16);
 
 static void BM_CdorRoute(benchmark::State& state) {
   const MeshShape mesh(4, 4);
+  const noc::Topology topo = noc::Topology::mesh(4, 4);
   const sprint::CdorRouting cdor(mesh, sprint::active_set(mesh, 8, 0), 0);
   int i = 0;
   const auto& act = cdor.active_nodes();
   for (auto _ : state) {
-    const Coord a = mesh.coord_of(act[static_cast<std::size_t>(i % 8)]);
-    const Coord b = mesh.coord_of(act[static_cast<std::size_t>((i + 3) % 8)]);
-    benchmark::DoNotOptimize(cdor.route(a, b));
+    const NodeId a = act[static_cast<std::size_t>(i % 8)];
+    const NodeId b = act[static_cast<std::size_t>((i + 3) % 8)];
+    benchmark::DoNotOptimize(cdor.route_port(topo, a, b));
     ++i;
   }
 }

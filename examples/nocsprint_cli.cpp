@@ -214,7 +214,7 @@ int mode_simulate(const Config& cfg) {
                                 r.cycles);
 
   std::printf("scheme           %s (routing %s)\n", full ? "full" : "noc",
-              b.routing->name());
+              b.policy->name());
   std::printf("avg latency      %.2f cycles (p50 %.1f, p99 %.1f)\n",
               r.avg_packet_latency, r.p50_latency, r.p99_latency);
   std::printf("avg hops         %.2f\n", r.avg_hops);
@@ -403,7 +403,8 @@ int mode_topo(const Config& cfg) {
   // topology= picks a generator (docs/TOPOLOGY.md); topology=file loads
   // the documented text format from topo_file=.  The mesh keeps the
   // paper's CDOR; everything else routes on up*/down* tables, and either
-  // way the channel-dependency deadlock check gates construction.
+  // way the channel-dependency deadlock check runs before the first tick
+  // (this is the one mode that accepts a user-written graph).
   const std::string kind = cfg.get_string("topology", "mesh");
   const int width = static_cast<int>(cfg.get_int("width", 4));
   const int height = static_cast<int>(cfg.get_int("height", 4));
@@ -427,9 +428,10 @@ int mode_topo(const Config& cfg) {
   const int level = static_cast<int>(cfg.get_int("level", 4));
   const std::string traffic = cfg.get_string("traffic", "uniform");
   const std::uint64_t seed = cfg.get_int("seed", 1);
-  sprint::TopologyBundle b =
-      sprint::make_topology_sprinting_network(params, topo, level, traffic,
-                                              seed);
+  const sprint::NetworkBundle b = sprint::make_sprinting_network(
+      params, topo, sprint::NetworkScheme::kNoc, level, traffic, seed);
+  const noc::DeadlockCheckResult deadlock =
+      sprint::require_deadlock_free(b, level);
 
   noc::SimConfig sim;
   sim.warmup = cfg.get_int("warmup", 2000);
@@ -450,7 +452,7 @@ int mode_topo(const Config& cfg) {
   std::printf("active nodes     ");
   for (NodeId id : b.endpoints) std::printf("%d ", id);
   std::printf("\ndeadlock check   ok (%d channels, %d dependencies)\n",
-              b.deadlock.channels_used, b.deadlock.dependencies);
+              deadlock.channels_used, deadlock.dependencies);
   std::printf("avg latency      %.2f cycles (p50 %.1f, p99 %.1f)\n",
               r.avg_packet_latency, r.p50_latency, r.p99_latency);
   std::printf("avg hops         %.2f\n", r.avg_hops);
@@ -472,8 +474,8 @@ int mode_topo(const Config& cfg) {
     doc.set("injection_rate", sim.injection_rate);
     doc.set("seed", static_cast<std::uint64_t>(seed));
     doc.set("topology_fingerprint", topo.fingerprint());
-    doc.set("deadlock_channels", b.deadlock.channels_used);
-    doc.set("deadlock_dependencies", b.deadlock.dependencies);
+    doc.set("deadlock_channels", deadlock.channels_used);
+    doc.set("deadlock_dependencies", deadlock.dependencies);
     if (noc::write_report(report, doc))
       std::printf("report written to %s\n", report.c_str());
   }

@@ -3,9 +3,12 @@
 # figures run as) and an AddressSanitizer build (guards the ring-buffer /
 # calendar-wheel index arithmetic and the new fault/retransmission
 # paths), each running the complete ctest suite, plus a ThreadSanitizer
-# build running the `parallel` label (the sharded barrier-synchronous
-# tick and the sweep thread pool), and the campaign-daemon crash-recovery
-# smoke test (scripts/serve_smoke.sh: kill -9, restart, bit-compare).
+# build running the `parallel` and `serve` labels (the sharded
+# barrier-synchronous tick, the sweep thread pool, and the daemon), the
+# golden figure-stdout gate (scripts/check_golden.sh), the campaign-daemon
+# crash-recovery smoke test (scripts/serve_smoke.sh: kill -9, restart,
+# bit-compare), and the repository benchmark's smoke test
+# (perfbench/smoke_test.py, which builds perfbench from a clean tree).
 #
 # Usage: scripts/ci.sh [jobs]        (default: all cores)
 #
@@ -51,32 +54,20 @@ run_config build-ci-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNOCS_SANITIZE=addre
 run_config_label build-ci-tsan 'parallel|serve' \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNOCS_SANITIZE=thread
 
-echo "==== snapshot suite (explicit) ===="
-ctest --test-dir build-ci-release -L snapshot --output-on-failure
-
-# The campaign-daemon suite under ASan (sockets, threads, and the ledger
-# replay path are exactly where lifetime bugs would hide), then the
-# end-to-end kill -9 smoke test against the Release build.
-echo "==== serve suite under ASan ===="
-ctest --test-dir build-ci-asan -L serve --output-on-failure
-
-# The memory-traffic suite under ASan: controller queues, multicast-tree
-# relaying, and the snapshot round trip are fresh pointer-heavy surface.
-echo "==== mem suite under ASan ===="
-ctest --test-dir build-ci-asan -L mem --output-on-failure
-
-# The topology suite under ASan: graph construction, the file parser,
-# up*/down* table building, and the channel-dependency deadlock walk
-# are index-arithmetic-heavy fresh surface.
-echo "==== topology suite under ASan ===="
-ctest --test-dir build-ci-asan -L topology --output-on-failure
-
 # The shipped topology example files must parse and be deadlock-free at
 # every sprint level (docs/TOPOLOGY.md stays executable documentation).
 echo "==== topology example lint ===="
 scripts/check_topo_examples.sh build-ci-release
 
+# Figure stdout must stay byte-identical to the committed goldens,
+# serially and sharded (the determinism contract, checked mechanically).
+echo "==== golden figure stdout ===="
+scripts/check_golden.sh build-ci-release
+
 echo "==== serve crash-recovery smoke test ===="
 scripts/serve_smoke.sh build-ci-release
+
+echo "==== perfbench smoke test ===="
+python3 perfbench/smoke_test.py
 
 echo "==== ci.sh: all configurations passed ===="

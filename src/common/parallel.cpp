@@ -22,7 +22,17 @@ int default_thread_count() {
   return hw >= 1 ? static_cast<int>(hw) : 1;
 }
 
+namespace {
+
+/// True on ThreadPool worker threads.  Their tasks already run one per
+/// core, so an environment-selected shard team inside each would
+/// oversubscribe the host (S spinning shards per worker).
+thread_local bool t_pool_worker = false;
+
+}  // namespace
+
 int default_sim_thread_count() {
+  if (t_pool_worker) return 1;
   if (const char* env = std::getenv("NOCS_SIM_THREADS")) {
     const long parsed = std::strtol(env, nullptr, 10);
     if (parsed >= 1) return static_cast<int>(parsed);
@@ -189,6 +199,7 @@ struct ThreadPool::Impl {
   }
 
   void worker_loop() {
+    t_pool_worker = true;
     for (;;) {
       std::function<void()> task;
       {

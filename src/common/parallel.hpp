@@ -57,7 +57,9 @@ int default_thread_count();
 /// integer, otherwise 1 (serial tick).  Deliberately *not* the hardware
 /// concurrency: sweeps already parallelize across tasks, and nesting both
 /// by default would oversubscribe; sharding one simulation is an explicit
-/// opt-in.
+/// opt-in.  For the same reason the environment variable is ignored on
+/// ThreadPool worker threads (this returns 1 there); an explicit positive
+/// sim_threads still applies everywhere.
 int default_sim_thread_count();
 
 /// Persistent team of workers for barrier-synchronous sharded execution

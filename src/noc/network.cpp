@@ -16,28 +16,12 @@ thread_local int t_current_shard = -1;
 
 }  // namespace
 
-Network::Network(const NetworkParams& params, const RoutingFunction* routing,
-                 LinkLatencyFn link_latency)
-    : params_(params),
-      topo_(Topology::mesh(params.width, params.height)) {
-  NOCS_EXPECTS(routing != nullptr);
-  params_.validate();
-  owned_policy_ =
-      std::make_unique<MeshRoutingPolicy>(routing, params_.shape());
-  policy_ = owned_policy_.get();
-  construct(std::move(link_latency));
-}
-
-Network::Network(const NetworkParams& params, const Topology& topo,
+Network::Network(const NetworkParams& params, Topology topo,
                  const RoutingPolicy* policy, LinkLatencyFn link_latency)
-    : params_(params), topo_(topo), policy_(policy) {
+    : params_(params), topo_(std::move(topo)), policy_(policy) {
   NOCS_EXPECTS(policy != nullptr);
   params_.validate();
   NOCS_EXPECTS(topo_.num_nodes() == params_.num_nodes());
-  construct(std::move(link_latency));
-}
-
-void Network::construct(LinkLatencyFn link_latency) {
   const int n = topo_.num_nodes();
 
   auto latency_of = [&](NodeId from, NodeId to) {
@@ -46,8 +30,6 @@ void Network::construct(LinkLatencyFn link_latency) {
     NOCS_EXPECTS(lat >= 1);
     return lat;
   };
-  link_latencies_.assign(static_cast<std::size_t>(n),
-                         std::vector<int>(static_cast<std::size_t>(n), 0));
 
   routers_.reserve(static_cast<std::size_t>(n));
   nis_.reserve(static_cast<std::size_t>(n));
@@ -101,9 +83,6 @@ void Network::construct(LinkLatencyFn link_latency) {
     Router& b = *routers_[static_cast<std::size_t>(l.dst)];
 
     const int lat = l.latency > 0 ? l.latency : latency_of(l.src, l.dst);
-    link_latencies_[static_cast<std::size_t>(l.src)]
-                   [static_cast<std::size_t>(l.dst)] = lat;
-
     Pipe<Flit>* ab = new_flit_pipe(lat);
     Pipe<Credit>* ab_credit = new_credit_pipe();
     ab->set_sink(router_sink(l.dst));         // dst consumes src's flits
@@ -146,13 +125,10 @@ void Network::construct(LinkLatencyFn link_latency) {
 
 void Network::set_sim_threads(int n) {
   if (n <= 0) n = default_sim_thread_count();
-  // Mesh: clamp so every shard owns at least one full mesh row (node ids
-  // are row-major, so row-bands are contiguous id ranges).  General
-  // topologies shard by contiguous id ranges, so any count up to the node
-  // count works; either way results are thread-count independent (pipes
-  // guarantee >= 1 cycle of latency between any producer and consumer).
-  const int cap = topo_.is_mesh() ? params_.height : topo_.num_nodes();
-  sim_threads_ = std::max(1, std::min(n, cap));
+  // Shards are contiguous id ranges, so any count up to the node count
+  // works; results are thread-count independent (pipes guarantee >= 1
+  // cycle of latency between any producer and consumer).
+  sim_threads_ = std::max(1, std::min(n, topo_.num_nodes()));
   rebuild_shards();
 }
 
@@ -163,13 +139,8 @@ void Network::rebuild_shards() {
   shard_of_.assign(static_cast<std::size_t>(n), 0);
   for (int s = 0; s < S; ++s) {
     Shard& sh = shards_[static_cast<std::size_t>(s)];
-    if (topo_.is_mesh()) {
-      sh.begin = params_.height * s / S * params_.width;
-      sh.end = params_.height * (s + 1) / S * params_.width;
-    } else {
-      sh.begin = n * s / S;
-      sh.end = n * (s + 1) / S;
-    }
+    sh.begin = n * s / S;
+    sh.end = n * (s + 1) / S;
     // Conservative scheduler state: everything hot, wheels empty.  Ticking
     // a quiescent node is a no-op beyond leakage accounting, which
     // sync_counters() reproduces exactly, so this is bit-identical to any
@@ -226,10 +197,10 @@ void Network::schedule_local(Shard& sh, std::uint32_t enc, Cycle ready_at) {
 
 int Network::link_latency(NodeId from, NodeId to) const {
   NOCS_EXPECTS(topo_.valid(from) && topo_.valid(to));
-  const int lat = link_latencies_[static_cast<std::size_t>(from)]
-                                 [static_cast<std::size_t>(to)];
-  NOCS_EXPECTS(lat > 0);  // adjacent nodes only
-  return lat;
+  const int port = topo_.port_to(from, to);
+  NOCS_EXPECTS(port > 0);  // adjacent nodes only
+  return flit_pipes_[static_cast<std::size_t>(topo_.link_out(from, port))]
+      ->latency();
 }
 
 void Network::set_endpoints(std::vector<NodeId> endpoints,

@@ -1,6 +1,6 @@
-// Mesh network: owns routers, network interfaces, and all connecting
-// channels; exposes sprint-region configuration (active endpoints + gated
-// dark region) used by the NoC-sprinting controller.
+// Network over a topology graph: owns routers, network interfaces, and all
+// connecting channels; exposes sprint-region configuration (active
+// endpoints + gated dark region) used by the NoC-sprinting controller.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include "noc/params.hpp"
 #include "noc/router.hpp"
 #include "noc/routing.hpp"
-#include "noc/routing_policy.hpp"
 #include "noc/stats_collector.hpp"
 #include "noc/topology.hpp"
 #include "noc/traffic.hpp"
@@ -28,21 +27,21 @@ using LinkLatencyFn = std::function<int(NodeId from, NodeId to)>;
 
 class Network {
  public:
-  /// Builds a width x height mesh.  `routing` must outlive the network.
-  /// `link_latency` overrides params.link_latency per directed link when
-  /// provided (must return >= 1).  Equivalent to the topology constructor
-  /// over Topology::mesh(width, height) with a MeshRoutingPolicy — and
-  /// bit-identical to it.
-  Network(const NetworkParams& params, const RoutingFunction* routing,
-          LinkLatencyFn link_latency = nullptr);
-
-  /// Builds the network over an arbitrary topology graph (the topology is
-  /// copied; params.num_nodes() must equal topo.num_nodes()).  `policy`
-  /// must outlive the network.  Channel pipes are instantiated in
+  /// Builds the network over an arbitrary topology graph (the network
+  /// keeps its own copy; params.num_nodes() must equal topo.num_nodes()).
+  /// `policy` must outlive the network.  Channel pipes are instantiated in
   /// topo.links() order; per-link latencies > 0 override
-  /// params.link_latency (and `link_latency`, which fills the rest).
-  Network(const NetworkParams& params, const Topology& topo,
+  /// params.link_latency, and `link_latency`, when provided, fills the
+  /// rest (must return >= 1).
+  Network(const NetworkParams& params, Topology topo,
           const RoutingPolicy* policy, LinkLatencyFn link_latency = nullptr);
+
+  /// The params.width x params.height mesh: Topology::mesh over the
+  /// topology constructor.
+  Network(const NetworkParams& params, const RoutingPolicy* policy,
+          LinkLatencyFn link_latency = nullptr)
+      : Network(params, Topology::mesh(params.width, params.height), policy,
+                std::move(link_latency)) {}
 
   // Channel sinks and wake callbacks capture `this`.
   Network(const Network&) = delete;
@@ -154,12 +153,13 @@ class Network {
 
   // --- intra-simulation parallelism -----------------------------------------
 
-  /// Shards tick() spatially across `n` threads (row-bands of the mesh,
-  /// one barrier-synchronized phase pair per cycle).  n <= 0 selects
-  /// default_sim_thread_count() (the NOCS_SIM_THREADS environment
-  /// variable, else 1 = serial); the value is clamped to the mesh height
-  /// so every shard owns at least one full row.  Results are bit-identical
-  /// for every thread count — see docs/ARCHITECTURE.md for the argument.
+  /// Shards tick() spatially across `n` threads (contiguous node-id
+  /// ranges, one barrier-synchronized phase pair per cycle).  n <= 0
+  /// selects default_sim_thread_count() (the NOCS_SIM_THREADS environment
+  /// variable off thread-pool workers, else 1 = serial); the value is
+  /// clamped to the node count so every shard owns at least one node.
+  /// Results are bit-identical for every thread count — see
+  /// docs/ARCHITECTURE.md for the argument.
   /// Resets the fast-path scheduler conservatively (all nodes hot), which
   /// is also bit-identical, so the call is legal at any cycle boundary —
   /// including right after load_state with a different thread count than
@@ -234,10 +234,10 @@ class Network {
   // stats/counter accumulation order of the tick-everything loop.
   //
   // All of that mutable scheduling state lives per *shard* — a contiguous
-  // row-band of node ids (node ids are row-major, so row-bands are
-  // contiguous id ranges).  Serial operation is simply the 1-shard case of
-  // the same code path.  With S > 1 shards each cycle runs as two
-  // barrier-synchronized phases on a BarrierTeam:
+  // range of node ids (on a row-major mesh, a band of rows whenever the
+  // shard count divides the height).  Serial operation is simply the
+  // 1-shard case of the same code path.  With S > 1 shards each cycle runs
+  // as two barrier-synchronized phases on a BarrierTeam:
   //
   //   phase 1 (tick):       each shard processes its own wheel bucket and
   //                         ticks its hot NIs then hot routers, ascending
@@ -271,7 +271,7 @@ class Network {
     Cycle at;
   };
 
-  /// All per-cycle mutable scheduling state of one row-band, cache-line
+  /// All per-cycle mutable scheduling state of one id range, cache-line
   /// aligned so neighbor shards' writes never false-share.
   struct alignas(64) Shard {
     NodeId begin = 0;  ///< first owned node id
@@ -315,24 +315,20 @@ class Network {
   void tick_phase2(int s);
   /// Reference O(n) drain scan (the counter short-circuit's slow path).
   bool drained_slow() const;
-  /// Shared tail of both constructors: wires routers, NIs, and channels
-  /// from topo_ (policy_ must already be set).
-  void construct(LinkLatencyFn link_latency);
 
   NetworkParams params_;
   Topology topo_;
   const RoutingPolicy* policy_ = nullptr;
-  std::unique_ptr<RoutingPolicy> owned_policy_;  ///< mesh-ctor adapter
   Cycle now_ = 0;
 
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<NetworkInterface>> nis_;
+  /// One per topology link in links() order, then the NI pipes.
   std::vector<std::unique_ptr<Pipe<Flit>>> flit_pipes_;
   std::vector<std::unique_ptr<Pipe<Credit>>> credit_pipes_;
 
   std::vector<NodeId> endpoints_;
   std::unique_ptr<TrafficPattern> traffic_;
-  std::vector<std::vector<int>> link_latencies_;  // [from][to], 0 = no link
   std::vector<std::vector<NodeId>> mcast_groups_;
   std::function<void(Cycle)> pre_tick_;
 

@@ -6,32 +6,11 @@
 
 namespace nocs::noc {
 
-Router::Router(NodeId id, const NetworkParams& params,
-               const RoutingFunction* routing)
-    : id_(id),
-      coord_(params.shape().coord_of(id)),
-      params_(params),
-      policy_(nullptr),
-      nports_(kNumPorts) {
-  NOCS_EXPECTS(routing != nullptr);
-  params_.validate();
-  const MeshShape shape = params_.shape();
-  owned_policy_ = std::make_unique<MeshRoutingPolicy>(routing, shape);
-  policy_ = owned_policy_.get();
-  out_neighbor_.assign(static_cast<std::size_t>(nports_), kInvalidNode);
-  for (int p = 1; p < nports_; ++p) {
-    const Coord nc = step(coord_, static_cast<Port>(p));
-    if (shape.contains(nc))
-      out_neighbor_[static_cast<std::size_t>(p)] = shape.id_of(nc);
-  }
-  init_structures();
-}
-
 Router::Router(NodeId id, const NetworkParams& params, const Topology& topo,
                const RoutingPolicy* policy)
     : id_(id),
-      coord_(topo.coord(id)),
       params_(params),
+      topo_(&topo),
       policy_(policy),
       nports_(topo.num_ports(id)) {
   NOCS_EXPECTS(policy != nullptr);
@@ -39,10 +18,6 @@ Router::Router(NodeId id, const NetworkParams& params, const Topology& topo,
   out_neighbor_.assign(static_cast<std::size_t>(nports_), kInvalidNode);
   for (int p = 1; p < nports_; ++p)
     out_neighbor_[static_cast<std::size_t>(p)] = topo.neighbor(id, p);
-  init_structures();
-}
-
-void Router::init_structures() {
   flit_in_.assign(static_cast<std::size_t>(nports_), nullptr);
   credit_out_.assign(static_cast<std::size_t>(nports_), nullptr);
   flit_out_.assign(static_cast<std::size_t>(nports_), nullptr);
@@ -304,8 +279,8 @@ void Router::begin_packet(InputVc& ivc, const Flit& head, Cycle now) {
   ivc.msg_class = head.msg_class;
   if (params_.pipeline_stages == 3) {
     // Lookahead: route compute folded into buffer write.
-    ivc.out_port =
-        fault_aware_port(policy_->route_port(id_, head.dst), head.dst, now);
+    ivc.out_port = fault_aware_port(
+        policy_->route_port(*topo_, id_, head.dst), head.dst, now);
     set_stage(ivc, InputVc::Stage::kVcAlloc);
   } else {
     set_stage(ivc, InputVc::Stage::kRouting);
@@ -317,7 +292,7 @@ int Router::fault_aware_port(int preferred, NodeId dst, Cycle now) {
   // Routing never points off a disconnected port, so the neighbor exists.
   const NodeId nbr = out_neighbor_[static_cast<std::size_t>(preferred)];
   if (!oracle_->link_down(id_, nbr, now)) return preferred;
-  const int alt = policy_->reroute_port(id_, dst, preferred);
+  const int alt = policy_->reroute_port(*topo_, id_, dst, preferred);
   if (alt == preferred) return preferred;  // no safe detour: ride it out
   const NodeId alt_nbr = out_neighbor_[static_cast<std::size_t>(alt)];
   if (oracle_->link_down(id_, alt_nbr, now)) return preferred;
@@ -333,7 +308,7 @@ void Router::stage_route_compute(Cycle now) {
       if (ivc.stage != InputVc::Stage::kRouting) continue;
       NOCS_EXPECTS(!ivc.buf.empty() && ivc.buf.front().is_head);
       const NodeId dst = ivc.buf.front().dst;
-      ivc.out_port = policy_->route_port(id_, dst);
+      ivc.out_port = policy_->route_port(*topo_, id_, dst);
       // The routing policy may only select the local port or a connected
       // output (cur == dst must map to port 0).
       NOCS_ENSURES(ivc.out_port >= 0 && ivc.out_port < nports_);

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -27,7 +26,6 @@
 #include "noc/flit.hpp"
 #include "noc/params.hpp"
 #include "noc/routing.hpp"
-#include "noc/routing_policy.hpp"
 #include "noc/topology.hpp"
 
 namespace nocs::noc {
@@ -37,19 +35,12 @@ enum class PowerState { kActive, kGated, kWaking };
 
 class Router {
  public:
-  /// Mesh router: 5 directional port slots, routed by a coordinate-based
-  /// RoutingFunction (wrapped in an internally owned MeshRoutingPolicy).
-  Router(NodeId id, const NetworkParams& params,
-         const RoutingFunction* routing);
-
-  /// General router: one port slot per topology port of node `id`, routed
-  /// by `policy` (must outlive the router).  A mesh topology with a
-  /// MeshRoutingPolicy reproduces the mesh constructor bit for bit.
+  /// One port slot per topology port of node `id`, routed by `policy`.
+  /// Both `topo` and `policy` must outlive the router.
   Router(NodeId id, const NetworkParams& params, const Topology& topo,
          const RoutingPolicy* policy);
 
   NodeId id() const { return id_; }
-  Coord coord() const { return coord_; }
   int num_ports() const { return nports_; }
 
   /// Wires one input direction: flits arrive on `flit_in`, credits are
@@ -94,7 +85,7 @@ class Router {
 
   /// Attaches the fault oracle (null detaches).  With an oracle the router
   /// corrupts flits on faulty links, detours new packets off down links via
-  /// RoutingFunction::reroute, retries failed power-gate wake-ups, and can
+  /// RoutingPolicy::reroute_port, retries failed power-gate wake-ups, and can
   /// freeze entirely while the oracle reports it stuck.
   void set_fault_oracle(FaultOracle* oracle) {
     oracle_ = oracle;
@@ -215,18 +206,13 @@ class Router {
     return output_vcs_[static_cast<std::size_t>(port * params_.num_vcs + vc)];
   }
 
-  /// Shared tail of both constructors (nports_, coord_, out_neighbor_ are
-  /// already set when it runs).
-  void init_structures();
-
   NodeId id_;
-  Coord coord_;
   NetworkParams params_;
+  const Topology* topo_;
   const RoutingPolicy* policy_;
-  std::unique_ptr<RoutingPolicy> owned_policy_;  ///< mesh-ctor adapter
-  int nports_ = kNumPorts;
+  int nports_;
   /// Neighbor node behind each output port (kInvalidNode when the slot is
-  /// disconnected or local) — all the router needs to know of the graph.
+  /// disconnected or local), cached off topo_ for the per-flit paths.
   std::vector<NodeId> out_neighbor_;
 
   std::vector<Pipe<Flit>*> flit_in_;

@@ -1,34 +1,45 @@
-// Routing-function interface and the baseline dimension-order router.
+// Routing interface and the baseline dimension-order policies.
 //
-// The paper's contribution — CDOR, convex dimension-order routing with two
-// connectivity bits per switch — implements this same interface and lives in
-// src/sprint/cdor.hpp; the network core is routing-agnostic.
+// Every router routes through RoutingPolicy: node ids in, output port
+// index out.  XY/YX dimension-order routing live here; the paper's
+// contribution — CDOR, convex dimension-order routing with two
+// connectivity bits per switch — implements the same interface in
+// src/sprint/cdor.hpp, and TableRouting (table_routing.hpp) implements it
+// for arbitrary topologies with precomputed up*/down* next-hop tables.
+// The network core is routing-agnostic.
 #pragma once
 
-#include <memory>
-
 #include "common/geometry.hpp"
+#include "noc/topology.hpp"
 
 namespace nocs::noc {
 
-/// Computes the output port a head flit takes at router `cur` towards
-/// `dst`.  Deterministic single-path routing (one port per (cur,dst) pair),
-/// matching both DOR and CDOR in the paper.
-class RoutingFunction {
+/// Computes the output port index a head flit takes at router `cur`
+/// towards `dst`.  Deterministic single-path routing: one port per
+/// (cur,dst) pair, matching DOR, CDOR and up*/down* alike.  Port 0 is
+/// always the local (NI) port.
+///
+/// `topo` is the graph the network was wired from.  Stateless policies
+/// (XY/YX) read node coordinates from it; policies built for one graph
+/// (CDOR, TableRouting) carry their own view and may ignore it.
+class RoutingPolicy {
  public:
-  virtual ~RoutingFunction() = default;
+  virtual ~RoutingPolicy() = default;
 
-  /// Returns the output port; `Port::kLocal` when cur == dst.
-  /// Precondition: `dst` must be reachable from `cur` under this function.
-  virtual Port route(Coord cur, Coord dst) const = 0;
+  /// Returns the output port index; 0 (local) when cur == dst.
+  /// Precondition: `dst` must be reachable from `cur` under this policy.
+  virtual int route_port(const Topology& topo, NodeId cur,
+                         NodeId dst) const = 0;
 
-  /// Fault fallback: the link behind `blocked` (the port route() returned)
-  /// is marked faulty — return an alternative output port, or `blocked`
+  /// Fault fallback: the link behind `blocked` (the port route_port()
+  /// returned) is down — return an alternative output port, or `blocked`
   /// itself when no detour is safe (the packet then rides the faulty link
   /// and end-to-end retransmission recovers any corruption).  The default
   /// declines to detour; CDOR overrides it with its deadlock-free convex
-  /// detour (the same NE-turn its staircase argument already admits).
-  virtual Port reroute(Coord cur, Coord dst, Port blocked) const {
+  /// detour (the same NE turn its staircase argument already admits).
+  virtual int reroute_port(const Topology& topo, NodeId cur, NodeId dst,
+                           int blocked) const {
+    (void)topo;
     (void)cur;
     (void)dst;
     return blocked;
@@ -40,30 +51,37 @@ class RoutingFunction {
 
 /// Classic X-Y dimension-order routing on a full 2-D mesh: exhaust the X
 /// offset, then the Y offset.  Deadlock-free because only EN/ES/WN/WS turns
-/// occur (no NE/NW/SE/SW), which breaks both abstract cycles.
-class XyRouting final : public RoutingFunction {
+/// occur (no NE/NW/SE/SW), which breaks both abstract cycles.  Requires a
+/// topology with directional port indices (Topology::mesh).
+class XyRouting final : public RoutingPolicy {
  public:
-  Port route(Coord cur, Coord dst) const override {
-    if (dst.x > cur.x) return Port::kEast;
-    if (dst.x < cur.x) return Port::kWest;
-    if (dst.y > cur.y) return Port::kSouth;
-    if (dst.y < cur.y) return Port::kNorth;
-    return Port::kLocal;
+  int route_port(const Topology& topo, NodeId cur,
+                 NodeId dst) const override {
+    const Coord c = topo.coord(cur);
+    const Coord d = topo.coord(dst);
+    if (d.x > c.x) return static_cast<int>(Port::kEast);
+    if (d.x < c.x) return static_cast<int>(Port::kWest);
+    if (d.y > c.y) return static_cast<int>(Port::kSouth);
+    if (d.y < c.y) return static_cast<int>(Port::kNorth);
+    return static_cast<int>(Port::kLocal);
   }
 
   const char* name() const override { return "xy-dor"; }
 };
 
 /// Y-X dimension-order routing (exhaust Y first); used in routing tests and
-/// as an ablation baseline.
-class YxRouting final : public RoutingFunction {
+/// as an ablation baseline.  Same topology requirement as XyRouting.
+class YxRouting final : public RoutingPolicy {
  public:
-  Port route(Coord cur, Coord dst) const override {
-    if (dst.y > cur.y) return Port::kSouth;
-    if (dst.y < cur.y) return Port::kNorth;
-    if (dst.x > cur.x) return Port::kEast;
-    if (dst.x < cur.x) return Port::kWest;
-    return Port::kLocal;
+  int route_port(const Topology& topo, NodeId cur,
+                 NodeId dst) const override {
+    const Coord c = topo.coord(cur);
+    const Coord d = topo.coord(dst);
+    if (d.y > c.y) return static_cast<int>(Port::kSouth);
+    if (d.y < c.y) return static_cast<int>(Port::kNorth);
+    if (d.x > c.x) return static_cast<int>(Port::kEast);
+    if (d.x < c.x) return static_cast<int>(Port::kWest);
+    return static_cast<int>(Port::kLocal);
   }
 
   const char* name() const override { return "yx-dor"; }

@@ -136,7 +136,8 @@ TableRouting TableRouting::up_down(const Topology& topo,
   return rt;
 }
 
-int TableRouting::route_port(NodeId cur, NodeId dst) const {
+int TableRouting::route_port(const Topology& /*topo*/, NodeId cur,
+                             NodeId dst) const {
   NOCS_EXPECTS(cur >= 0 && cur < num_nodes_ && dst >= 0 && dst < num_nodes_);
   const int port = table_[static_cast<std::size_t>(cur) *
                               static_cast<std::size_t>(num_nodes_) +
@@ -175,7 +176,7 @@ DeadlockCheckResult check_deadlock_free(const Topology& topo,
           return fail("route " + std::to_string(src) + " -> " +
                       std::to_string(dst) + " does not terminate");
         }
-        const int port = policy.route_port(cur, dst);
+        const int port = policy.route_port(topo, cur, dst);
         if (port == 0) {
           return fail("route " + std::to_string(src) + " -> " +
                       std::to_string(dst) + " ejects early at node " +

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "noc/routing_policy.hpp"
+#include "noc/routing.hpp"
 #include "noc/topology.hpp"
 
 namespace nocs::noc {
@@ -38,7 +38,8 @@ class TableRouting final : public RoutingPolicy {
   static TableRouting up_down(const Topology& topo,
                               const std::vector<NodeId>& active, NodeId root);
 
-  int route_port(NodeId cur, NodeId dst) const override;
+  int route_port(const Topology& topo, NodeId cur,
+                 NodeId dst) const override;
   const char* name() const override { return name_.c_str(); }
 
   /// BFS depth of an active node from the root (-1 for dark nodes).
@@ -66,9 +67,9 @@ struct DeadlockCheckResult {
 /// within num_nodes hops, never leaves the active set, and that the
 /// channel-dependency graph (link -> next link along some route) is
 /// acyclic — the classic Dally/Seitz sufficient condition for wormhole
-/// deadlock freedom.  Works for any RoutingPolicy, including
-/// MeshRoutingPolicy-wrapped CDOR, so every topology x sprint-level
-/// combination can be certified before the network is built.
+/// deadlock freedom.  Works for any RoutingPolicy (XY/YX, CDOR,
+/// up*/down*), so every topology x sprint-level combination can be
+/// certified before the network is built.
 DeadlockCheckResult check_deadlock_free(const Topology& topo,
                                         const RoutingPolicy& policy,
                                         const std::vector<NodeId>& active);

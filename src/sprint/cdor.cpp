@@ -42,12 +42,12 @@ Coord CdorRouting::reflect(Coord c) const {
                flip_y_ ? mesh_.height() - 1 - c.y : c.y};
 }
 
-Port CdorRouting::unreflect(Port p) const {
+int CdorRouting::unreflect(Port p) const {
   if (flip_x_ && (p == Port::kEast || p == Port::kWest))
-    return p == Port::kEast ? Port::kWest : Port::kEast;
-  if (flip_y_ && (p == Port::kNorth || p == Port::kSouth))
-    return p == Port::kNorth ? Port::kSouth : Port::kNorth;
-  return p;
+    p = p == Port::kEast ? Port::kWest : Port::kEast;
+  else if (flip_y_ && (p == Port::kNorth || p == Port::kSouth))
+    p = p == Port::kNorth ? Port::kSouth : Port::kNorth;
+  return static_cast<int>(p);
 }
 
 bool CdorRouting::active_canonical(Coord c) const {
@@ -70,15 +70,16 @@ bool CdorRouting::connectivity_west(NodeId id) const {
          active_mask_[static_cast<std::size_t>(mesh_.id_of(w))];
 }
 
-Port CdorRouting::route(Coord cur, Coord dst) const {
-  NOCS_EXPECTS(mesh_.contains(cur) && mesh_.contains(dst));
-  NOCS_EXPECTS(is_active(mesh_.id_of(cur)));
-  NOCS_EXPECTS(is_active(mesh_.id_of(dst)));
+int CdorRouting::route_port(const noc::Topology& /*topo*/, NodeId cur,
+                            NodeId dst) const {
+  NOCS_EXPECTS(mesh_.valid(cur) && mesh_.valid(dst));
+  NOCS_EXPECTS(is_active(cur));
+  NOCS_EXPECTS(is_active(dst));
 
-  const Coord c = reflect(cur);
-  const Coord d = reflect(dst);
+  const Coord c = reflect(mesh_.coord_of(cur));
+  const Coord d = reflect(mesh_.coord_of(dst));
 
-  if (c == d) return Port::kLocal;
+  if (c == d) return static_cast<int>(Port::kLocal);
   if (d.x < c.x) {
     // Westward toward the master column: always connected inside a
     // left-anchored staircase (C_w holds whenever x > 0).
@@ -98,12 +99,12 @@ Port CdorRouting::route(Coord cur, Coord dst) const {
   return unreflect(d.y > c.y ? Port::kSouth : Port::kNorth);
 }
 
-Port CdorRouting::reroute(Coord cur, Coord dst, Port blocked) const {
-  if (!mesh_.contains(cur) || !mesh_.contains(dst)) return blocked;
-  if (!is_active(mesh_.id_of(cur)) || !is_active(mesh_.id_of(dst)))
-    return blocked;
-  const Coord c = reflect(cur);
-  const Coord d = reflect(dst);
+int CdorRouting::reroute_port(const noc::Topology& /*topo*/, NodeId cur,
+                              NodeId dst, int blocked) const {
+  if (!mesh_.valid(cur) || !mesh_.valid(dst)) return blocked;
+  if (!is_active(cur) || !is_active(dst)) return blocked;
+  const Coord c = reflect(mesh_.coord_of(cur));
+  const Coord d = reflect(mesh_.coord_of(dst));
   // Only an eastward X-phase hop can be detoured: going canonical-north
   // instead is the NE turn Figure 5a already uses when a row narrows, and
   // the row above a staircase cell is always at least as wide, so the

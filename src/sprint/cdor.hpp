@@ -12,6 +12,9 @@
 //
 // The master node may sit at any corner of the mesh; coordinates are
 // internally reflected so the region is always a top-left staircase.
+// CDOR is built for one mesh and one active set, so it routes from its
+// own MeshShape and ignores the topology argument of the RoutingPolicy
+// interface (the network's mesh topology has the same ids and ports).
 #pragma once
 
 #include <vector>
@@ -21,7 +24,7 @@
 
 namespace nocs::sprint {
 
-class CdorRouting final : public noc::RoutingFunction {
+class CdorRouting final : public noc::RoutingPolicy {
  public:
   /// `active` is the sprint region (must contain `master` and form a
   /// staircase anchored at `master`'s corner).  `master` must be a corner
@@ -29,7 +32,9 @@ class CdorRouting final : public noc::RoutingFunction {
   CdorRouting(const MeshShape& mesh, std::vector<NodeId> active,
               NodeId master = 0);
 
-  Port route(Coord cur, Coord dst) const override;
+  /// Preconditions: both nodes are active.
+  int route_port(const noc::Topology& topo, NodeId cur,
+                 NodeId dst) const override;
 
   /// Fault fallback: when the planned hop's link is down, returns a safe
   /// detour or `blocked` unchanged if none exists.  Only the eastward
@@ -37,7 +42,8 @@ class CdorRouting final : public noc::RoutingFunction {
   /// class the staircase argument already proves deadlock-free — so the
   /// detour can never introduce a new turn cycle or leave the active
   /// region.
-  Port reroute(Coord cur, Coord dst, Port blocked) const override;
+  int reroute_port(const noc::Topology& topo, NodeId cur, NodeId dst,
+                   int blocked) const override;
 
   const char* name() const override { return "cdor"; }
 
@@ -52,8 +58,8 @@ class CdorRouting final : public noc::RoutingFunction {
   NodeId master() const { return master_; }
 
  private:
-  Coord reflect(Coord c) const;      ///< physical -> canonical (master at 0,0)
-  Port unreflect(Port p) const;      ///< canonical port -> physical port
+  Coord reflect(Coord c) const;  ///< physical -> canonical (master at 0,0)
+  int unreflect(Port p) const;   ///< canonical port -> physical port index
   bool active_canonical(Coord c) const;
 
   MeshShape mesh_;

@@ -3,110 +3,64 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/rng.hpp"
+#include "sprint/cdor.hpp"
 #include "sprint/topology.hpp"
 
 namespace nocs::sprint {
 
-TopologyBundle make_topology_sprinting_network(
-    const noc::NetworkParams& params, const noc::Topology& topo, int level,
-    const std::string& traffic, std::uint64_t seed, NodeId master) {
+NetworkBundle make_sprinting_network(const noc::NetworkParams& params,
+                                     noc::Topology topo, NetworkScheme scheme,
+                                     int level, const std::string& traffic,
+                                     std::uint64_t seed, NodeId master,
+                                     noc::LinkLatencyFn link_latency) {
   NOCS_EXPECTS(level >= 2 && level <= topo.num_nodes());
   NOCS_EXPECTS(topo.num_nodes() == params.num_nodes());
-  TopologyBundle b;
-  b.endpoints = active_set(topo, level, master);
-  if (topo.is_mesh()) {
-    // Mesh specialization: the paper's CDOR over the Algorithm 1 prefix,
-    // identical to make_noc_sprinting_network.
-    const MeshShape shape = topo.mesh_shape();
-    b.policy = std::make_unique<noc::MeshRoutingPolicy>(
-        std::make_unique<CdorRouting>(shape, b.endpoints, master), shape);
+  NOCS_EXPECTS(topo.valid(master));
+  NetworkBundle b;
+  const bool noc = scheme == NetworkScheme::kNoc;
+  if (noc) {
+    b.endpoints = active_set(topo, level, master);
+    if (topo.is_mesh())
+      b.policy = std::make_unique<CdorRouting>(topo.mesh_shape(), b.endpoints,
+                                               master);
+    else
+      b.policy = std::make_unique<noc::TableRouting>(
+          noc::TableRouting::up_down(topo, b.endpoints, master));
   } else {
-    b.policy = std::make_unique<noc::TableRouting>(
-        noc::TableRouting::up_down(topo, b.endpoints, master));
+    NOCS_EXPECTS(topo.is_mesh());
+    // Random endpoint mapping over the full mesh, master always included.
+    Rng rng(seed ^ 0xf00dfeedbeefULL);
+    std::vector<NodeId> pool;
+    for (NodeId id = 0; id < topo.num_nodes(); ++id)
+      if (id != master) pool.push_back(id);
+    // Fisher-Yates partial shuffle for the first level-1 picks.
+    for (std::size_t i = 0; i < static_cast<std::size_t>(level - 1); ++i) {
+      const std::size_t j =
+          i + static_cast<std::size_t>(rng.uniform_int(pool.size() - i));
+      std::swap(pool[i], pool[j]);
+    }
+    b.endpoints.push_back(master);
+    b.endpoints.insert(b.endpoints.end(), pool.begin(),
+                       pool.begin() + (level - 1));
+    b.policy = std::make_unique<noc::XyRouting>();
   }
-  // Certify before wiring anything: every active-pair route must terminate
-  // inside the powered region with an acyclic channel-dependency graph.
-  b.deadlock = noc::check_deadlock_free(topo, *b.policy, b.endpoints);
-  if (!b.deadlock.ok)
-    throw std::runtime_error("topology sprint level " +
-                             std::to_string(level) +
-                             " fails the deadlock check: " +
-                             b.deadlock.detail);
-  b.network = std::make_unique<noc::Network>(params, topo, b.policy.get());
+  b.network = std::make_unique<noc::Network>(
+      params, std::move(topo), b.policy.get(), std::move(link_latency));
   b.network->set_endpoints(b.endpoints, noc::make_traffic(traffic, level));
-  b.network->gate_dark_region(b.endpoints);
+  if (noc) b.network->gate_dark_region(b.endpoints);
   b.network->set_seed(seed);
   return b;
 }
 
-NetworkBundle make_noc_sprinting_network(const noc::NetworkParams& params,
-                                         int level,
-                                         const std::string& traffic,
-                                         std::uint64_t seed, NodeId master) {
-  NOCS_EXPECTS(level >= 2 && level <= params.num_nodes());
-  NetworkBundle b;
-  b.endpoints = active_set(params.shape(), level, master);
-  auto cdor =
-      std::make_unique<CdorRouting>(params.shape(), b.endpoints, master);
-  b.network = std::make_unique<noc::Network>(params, cdor.get());
-  b.routing = std::move(cdor);
-  b.network->set_endpoints(b.endpoints,
-                           noc::make_traffic(traffic, level));
-  b.network->gate_dark_region(b.endpoints);
-  b.network->set_seed(seed);
-  return b;
-}
-
-NetworkBundle make_floorplanned_network(const noc::NetworkParams& params,
-                                        int level, const std::string& traffic,
-                                        std::uint64_t seed,
-                                        const std::vector<int>& positions,
-                                        const WireParams& wires,
-                                        NodeId master) {
-  NOCS_EXPECTS(level >= 2 && level <= params.num_nodes());
-  const PhysicalWires phys(params.shape(), positions, wires);
-  NetworkBundle b;
-  b.endpoints = active_set(params.shape(), level, master);
-  auto cdor =
-      std::make_unique<CdorRouting>(params.shape(), b.endpoints, master);
-  b.network =
-      std::make_unique<noc::Network>(params, cdor.get(), phys.latency_fn());
-  b.routing = std::move(cdor);
-  b.network->set_endpoints(b.endpoints, noc::make_traffic(traffic, level));
-  b.network->gate_dark_region(b.endpoints);
-  b.network->set_seed(seed);
-  return b;
-}
-
-NetworkBundle make_full_sprinting_network(const noc::NetworkParams& params,
-                                          int level,
-                                          const std::string& traffic,
-                                          std::uint64_t seed, NodeId master) {
-  NOCS_EXPECTS(level >= 2 && level <= params.num_nodes());
-  NOCS_EXPECTS(params.shape().valid(master));
-  NetworkBundle b;
-
-  // Random endpoint mapping over the full mesh, master always included.
-  Rng rng(seed ^ 0xf00dfeedbeefULL);
-  std::vector<NodeId> pool;
-  for (NodeId id = 0; id < params.num_nodes(); ++id)
-    if (id != master) pool.push_back(id);
-  // Fisher-Yates partial shuffle for the first level-1 picks.
-  for (std::size_t i = 0; i < static_cast<std::size_t>(level - 1); ++i) {
-    const std::size_t j =
-        i + static_cast<std::size_t>(rng.uniform_int(pool.size() - i));
-    std::swap(pool[i], pool[j]);
-  }
-  b.endpoints.push_back(master);
-  b.endpoints.insert(b.endpoints.end(), pool.begin(),
-                     pool.begin() + (level - 1));
-
-  b.routing = std::make_unique<noc::XyRouting>();
-  b.network = std::make_unique<noc::Network>(params, b.routing.get());
-  b.network->set_endpoints(b.endpoints,
-                           noc::make_traffic(traffic, level));
-  b.network->set_seed(seed);
-  return b;
+noc::DeadlockCheckResult require_deadlock_free(const NetworkBundle& bundle,
+                                               int level) {
+  noc::DeadlockCheckResult res = noc::check_deadlock_free(
+      bundle.network->topology(), *bundle.policy, bundle.endpoints);
+  if (!res.ok)
+    throw std::runtime_error("topology sprint level " + std::to_string(level) +
+                             " fails the deadlock check: " + res.detail);
+  return res;
 }
 
 }  // namespace nocs::sprint

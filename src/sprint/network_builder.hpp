@@ -1,83 +1,79 @@
-// Convenience builders wiring a noc::Network for the sprinting schemes the
+// The one builder wiring a noc::Network for the sprinting schemes the
 // paper compares:
 //
-//  * NoC-sprinting: active set = Algorithm 1 prefix, CDOR routing, dark
-//    region statically gated.
-//  * Full-sprinting: every router powered, XY-DOR routing; the k traffic
-//    endpoints are mapped randomly over the whole mesh (the paper averages
-//    ten such samples in Figure 11).
+//  * NoC-sprinting: active set = Algorithm 1 prefix (generalized to
+//    connected growth on any topology), dark region statically gated,
+//    endpoints = the active nodes.  Routing: the paper's CDOR on a mesh,
+//    up*/down* tables rooted at the master on any other graph.
+//  * Full-sprinting (mesh only): every router powered, XY-DOR routing;
+//    the k traffic endpoints are mapped randomly over the whole mesh (the
+//    paper averages ten such samples in Figure 11).
 //
-// The routing function's lifetime is bound to the returned bundle.
+// The routing policy's lifetime is bound to the returned bundle.  The
+// builder does not run the channel-dependency deadlock check (it walks
+// every active pair, too slow for large all-active meshes); callers that
+// accept arbitrary graphs call require_deadlock_free before the first
+// tick.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "noc/params.hpp"
+#include "noc/routing.hpp"
 #include "noc/table_routing.hpp"
 #include "noc/topology.hpp"
-#include "sprint/cdor.hpp"
-#include "sprint/physical_wires.hpp"
 
 namespace nocs::sprint {
 
-/// A network plus the routing function it borrows.
+/// Which of the paper's network configurations to build.
+enum class NetworkScheme { kNoc, kFull };
+
+/// A network plus the routing policy it borrows.
 struct NetworkBundle {
-  std::unique_ptr<noc::RoutingFunction> routing;
+  std::unique_ptr<noc::RoutingPolicy> policy;
   std::unique_ptr<noc::Network> network;
+  /// Traffic endpoints; under NetworkScheme::kNoc also the powered set.
   std::vector<NodeId> endpoints;
 };
 
-/// A sprinting network over an arbitrary topology, plus the routing policy
-/// it borrows and the deadlock-check verdict its routes passed.
-struct TopologyBundle {
-  std::unique_ptr<noc::RoutingPolicy> policy;
-  std::unique_ptr<noc::Network> network;
-  std::vector<NodeId> endpoints;  ///< the powered (active) nodes
-  noc::DeadlockCheckResult deadlock;
-};
+/// Sprinting network at `level` active cores over `topo` (see the file
+/// comment for the two schemes).  params.num_nodes() must equal
+/// topo.num_nodes(); kFull requires a mesh.  `link_latency`, when given,
+/// sets the latency of every link the topology leaves at 0 (physical
+/// floorplans: PhysicalWires::latency_fn()).
+NetworkBundle make_sprinting_network(const noc::NetworkParams& params,
+                                     noc::Topology topo, NetworkScheme scheme,
+                                     int level, const std::string& traffic,
+                                     std::uint64_t seed, NodeId master = 0,
+                                     noc::LinkLatencyFn link_latency = nullptr);
 
-/// Generalized NoC-sprinting network at `level` active cores on an
-/// arbitrary topology: active set = generalized Algorithm 1 prefix
-/// (connected growth by floorplan distance), dark region gated, endpoints
-/// = the active nodes.  Routing: the paper's CDOR when `topo` is a mesh,
-/// up*/down* tables rooted at the master otherwise — either way the
-/// channel-dependency-graph deadlock check runs at build time and a
-/// failure throws std::runtime_error (bundle.deadlock records the passing
-/// verdict).  params.num_nodes() must equal topo.num_nodes().
-TopologyBundle make_topology_sprinting_network(
-    const noc::NetworkParams& params, const noc::Topology& topo, int level,
-    const std::string& traffic, std::uint64_t seed, NodeId master = 0);
+/// Certifies a NetworkScheme::kNoc bundle: noc::check_deadlock_free over
+/// its network's topology, its policy, and its powered set
+/// (bundle.endpoints).  Returns the passing verdict; throws
+/// std::runtime_error naming `level` on failure.
+noc::DeadlockCheckResult require_deadlock_free(const NetworkBundle& bundle,
+                                               int level);
 
-/// NoC-sprinting network at `level` active cores: CDOR over the Algorithm 1
-/// prefix, dark region gated, endpoints = the active nodes.
-NetworkBundle make_noc_sprinting_network(const noc::NetworkParams& params,
-                                         int level,
-                                         const std::string& traffic,
-                                         std::uint64_t seed,
-                                         NodeId master = 0);
+/// NoC-sprinting on the params.width x params.height mesh.
+inline NetworkBundle make_noc_sprinting_network(
+    const noc::NetworkParams& params, int level, const std::string& traffic,
+    std::uint64_t seed, NodeId master = 0) {
+  return make_sprinting_network(
+      params, noc::Topology::mesh(params.width, params.height),
+      NetworkScheme::kNoc, level, traffic, seed, master);
+}
 
-/// Full-sprinting network: all routers on, XY-DOR; `level` endpoints
-/// placed uniformly at random (always including the master so comparisons
-/// share the memory-controller node).
-NetworkBundle make_full_sprinting_network(const noc::NetworkParams& params,
-                                          int level,
-                                          const std::string& traffic,
-                                          std::uint64_t seed,
-                                          NodeId master = 0);
-
-/// NoC-sprinting network laid out on a physical floorplan: same as
-/// make_noc_sprinting_network, but each logical link carries the latency
-/// the floorplan's wire model assigns it (Section 3.3's wiring cost, and
-/// the SMART wires that absorb it).
-NetworkBundle make_floorplanned_network(const noc::NetworkParams& params,
-                                        int level, const std::string& traffic,
-                                        std::uint64_t seed,
-                                        const std::vector<int>& positions,
-                                        const WireParams& wires,
-                                        NodeId master = 0);
+/// Full-sprinting on the params.width x params.height mesh.
+inline NetworkBundle make_full_sprinting_network(
+    const noc::NetworkParams& params, int level, const std::string& traffic,
+    std::uint64_t seed, NodeId master = 0) {
+  return make_sprinting_network(
+      params, noc::Topology::mesh(params.width, params.height),
+      NetworkScheme::kFull, level, traffic, seed, master);
+}
 
 }  // namespace nocs::sprint

@@ -13,15 +13,24 @@
 namespace nocs::sprint {
 namespace {
 
+/// The port `rf` picks at `cur` toward `dst` on the mesh `topo`.
+Port route(const noc::RoutingPolicy& rf, const noc::Topology& topo, Coord cur,
+           Coord dst) {
+  const MeshShape mesh = topo.mesh_shape();
+  return static_cast<Port>(
+      rf.route_port(topo, mesh.id_of(cur), mesh.id_of(dst)));
+}
+
 /// Walks a CDOR route, asserting every intermediate node is active and the
 /// walk terminates; returns the visited coordinates (including endpoints).
-std::vector<Coord> walk(const CdorRouting& rf, const MeshShape& mesh,
+std::vector<Coord> walk(const CdorRouting& rf, const noc::Topology& topo,
                         Coord src, Coord dst) {
+  const MeshShape mesh = topo.mesh_shape();
   std::vector<Coord> path = {src};
   Coord cur = src;
   const int budget = 3 * (mesh.width() + mesh.height());
   while (cur != dst) {
-    const Port p = rf.route(cur, dst);
+    const Port p = route(rf, topo, cur, dst);
     EXPECT_NE(p, Port::kLocal);
     cur = step(cur, p);
     EXPECT_TRUE(mesh.contains(cur));
@@ -41,6 +50,7 @@ class CdorSweep
 TEST_P(CdorSweep, DeliversAllActivePairsInsideRegion) {
   const auto [w, h, corner] = GetParam();
   const MeshShape mesh(w, h);
+  const noc::Topology topo = noc::Topology::mesh(w, h);
   const NodeId master = std::vector<NodeId>{
       0, w - 1, w * (h - 1), w * h - 1}[static_cast<std::size_t>(corner)];
   const std::vector<NodeId> order = sprint_order(mesh, master);
@@ -50,11 +60,11 @@ TEST_P(CdorSweep, DeliversAllActivePairsInsideRegion) {
     for (NodeId s : active) {
       for (NodeId d : active) {
         if (s == d) {
-          EXPECT_EQ(rf.route(mesh.coord_of(s), mesh.coord_of(d)),
+          EXPECT_EQ(route(rf, topo, mesh.coord_of(s), mesh.coord_of(d)),
                     Port::kLocal);
           continue;
         }
-        const auto path = walk(rf, mesh, mesh.coord_of(s), mesh.coord_of(d));
+        const auto path = walk(rf, topo, mesh.coord_of(s), mesh.coord_of(d));
         // The detour is bounded: at most one extra leg up to the master
         // row and back — never more than width+height hops total here.
         EXPECT_LE(static_cast<int>(path.size()) - 1, w + h);
@@ -70,12 +80,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Cdor, EqualsXyDorOnFullMesh) {
   const MeshShape mesh(4, 4);
+  const noc::Topology topo = noc::Topology::mesh(4, 4);
   const CdorRouting cdor(mesh, mesh.all_nodes(), 0);
   const noc::XyRouting xy;
   for (NodeId s = 0; s < mesh.size(); ++s)
     for (NodeId d = 0; d < mesh.size(); ++d)
-      EXPECT_EQ(cdor.route(mesh.coord_of(s), mesh.coord_of(d)),
-                xy.route(mesh.coord_of(s), mesh.coord_of(d)))
+      EXPECT_EQ(cdor.route_port(topo, s, d), xy.route_port(topo, s, d))
           << s << "->" << d;
 }
 
@@ -83,13 +93,14 @@ TEST(Cdor, MinimalWhenEastIsConnected) {
   // Within a full rectangle subset the route length equals Manhattan
   // distance (no detours needed).
   const MeshShape mesh(4, 4);
+  const noc::Topology topo = noc::Topology::mesh(4, 4);
   const std::vector<NodeId> block = {0, 1, 4, 5};  // 2x2
   const CdorRouting rf(mesh, block, 0);
   for (NodeId s : block) {
     for (NodeId d : block) {
       if (s != d) {
         EXPECT_EQ(static_cast<int>(
-                      walk(rf, mesh, mesh.coord_of(s), mesh.coord_of(d))
+                      walk(rf, topo, mesh.coord_of(s), mesh.coord_of(d))
                           .size()) - 1,
                   manhattan(mesh.coord_of(s), mesh.coord_of(d)));
       }
@@ -102,13 +113,16 @@ TEST(Cdor, PaperNeTurnExample) {
   // node 9 (1,2) eastwards is blocked (node 10 dark), so the packet goes
   // north to node 5 and turns east there — the NE turn.
   const MeshShape mesh(4, 4);
+  const noc::Topology topo = noc::Topology::mesh(4, 4);
   const CdorRouting rf(mesh, active_set(mesh, 8, 0), 0);
   EXPECT_FALSE(rf.connectivity_east(9));  // (2,2) is dark
-  EXPECT_EQ(rf.route(mesh.coord_of(9), mesh.coord_of(6)), Port::kNorth);
+  EXPECT_EQ(route(rf, topo, mesh.coord_of(9), mesh.coord_of(6)),
+            Port::kNorth);
   // At node 5 (1,1) east is connected: the NE turn completes.
   EXPECT_TRUE(rf.connectivity_east(5));
-  EXPECT_EQ(rf.route(mesh.coord_of(5), mesh.coord_of(6)), Port::kEast);
-  const auto path = walk(rf, mesh, mesh.coord_of(9), mesh.coord_of(6));
+  EXPECT_EQ(route(rf, topo, mesh.coord_of(5), mesh.coord_of(6)),
+            Port::kEast);
+  const auto path = walk(rf, topo, mesh.coord_of(9), mesh.coord_of(6));
   const std::vector<Coord> expect = {{1, 2}, {1, 1}, {2, 1}};
   EXPECT_EQ(path, expect);
 }
@@ -136,6 +150,7 @@ TEST_P(CdorDeadlock, FreeByChannelDependencyGraph) {
   // acyclic.  Verify at every sprint level.
   const auto [w, h] = GetParam();
   const MeshShape mesh(w, h);
+  const noc::Topology topo = noc::Topology::mesh(w, h);
   const std::vector<NodeId> order = sprint_order(mesh, 0);
   for (int level = 2; level <= mesh.size(); ++level) {
     const std::vector<NodeId> active(order.begin(), order.begin() + level);
@@ -158,7 +173,7 @@ TEST_P(CdorDeadlock, FreeByChannelDependencyGraph) {
         const Coord dst = mesh.coord_of(d);
         int prev_link = -1;
         while (cur != dst) {
-          const Coord next = step(cur, rf.route(cur, dst));
+          const Coord next = step(cur, route(rf, topo, cur, dst));
           const int l = link_id(mesh.id_of(cur), mesh.id_of(next));
           if (prev_link >= 0)
             deps[static_cast<std::size_t>(prev_link)].push_back(l);
@@ -196,12 +211,13 @@ TEST(Cdor, ReflectedMastersRouteWithinRegion) {
   // Master at the bottom-right corner: the region grows toward the
   // top-left; routing must stay inside it (reflection correctness).
   const MeshShape mesh(4, 4);
+  const noc::Topology topo = noc::Topology::mesh(4, 4);
   const NodeId master = 15;
   const std::vector<NodeId> active = active_set(mesh, 6, master);
   const CdorRouting rf(mesh, active, master);
   for (NodeId s : active)
     for (NodeId d : active)
-      if (s != d) walk(rf, mesh, mesh.coord_of(s), mesh.coord_of(d));
+      if (s != d) walk(rf, topo, mesh.coord_of(s), mesh.coord_of(d));
 }
 
 TEST(Cdor, RejectsNonStaircaseRegion) {
@@ -216,11 +232,10 @@ TEST(Cdor, RejectsNonStaircaseRegion) {
 
 TEST(Cdor, RejectsDarkEndpoints) {
   const MeshShape mesh(4, 4);
+  const noc::Topology topo = noc::Topology::mesh(4, 4);
   const CdorRouting rf(mesh, active_set(mesh, 4, 0), 0);
-  EXPECT_DEATH(rf.route(mesh.coord_of(15), mesh.coord_of(0)),
-               "precondition");
-  EXPECT_DEATH(rf.route(mesh.coord_of(0), mesh.coord_of(15)),
-               "precondition");
+  EXPECT_DEATH(rf.route_port(topo, 15, 0), "precondition");
+  EXPECT_DEATH(rf.route_port(topo, 0, 15), "precondition");
 }
 
 TEST(Cdor, Name) {

@@ -36,7 +36,7 @@ fault::FaultParams storm_params() {
 }
 
 struct FaultRig {
-  std::unique_ptr<noc::RoutingFunction> routing;
+  std::unique_ptr<noc::RoutingPolicy> policy;
   std::unique_ptr<noc::Network> net;
   std::unique_ptr<fault::FaultInjector> injector;
 };
@@ -47,7 +47,7 @@ FaultRig make_rig(const fault::FaultParams& fp, int level,
   auto bundle =
       sprint::make_noc_sprinting_network(params, level, "uniform", seed);
   FaultRig rig;
-  rig.routing = std::move(bundle.routing);
+  rig.policy = std::move(bundle.policy);
   rig.net = std::move(bundle.network);
   rig.injector = std::make_unique<fault::FaultInjector>(params.shape(), fp);
   const noc::ProtectionParams prot = fp.protection();
@@ -284,36 +284,45 @@ TEST(Watchdog, RunSimulationReportsHangOnStuckRouter) {
 
 // --- CDOR fault-tolerant fallback ------------------------------------------
 
+/// Port enum -> policy port index.
+constexpr int idx(Port p) { return static_cast<int>(p); }
+
 TEST(CdorReroute, DetourGoesNorthAndStaysInsideRegion) {
   const MeshShape mesh(4, 4);
+  const noc::Topology topo = noc::Topology::mesh(4, 4);
   const auto active = sprint::active_set(mesh, 6, 0);
   const sprint::CdorRouting cdor(mesh, active, 0);
   // Node (0,1) -> (1,1): planned east.  With that link down the detour
   // must be the canonical-north hop into the wider row above.
-  const Port planned = cdor.route(Coord{0, 1}, Coord{1, 1});
-  EXPECT_EQ(planned, Port::kEast);
-  const Port alt = cdor.reroute(Coord{0, 1}, Coord{1, 1}, Port::kEast);
-  EXPECT_EQ(alt, Port::kNorth);
-  EXPECT_TRUE(cdor.is_active(mesh.id_of(step(Coord{0, 1}, alt))));
+  const NodeId cur = mesh.id_of(Coord{0, 1});
+  const NodeId dst = mesh.id_of(Coord{1, 1});
+  EXPECT_EQ(cdor.route_port(topo, cur, dst), idx(Port::kEast));
+  const int alt = cdor.reroute_port(topo, cur, dst, idx(Port::kEast));
+  EXPECT_EQ(alt, idx(Port::kNorth));
+  EXPECT_TRUE(cdor.is_active(topo.neighbor(cur, alt)));
 }
 
 TEST(CdorReroute, NoDetourOnMasterRowOrNonEastHops) {
   const MeshShape mesh(4, 4);
+  const noc::Topology topo = noc::Topology::mesh(4, 4);
   const auto active = sprint::active_set(mesh, 6, 0);
   const sprint::CdorRouting cdor(mesh, active, 0);
+  auto reroute = [&](Coord cur, Coord dst, Port blocked) {
+    return cdor.reroute_port(topo, mesh.id_of(cur), mesh.id_of(dst),
+                             idx(blocked));
+  };
   // Master row: no row above, keep the planned port.
-  EXPECT_EQ(cdor.reroute(Coord{0, 0}, Coord{2, 0}, Port::kEast),
-            Port::kEast);
+  EXPECT_EQ(reroute(Coord{0, 0}, Coord{2, 0}, Port::kEast), idx(Port::kEast));
   // Westward and Y-phase hops have no safe alternative.
-  EXPECT_EQ(cdor.reroute(Coord{1, 1}, Coord{0, 1}, Port::kWest),
-            Port::kWest);
-  EXPECT_EQ(cdor.reroute(Coord{0, 1}, Coord{0, 0}, Port::kNorth),
-            Port::kNorth);
+  EXPECT_EQ(reroute(Coord{1, 1}, Coord{0, 1}, Port::kWest), idx(Port::kWest));
+  EXPECT_EQ(reroute(Coord{0, 1}, Coord{0, 0}, Port::kNorth),
+            idx(Port::kNorth));
 }
 
 TEST(CdorReroute, XyRoutingNeverDetours) {
+  const noc::Topology topo = noc::Topology::mesh(4, 4);
   const noc::XyRouting xy;
-  EXPECT_EQ(xy.reroute(Coord{0, 1}, Coord{2, 1}, Port::kEast), Port::kEast);
+  EXPECT_EQ(xy.reroute_port(topo, 4, 6, idx(Port::kEast)), idx(Port::kEast));
 }
 
 TEST(CdorReroute, LinkFaultsNeverLeakTrafficIntoDarkRegion) {

@@ -67,16 +67,16 @@ TEST_P(Fuzz, ConservationAndDrainHold) {
                << " rate=" << c.rate << " level=" << c.level
                << " protocol=" << c.protocol);
 
-  std::unique_ptr<noc::RoutingFunction> routing;
+  std::unique_ptr<noc::RoutingPolicy> policy;
   std::unique_ptr<noc::Network> net;
   if (c.level > 0) {
     auto bundle = sprint::make_noc_sprinting_network(c.params, c.level,
                                                      c.traffic, c.seed);
-    routing = std::move(bundle.routing);
+    policy = std::move(bundle.policy);
     net = std::move(bundle.network);
   } else {
-    routing = std::make_unique<noc::XyRouting>();
-    net = std::make_unique<noc::Network>(c.params, routing.get());
+    policy = std::make_unique<noc::XyRouting>();
+    net = std::make_unique<noc::Network>(c.params, policy.get());
     net->set_endpoints(c.params.shape().all_nodes(),
                        noc::make_traffic(c.traffic, c.params.num_nodes()));
     net->set_seed(c.seed);
@@ -246,16 +246,16 @@ TEST_P(FaultFuzz, NoHangNoLossAndDeterministic) {
                << fp.link_down_rate << "/" << fp.link_down_cycles);
 
   auto run_once = [&]() {
-    std::unique_ptr<noc::RoutingFunction> routing;
+    std::unique_ptr<noc::RoutingPolicy> policy;
     std::unique_ptr<noc::Network> net;
     if (c.level > 0) {
       auto bundle = sprint::make_noc_sprinting_network(c.params, c.level,
                                                        c.traffic, c.seed);
-      routing = std::move(bundle.routing);
+      policy = std::move(bundle.policy);
       net = std::move(bundle.network);
     } else {
-      routing = std::make_unique<noc::XyRouting>();
-      net = std::make_unique<noc::Network>(c.params, routing.get());
+      policy = std::make_unique<noc::XyRouting>();
+      net = std::make_unique<noc::Network>(c.params, policy.get());
       net->set_endpoints(c.params.shape().all_nodes(),
                          noc::make_traffic(c.traffic, c.params.num_nodes()));
       net->set_seed(c.seed);

@@ -21,7 +21,7 @@ TEST(NocSprintingBundle, EndpointsAreAlgorithm1Prefix) {
   const NetworkBundle b = make_noc_sprinting_network(params(), 6, "uniform", 1);
   EXPECT_EQ(b.endpoints, active_set(params().shape(), 6, 0));
   EXPECT_EQ(b.network->endpoints(), b.endpoints);
-  EXPECT_STREQ(b.routing->name(), "cdor");
+  EXPECT_STREQ(b.policy->name(), "cdor");
 }
 
 TEST(NocSprintingBundle, DarkRegionIsGated) {
@@ -52,7 +52,7 @@ TEST(NocSprintingBundle, SimulatesCleanly) {
 TEST(FullSprintingBundle, AllRoutersOnXyRouting) {
   const NetworkBundle b =
       make_full_sprinting_network(params(), 4, "uniform", 3);
-  EXPECT_STREQ(b.routing->name(), "xy-dor");
+  EXPECT_STREQ(b.policy->name(), "xy-dor");
   for (NodeId id = 0; id < 16; ++id)
     EXPECT_EQ(b.network->router(id).power_state(), noc::PowerState::kActive);
 }

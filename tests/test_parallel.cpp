@@ -144,6 +144,31 @@ TEST(DefaultThreadCount, HonorsEnvironmentOverride) {
   EXPECT_GE(default_thread_count(), 1);
 }
 
+TEST(DefaultSimThreadCount, EnvironmentAppliesOffPoolWorkersOnly) {
+  // NOCS_SIM_THREADS shards a simulation on the calling thread, but a pool
+  // task (already one of up to `cores` concurrent workers) stays serial
+  // rather than nesting a spinning shard team inside every worker.  An
+  // explicit positive count still applies inside the task.
+  ASSERT_EQ(::setenv("NOCS_SIM_THREADS", "4", 1), 0);
+  const noc::NetworkParams params;  // 4x4 mesh
+  auto shards = [&](int requested) {
+    auto b = sprint::make_noc_sprinting_network(params, 4, "uniform", 1);
+    b.network->set_sim_threads(requested);
+    return b.network->sim_threads();
+  };
+  EXPECT_EQ(shards(0), 4);
+  int in_task_default = 0, in_task_explicit = 0;
+  ThreadPool pool(2);
+  pool.submit([&] {
+    in_task_default = shards(0);
+    in_task_explicit = shards(2);
+  });
+  pool.wait_idle();
+  EXPECT_EQ(in_task_default, 1);
+  EXPECT_EQ(in_task_explicit, 2);
+  ASSERT_EQ(::unsetenv("NOCS_SIM_THREADS"), 0);
+}
+
 // --- deterministic per-task seeds ----------------------------------------
 
 TEST(TaskSeed, IndexesTheSplitMixStream) {

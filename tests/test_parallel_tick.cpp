@@ -41,7 +41,7 @@ fault::FaultParams storm_params() {
 }
 
 struct Rig {
-  std::unique_ptr<noc::RoutingFunction> routing;
+  std::unique_ptr<noc::RoutingPolicy> policy;
   std::unique_ptr<noc::Network> net;
   std::unique_ptr<fault::FaultInjector> injector;
 };
@@ -51,8 +51,8 @@ enum class Scheme {
   kFullDynamic,   // all routers on, dynamic power gating enabled
 };
 
-/// An 8x8 mesh so thread counts up to 8 give every shard a real row-band
-/// (the 4x4 Table 1 mesh would clamp sim_threads to 4).
+/// An 8x8 mesh so thread counts up to 8 give every shard at least a full
+/// mesh row of nodes.
 Rig make_rig(Scheme scheme, bool faults, std::uint64_t seed = 7) {
   noc::NetworkParams params;
   params.width = 8;
@@ -62,7 +62,7 @@ Rig make_rig(Scheme scheme, bool faults, std::uint64_t seed = 7) {
           ? sprint::make_noc_sprinting_network(params, 16, "uniform", seed)
           : sprint::make_full_sprinting_network(params, 16, "uniform", seed);
   Rig rig;
-  rig.routing = std::move(bundle.routing);
+  rig.policy = std::move(bundle.policy);
   rig.net = std::move(bundle.network);
   if (scheme == Scheme::kFullDynamic) rig.net->set_dynamic_gating(true);
   if (faults) {
@@ -256,11 +256,11 @@ TEST(ParallelTick, FaultedCheckpointRestoresAcrossThreadCounts) {
 
 // --- API edges ----------------------------------------------------------------
 
-TEST(ParallelTick, ThreadCountClampsToMeshHeight) {
+TEST(ParallelTick, ThreadCountClampsToNodeCount) {
   Rig rig = make_rig(Scheme::kSprint, false);
-  rig.net->set_sim_threads(64);  // 8 rows -> at most 8 row-band shards
-  EXPECT_EQ(rig.net->sim_threads(), 8);
-  rig.net->set_sim_threads(3);   // uneven row split is fine
+  rig.net->set_sim_threads(100);  // 64 nodes -> at most 64 id-range shards
+  EXPECT_EQ(rig.net->sim_threads(), 64);
+  rig.net->set_sim_threads(3);    // uneven id split is fine
   EXPECT_EQ(rig.net->sim_threads(), 3);
   expect_identical(noc::run_simulation(*rig.net, short_sim(false)),
                    run_with_threads(1, Scheme::kSprint, false));

@@ -82,6 +82,18 @@ TEST(PhysicalWires, RejectsNonPermutationPositions) {
                "precondition");
 }
 
+/// NoC-sprinting network on the default mesh with link latencies from the
+/// floorplan `positions` under `wires`.
+NetworkBundle floorplanned(const noc::NetworkParams& params, int level,
+                           std::uint64_t seed,
+                           const std::vector<int>& positions,
+                           const WireParams& wires) {
+  const PhysicalWires phys(params.shape(), positions, wires);
+  return make_sprinting_network(
+      params, noc::Topology::mesh(params.width, params.height),
+      NetworkScheme::kNoc, level, "uniform", seed, 0, phys.latency_fn());
+}
+
 TEST(FloorplannedNetwork, SlowerWiresSlowerNetwork) {
   noc::NetworkParams params;
   const MeshShape mesh = params.shape();
@@ -92,15 +104,13 @@ TEST(FloorplannedNetwork, SlowerWiresSlowerNetwork) {
   cfg.injection_rate = 0.1;
 
   WireParams conventional;
-  auto slow = make_floorplanned_network(params, 4, "uniform", 3,
-                                        fp.positions, conventional);
+  auto slow = floorplanned(params, 4, 3, fp.positions, conventional);
   const double slow_lat =
       run_simulation(*slow.network, cfg).avg_packet_latency;
 
   WireParams smart;
   smart.smart_max_pitches = 8;
-  auto fast = make_floorplanned_network(params, 4, "uniform", 3,
-                                        fp.positions, smart);
+  auto fast = floorplanned(params, 4, 3, fp.positions, smart);
   const double fast_lat =
       run_simulation(*fast.network, cfg).avg_packet_latency;
 
@@ -119,9 +129,9 @@ TEST(FloorplannedNetwork, SmartOnIdentityMatchesPlainNetwork) {
   const double plain_lat =
       run_simulation(*plain.network, cfg).avg_packet_latency;
 
-  auto ident = make_floorplanned_network(
-      params, 4, "uniform", 9, identity_floorplan(mesh).positions,
-      WireParams{});
+  auto ident =
+      floorplanned(params, 4, 9, identity_floorplan(mesh).positions,
+                   WireParams{});
   const double ident_lat =
       run_simulation(*ident.network, cfg).avg_packet_latency;
 

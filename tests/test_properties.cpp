@@ -44,6 +44,7 @@ TEST(CdorPathQuality, WithinRegionDetourBound) {
   // convex regions it must stay within a small additive detour of the
   // in-region shortest path — and be exactly minimal for most pairs.
   const MeshShape mesh(4, 4);
+  const noc::Topology topo = noc::Topology::mesh(4, 4);
   const auto order = sprint::sprint_order(mesh, 0);
   for (int level = 2; level <= 16; ++level) {
     const std::vector<NodeId> active(order.begin(), order.begin() + level);
@@ -55,11 +56,10 @@ TEST(CdorPathQuality, WithinRegionDetourBound) {
     for (NodeId s : active) {
       for (NodeId d : active) {
         if (s == d) continue;
-        Coord cur = mesh.coord_of(s);
-        const Coord dst = mesh.coord_of(d);
+        NodeId cur = s;
         int hops = 0;
-        while (cur != dst) {
-          cur = step(cur, rf.route(cur, dst));
+        while (cur != d) {
+          cur = topo.neighbor(cur, rf.route_port(topo, cur, d));
           ++hops;
           ASSERT_LE(hops, 32);
         }

@@ -102,7 +102,8 @@ TEST(MessageClasses, WrongClassVcArrivalDies) {
   // sending with a mismatched class through the NI (the NI would not do
   // this, so drive the router directly).
   Pipe<Flit> pipe(1);
-  Router r(5, p, &xy);
+  const Topology topo = Topology::mesh(p.width, p.height);
+  Router r(5, p, topo, &xy);
   Pipe<Credit> credit(1);
   r.connect_input(Port::kWest, &pipe, &credit);
   pipe.push(0, f);

@@ -11,7 +11,9 @@ namespace {
 class RouterHarness {
  public:
   explicit RouterHarness(NodeId id = 5, NetworkParams params = {})
-      : params_(params), router_(id, params, &xy_) {
+      : params_(params),
+        topo_(Topology::mesh(params.width, params.height)),
+        router_(id, params, topo_, &xy_) {
     for (int p = 0; p < kNumPorts; ++p) {
       in_flits_.emplace_back(std::make_unique<Pipe<Flit>>(1));
       in_credits_.emplace_back(std::make_unique<Pipe<Credit>>(1));
@@ -67,6 +69,7 @@ class RouterHarness {
 
  private:
   NetworkParams params_;
+  Topology topo_;
   XyRouting xy_;
   Router router_;
   Cycle now_ = 0;

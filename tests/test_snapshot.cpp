@@ -319,7 +319,7 @@ fault::FaultParams storm_params() {
 }
 
 struct Rig {
-  std::unique_ptr<noc::RoutingFunction> routing;
+  std::unique_ptr<noc::RoutingPolicy> policy;
   std::unique_ptr<noc::Network> net;
   std::unique_ptr<fault::FaultInjector> injector;
 };
@@ -331,7 +331,7 @@ Rig make_rig(bool faults, std::uint64_t seed = 7) {
   auto bundle =
       sprint::make_noc_sprinting_network(params, 4, "uniform", seed);
   Rig rig;
-  rig.routing = std::move(bundle.routing);
+  rig.policy = std::move(bundle.policy);
   rig.net = std::move(bundle.network);
   if (faults) {
     rig.injector =

@@ -1,7 +1,7 @@
 // Tests for Algorithm 1 (topological sprinting), the region predicates,
 // and the topology-agnostic core: graph generators, the documented text
 // file format, up*/down* table routing, the channel-dependency-graph
-// deadlock check, and mesh bit-identity of the generalized builder.
+// deadlock check, and the sprinting-network builder on non-mesh graphs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include "noc/simulator.hpp"
 #include "noc/table_routing.hpp"
 #include "noc/topology.hpp"
+#include "sprint/cdor.hpp"
 #include "sprint/network_builder.hpp"
 #include "sprint/topology.hpp"
 
@@ -351,9 +352,7 @@ TEST(DeadlockCheck, EveryBuiltinTopologyAtEveryLevel) {
       const std::vector<NodeId> active = active_set(t, level, 0);
       std::unique_ptr<noc::RoutingPolicy> policy;
       if (t.is_mesh()) {
-        policy = std::make_unique<noc::MeshRoutingPolicy>(
-            std::make_unique<CdorRouting>(t.mesh_shape(), active, 0),
-            t.mesh_shape());
+        policy = std::make_unique<CdorRouting>(t.mesh_shape(), active, 0);
       } else {
         policy = std::make_unique<noc::TableRouting>(
             noc::TableRouting::up_down(t, active, 0));
@@ -363,6 +362,16 @@ TEST(DeadlockCheck, EveryBuiltinTopologyAtEveryLevel) {
       EXPECT_TRUE(res.ok) << "level " << level << ": " << res.detail;
     }
   }
+  // Dimension-order routing on the full mesh (the full-sprinting baseline
+  // and its YX ablation).
+  const noc::Topology mesh = noc::Topology::mesh(4, 4);
+  auto check_full_mesh = [&](const noc::RoutingPolicy& policy) {
+    const noc::DeadlockCheckResult res = noc::check_deadlock_free(
+        mesh, policy, mesh.mesh_shape().all_nodes());
+    EXPECT_TRUE(res.ok) << policy.name() << ": " << res.detail;
+  };
+  check_full_mesh(noc::XyRouting{});
+  check_full_mesh(noc::YxRouting{});
 }
 
 TEST(DeadlockCheck, UpDownRejectsDisconnectedActiveSet) {
@@ -372,34 +381,7 @@ TEST(DeadlockCheck, UpDownRejectsDisconnectedActiveSet) {
                std::invalid_argument);
 }
 
-// --- mesh bit-identity of the generalized builder ---------------------------
-
-TEST(TopologyBuilder, MeshRunsBitIdenticalToLegacyBuilder) {
-  noc::NetworkParams params;  // Table 1 defaults: 4x4 mesh
-  const noc::Topology topo = noc::Topology::mesh(params.width, params.height);
-  noc::SimConfig sim;
-  sim.warmup = 500;
-  sim.measure = 2000;
-  sim.injection_rate = 0.15;
-  for (int level : {2, 4, 8, 16}) {
-    SCOPED_TRACE(level);
-    NetworkBundle legacy =
-        make_noc_sprinting_network(params, level, "uniform", 42);
-    TopologyBundle general =
-        make_topology_sprinting_network(params, topo, level, "uniform", 42);
-    EXPECT_EQ(general.endpoints, legacy.endpoints);
-    EXPECT_TRUE(general.deadlock.ok) << general.deadlock.detail;
-    const noc::SimResults a = noc::run_simulation(*legacy.network, sim);
-    const noc::SimResults b = noc::run_simulation(*general.network, sim);
-    // Exact double equality: the generalized path must reproduce the
-    // legacy mesh simulation bit for bit, not approximately.
-    EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
-    EXPECT_EQ(a.avg_network_latency, b.avg_network_latency);
-    EXPECT_EQ(a.avg_hops, b.avg_hops);
-    EXPECT_EQ(a.accepted_rate, b.accepted_rate);
-    EXPECT_EQ(a.packets_ejected, b.packets_ejected);
-  }
-}
+// --- the sprinting-network builder on non-mesh graphs -----------------------
 
 TEST(TopologyBuilder, NonMeshLevelsSimulateCleanly) {
   noc::NetworkParams params;
@@ -412,9 +394,9 @@ TEST(TopologyBuilder, NonMeshLevelsSimulateCleanly) {
   sim.injection_rate = 0.1;
   for (int level : {2, 5, 16}) {
     SCOPED_TRACE(level);
-    TopologyBundle b =
-        make_topology_sprinting_network(params, topo, level, "uniform", 7);
-    EXPECT_TRUE(b.deadlock.ok) << b.deadlock.detail;
+    const NetworkBundle b = make_sprinting_network(
+        params, topo, NetworkScheme::kNoc, level, "uniform", 7);
+    EXPECT_TRUE(require_deadlock_free(b, level).ok);
     const noc::SimResults r = noc::run_simulation(*b.network, sim);
     EXPECT_GT(r.packets_ejected, 0u);
     EXPECT_FALSE(r.saturated);
@@ -429,10 +411,10 @@ TEST(TopologyBuilder, SnapshotFingerprintGuardsTopologyMismatch) {
   params.height = 1;
   const noc::Topology ring = noc::Topology::ring_circulant(16, 4);
   const noc::Topology ham = noc::Topology::hamming(4, 4);
-  TopologyBundle a =
-      make_topology_sprinting_network(params, ring, 16, "uniform", 1);
-  TopologyBundle b =
-      make_topology_sprinting_network(params, ham, 16, "uniform", 1);
+  NetworkBundle a = make_sprinting_network(params, ring, NetworkScheme::kNoc,
+                                           16, "uniform", 1);
+  NetworkBundle b = make_sprinting_network(params, ham, NetworkScheme::kNoc,
+                                           16, "uniform", 1);
   for (int i = 0; i < 100; ++i) a.network->tick();
   snapshot::Writer w;
   a.network->save_state(w);
