@@ -21,16 +21,22 @@ namespace nocs::bench {
 
 /// Writes a flat {"name": value, ...} JSON object — the machine-readable
 /// summary (e.g. BENCH_noc.json) perf-tracking scripts diff across
-/// commits.  Returns false (after logging) when the file cannot be opened.
+/// commits — led by a "host" member when `host` is an object (where and
+/// how the numbers were measured).  Returns false (after logging) when the
+/// file cannot be opened.
 inline bool write_bench_json(
     const std::string& path,
-    const std::vector<std::pair<std::string, double>>& metrics) {
+    const std::vector<std::pair<std::string, double>>& metrics,
+    const json::Value& host = json::Value()) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return false;
   }
   std::fprintf(f, "{\n");
+  if (host.is_object())
+    std::fprintf(f, "  \"host\": %s%s\n", host.dump().c_str(),
+                 metrics.empty() ? "" : ",");
   for (std::size_t i = 0; i < metrics.size(); ++i)
     std::fprintf(f, "  \"%s\": %.6g%s\n", metrics[i].first.c_str(),
                  metrics[i].second, i + 1 < metrics.size() ? "," : "");
@@ -41,13 +47,14 @@ inline bool write_bench_json(
 
 /// Merges flat metrics into an existing BENCH-style JSON file: loads the
 /// current {"name": value} object if the file exists and parses (anything
-/// else starts fresh), overwrites the given keys, and rewrites the file.
-/// Lets several bench binaries contribute to one BENCH_noc.json without
-/// clobbering each other's keys.
+/// else starts fresh), overwrites the given keys, and rewrites the file,
+/// keeping its "host" member.  Lets several bench binaries contribute to
+/// one BENCH_noc.json without clobbering each other's keys.
 inline bool merge_bench_json(
     const std::string& path,
     const std::vector<std::pair<std::string, double>>& metrics) {
   std::vector<std::pair<std::string, double>> merged;
+  json::Value host;
   if (std::FILE* f = std::fopen(path.c_str(), "r")) {
     std::string text;
     char buf[4096];
@@ -57,8 +64,10 @@ inline bool merge_bench_json(
     try {
       const json::Value v = json::Value::parse(text);
       if (v.is_object())
-        for (const auto& [key, val] : v.members())
+        for (const auto& [key, val] : v.members()) {
           if (val.is_number()) merged.emplace_back(key, val.as_number());
+          if (key == "host" && val.is_object()) host = val;
+        }
     } catch (const std::invalid_argument&) {
       // Unparseable previous contents: rewrite from scratch.
     }
@@ -73,7 +82,7 @@ inline bool merge_bench_json(
       }
     if (!found) merged.emplace_back(key, val);
   }
-  return write_bench_json(path, merged);
+  return write_bench_json(path, merged, host);
 }
 
 /// Parses key=value overrides from argv, tolerating none.

@@ -4,12 +4,20 @@
 //
 // The custom main() additionally times the headline throughput numbers
 // outside google-benchmark and writes them to BENCH_noc.json (flat
-// name -> value JSON) so perf regressions are diffable across commits.
+// name -> value JSON, led by the host it was measured on) so perf
+// regressions are diffable across commits.
+//
+// Tick benchmarks run at stated loads: uniform traffic at about half of
+// each mesh's measured saturation knee (perfbench's mesh8_uniform and
+// mesh32_sharded operating points), plus one explicitly named overload
+// case above the 32x32 knee.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <thread>
 
 #include "bench_util.hpp"
 #include "cmp/perf_model.hpp"
@@ -25,10 +33,28 @@ using namespace nocs;
 
 namespace {
 
+/// Uniform loads at ~49% of the 8x8 knee (0.365) and ~48% of the 32x32
+/// knee (0.115), as measured by `perfbench/run.py --calibrate`.
+constexpr double kLoad8x8 = 0.18;
+constexpr double kLoad32x32 = 0.055;
+/// Deliberate overload: above the 32x32 knee the NI source queues grow
+/// for as long as the run lasts.
+constexpr double kOverloadLoad = 0.2;
+
+/// The stated load of a side x side tick benchmark (8 or 32).
+double stated_load(int side) { return side == 8 ? kLoad8x8 : kLoad32x32; }
+
+/// BENCH key prefix naming a mesh and its load, e.g. "tick_8x8_load0.18".
+std::string tick_key(const char* prefix, int side, double load) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%s_%dx%d_load%g", prefix, side, side, load);
+  return buf;
+}
+
 /// Builds the standard tick-benchmark network: side x side mesh, every
-/// node an endpoint, uniform traffic at 0.2 flits/cycle, pipelines warm.
+/// node an endpoint, uniform traffic at `rate` flits/cycle, pipelines warm.
 std::unique_ptr<noc::Network> make_tick_network(
-    int side, const noc::RoutingPolicy* policy) {
+    int side, double rate, const noc::RoutingPolicy* policy) {
   noc::NetworkParams p;
   p.width = side;
   p.height = side;
@@ -36,7 +62,7 @@ std::unique_ptr<noc::Network> make_tick_network(
   std::vector<NodeId> all;
   for (int i = 0; i < p.num_nodes(); ++i) all.push_back(i);
   net->set_endpoints(all, noc::make_traffic("uniform", p.num_nodes()));
-  net->set_injection_rate(0.2);
+  net->set_injection_rate(rate);
   net->set_seed(1);
   net->run(1000);  // warm the pipelines
   return net;
@@ -46,34 +72,47 @@ std::unique_ptr<noc::Network> make_tick_network(
 
 static void BM_NetworkTick(benchmark::State& state) {
   noc::XyRouting xy;
-  auto net = make_tick_network(static_cast<int>(state.range(0)), &xy);
+  const int side = static_cast<int>(state.range(0));
+  auto net = make_tick_network(side, stated_load(side), &xy);
   for (auto _ : state) net->tick();
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(net->num_nodes()));
 }
-BENCHMARK(BM_NetworkTick)->Arg(4)->Arg(8);
+BENCHMARK(BM_NetworkTick)->Arg(8);
 
 // Sharded barrier-synchronous tick: same network as BM_NetworkTick but
 // with tick() partitioned into node-id-range shards on sim_threads threads.
 // Results are bit-identical to serial; this measures the wall-clock win.
 static void BM_NetworkTickSharded(benchmark::State& state) {
   noc::XyRouting xy;
-  auto net = make_tick_network(static_cast<int>(state.range(0)), &xy);
+  const int side = static_cast<int>(state.range(0));
+  auto net = make_tick_network(side, stated_load(side), &xy);
   net->set_sim_threads(static_cast<int>(state.range(1)));
   for (auto _ : state) net->tick();
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(net->num_nodes()));
 }
 BENCHMARK(BM_NetworkTickSharded)
-    ->Args({16, 1})
-    ->Args({16, 4})
+    ->Args({8, 1})
+    ->Args({8, 4})
     ->Args({32, 1})
     ->Args({32, 4})
     ->Args({32, 8});
 
+// The jammed regime, named as such: 32x32 at 0.2, above its knee.  Per-tick
+// cost here grows with the NI backlog, so it is not a throughput figure.
+static void BM_NetworkTickOverload(benchmark::State& state) {
+  noc::XyRouting xy;
+  auto net = make_tick_network(32, kOverloadLoad, &xy);
+  for (auto _ : state) net->tick();
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(net->num_nodes()));
+}
+BENCHMARK(BM_NetworkTickOverload);
+
 // Sprint level 4 of 16: a 2x2 active region, 12 routers dark.  The
 // active-router fast path should make the dark region's tick cost ~zero,
-// so this lands far below BM_NetworkTick/4 per tick.
+// so per-router cost lands far below BM_NetworkTick's.
 static void BM_NetworkTickGated(benchmark::State& state) {
   noc::NetworkParams p;
   p.width = 4;
@@ -228,6 +267,32 @@ double measure_sweep_seconds(int threads) {
   return seconds_since(t0);
 }
 
+/// `git describe` of the source tree this binary was built from, or
+/// "none" outside a git checkout.
+std::string git_describe() {
+  std::string out;
+  if (std::FILE* p = ::popen("git -C '" NOCS_BENCH_SOURCE_DIR
+                             "' describe --always --dirty 2>/dev/null",
+                             "r")) {
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, p) != nullptr) out += buf;
+    ::pclose(p);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+    out.pop_back();
+  return out.empty() ? "none" : out;
+}
+
+/// Where and how BENCH_noc.json's numbers were measured.
+json::Value host_metadata() {
+  json::Value host = json::Value::object();
+  host.set("nproc", static_cast<int>(std::thread::hardware_concurrency()));
+  host.set("build_type", NOCS_BENCH_BUILD_TYPE);
+  host.set("compiler", NOCS_BENCH_COMPILER);
+  host.set("git_describe", git_describe());
+  return host;
+}
+
 /// Headline metrics for BENCH_noc.json, measured outside google-benchmark
 /// (simple wall-clock timing is enough for the cross-commit diff).  With
 /// NOCS_BENCH_FAST set (the CI bench job), cycle budgets shrink 10x: the
@@ -237,8 +302,8 @@ void emit_bench_json() {
   std::vector<std::pair<std::string, double>> metrics;
 
   noc::XyRouting xy;
-  auto full = make_tick_network(8, &xy);
-  metrics.emplace_back("network_tick_8x8_ticks_per_sec",
+  auto full = make_tick_network(8, kLoad8x8, &xy);
+  metrics.emplace_back(tick_key("network_tick", 8, kLoad8x8) + "_ticks_per_sec",
                        measure_ticks_per_sec(*full, 200000 / div));
 
   noc::NetworkParams p4;
@@ -251,30 +316,33 @@ void emit_bench_json() {
   metrics.emplace_back("network_tick_gated_4of16_ticks_per_sec",
                        measure_ticks_per_sec(*gated.network, 2000000 / div));
 
-  // Sharded-tick speedup curve: ticks/sec for each mesh size x thread
-  // count, plus the headline 32x32 speedups relative to serial.  Cycle
-  // budgets shrink with mesh size so the whole curve stays a few seconds.
+  // Sharded-tick speedup curve at the stated loads: ticks/sec for each
+  // mesh size x thread count, plus the headline 32x32 speedups relative to
+  // serial.  Cycle budgets shrink with mesh size so the whole curve stays
+  // a few seconds.
   {
     noc::XyRouting curve_xy;
-    const struct { int side; Cycle cycles; } meshes[] = {
-        {8, 100000}, {16, 30000}, {32, 8000}};
+    const struct { int side; Cycle cycles; } meshes[] = {{8, 100000},
+                                                         {32, 8000}};
     for (const auto& m : meshes) {
+      const std::string mesh = tick_key("tick", m.side, stated_load(m.side));
       double serial_tps = 0.0;
       for (const int t : {1, 2, 4, 8}) {
-        auto net = make_tick_network(m.side, &curve_xy);
+        auto net = make_tick_network(m.side, stated_load(m.side), &curve_xy);
         net->set_sim_threads(t);
         const double tps = measure_ticks_per_sec(*net, m.cycles / div);
         if (t == 1) serial_tps = tps;
-        metrics.emplace_back("tick_" + std::to_string(m.side) + "x" +
-                                 std::to_string(m.side) + "_t" +
-                                 std::to_string(t) + "_ticks_per_sec",
-                             tps);
+        metrics.emplace_back(
+            mesh + "_t" + std::to_string(t) + "_ticks_per_sec", tps);
         if (m.side == 32 && t > 1)
-          metrics.emplace_back(
-              "tick_32x32_speedup_t" + std::to_string(t),
-              serial_tps > 0 ? tps / serial_tps : 0.0);
+          metrics.emplace_back(mesh + "_speedup_t" + std::to_string(t),
+                               serial_tps > 0 ? tps / serial_tps : 0.0);
       }
     }
+    auto jammed = make_tick_network(32, kOverloadLoad, &curve_xy);
+    metrics.emplace_back(
+        tick_key("tick_overload", 32, kOverloadLoad) + "_t1_ticks_per_sec",
+        measure_ticks_per_sec(*jammed, 3000 / div));
   }
 
   const double serial = measure_sweep_seconds(1);
@@ -284,13 +352,16 @@ void emit_bench_json() {
   metrics.emplace_back("sweep_4thread_speedup",
                        parallel > 0 ? serial / parallel : 0.0);
 
-  bench::write_bench_json("BENCH_noc.json", metrics);
+  bench::write_bench_json("BENCH_noc.json", metrics, host_metadata());
+  const std::string speedup32_t4_key =
+      tick_key("tick", 32, kLoad32x32) + "_speedup_t4";
   double speedup32_t4 = 0.0, sweep_speedup = 0.0;
   for (const auto& [name, value] : metrics) {
-    if (name == "tick_32x32_speedup_t4") speedup32_t4 = value;
+    if (name == speedup32_t4_key) speedup32_t4 = value;
     if (name == "sweep_4thread_speedup") sweep_speedup = value;
   }
-  std::printf("wrote BENCH_noc.json (8x8 %.3g ticks/s, gated %.3g ticks/s, "
+  std::printf("wrote BENCH_noc.json (8x8@0.18 %.3g ticks/s, "
+              "gated %.3g ticks/s, "
               "32x32 sharded-tick speedup %.2fx @4 threads, "
               "4-thread sweep speedup %.2fx)\n",
               metrics[0].second, metrics[1].second, speedup32_t4,

@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # Golden stdout gate: the figure benches whose output pins the simulator's
-# mesh, sprint and topology paths must print exactly the committed bytes in
-# tests/golden/, both serially and with every simulation sharded across
-# four threads (NOCS_SIM_THREADS=4; threads=1 keeps the sweep pool inline
-# so the shards really run).  Results are bit-identical for any shard
-# count by contract, so one golden file serves both runs.
+# mesh, sprint and topology paths, the 3-stage router pipeline
+# (ablation_pipeline), the 2-class VC partition (ablation_protocol),
+# dynamic gating with wake-on-arrival (ablation_gating), and multicast
+# plus request/reply DRAM traffic (fig13_membound) must print exactly the
+# committed bytes in tests/golden/, both serially and with every
+# simulation sharded across four threads (NOCS_SIM_THREADS=4; threads=1
+# keeps the sweep pool inline so the shards really run).  Results are
+# bit-identical for any shard count by contract, so one golden file
+# serves both runs.
 #
 # Usage: scripts/check_golden.sh <build-dir>
 #
@@ -35,7 +39,8 @@ check() {
 }
 
 for bench in fig09_net_latency fig11_synthetic fig14_topology_sprint \
-             ablation_topology; do
+             ablation_topology ablation_pipeline ablation_protocol \
+             ablation_gating fig13_membound; do
   bin="${BUILD}/bench/${bench}"
   check "${bench}" serial "${bin}"
   check "${bench}" "NOCS_SIM_THREADS=4 threads=1" \

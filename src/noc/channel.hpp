@@ -65,6 +65,7 @@ class Pipe {
     slots_.resize(round_up_pow2(
         static_cast<std::size_t>(latency + 1 > min_capacity ? latency + 1
                                                             : min_capacity)));
+    mask_ = slots_.size() - 1;
   }
 
   /// Registers the consumer's wake hook (optional; null disables).
@@ -180,7 +181,7 @@ class Pipe {
   }
 
   std::size_t index(std::uint64_t pos) const {
-    return static_cast<std::size_t>(pos) & (slots_.size() - 1);
+    return static_cast<std::size_t>(pos) & mask_;
   }
 
   /// Doubles capacity, unrolling the ring into fresh storage (rare: only
@@ -195,6 +196,7 @@ class Pipe {
     for (std::uint64_t i = c; i != p; ++i)
       bigger[static_cast<std::size_t>(i - c)] = std::move(slots_[index(i)]);
     slots_ = std::move(bigger);
+    mask_ = new_cap - 1;
     popped_.store(0, std::memory_order_relaxed);
     pushed_.store(p - c, std::memory_order_relaxed);
   }
@@ -206,6 +208,9 @@ class Pipe {
   std::atomic<std::uint64_t> pushed_{0};
   std::atomic<std::uint64_t> popped_{0};
   std::vector<std::pair<Cycle, T>> slots_;
+  // slots_.size() - 1, cached: size() divides the byte span by the slot
+  // size, and index() runs on every push, pop and ready.
+  std::size_t mask_ = 0;
 };
 
 }  // namespace nocs::noc

@@ -1,6 +1,7 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 namespace nocs::noc {
@@ -117,9 +118,11 @@ Network::Network(const NetworkParams& params, Topology topo,
   }
 
   // Calendar wheels are sized to cover the farthest-future event a pipe
-  // push can produce (max latency), plus slack so `t % size` never aliases
-  // `now`.  The initial partition honors NOCS_SIM_THREADS (default 1).
-  wheel_slots_ = max_latency + 2;
+  // push can produce (max latency), plus slack so `t & mask` never aliases
+  // `now`, rounded up to a power of two so the bucket index is a mask.
+  // The initial partition honors NOCS_SIM_THREADS (default 1).
+  wheel_slots_ = static_cast<int>(
+      std::bit_ceil(static_cast<unsigned>(max_latency + 2)));
   set_sim_threads(0);
 }
 
@@ -190,8 +193,7 @@ void Network::schedule_local(Shard& sh, std::uint32_t enc, Cycle ready_at) {
     return;
   }
   NOCS_EXPECTS(ready_at - now_ < static_cast<Cycle>(sh.wheel.size()));
-  sh.wheel[static_cast<std::size_t>(ready_at % sh.wheel.size())].push_back(
-      enc);
+  sh.wheel[static_cast<std::size_t>(ready_at & wheel_mask())].push_back(enc);
   ++sh.pending_wakes;
 }
 
@@ -359,7 +361,7 @@ void Network::tick_phase1(int s) {
   // Activate nodes whose wake-up was scheduled for this cycle.  Stale
   // entries (node woke earlier for another reason) are harmless: ticking a
   // quiescent node is a no-op beyond counters sync_counters() reproduces.
-  auto& bucket = sh.wheel[static_cast<std::size_t>(now_ % sh.wheel.size())];
+  auto& bucket = sh.wheel[static_cast<std::size_t>(now_ & wheel_mask())];
   for (const std::uint32_t enc : bucket) mark_hot(enc);
   sh.pending_wakes -= bucket.size();
   bucket.clear();

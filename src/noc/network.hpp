@@ -228,10 +228,11 @@ class Network {
   // tick() only visits routers/NIs whose hot flag is set.  A node stays hot
   // while it self-reports work (busy_next_cycle()); when it goes cold the
   // network re-arms a wake-up at the earliest pending event on its input
-  // pipes (calendar wheel indexed by cycle modulo its size), and every pipe
-  // push into an empty queue schedules the consumer via its NodeSink.  Hot
-  // nodes are ticked in ascending node id order, preserving the exact
-  // stats/counter accumulation order of the tick-everything loop.
+  // pipes (calendar wheel indexed by the cycle masked to its power-of-two
+  // size), and every pipe push into an empty queue schedules the consumer
+  // via its NodeSink.  Hot nodes are ticked in ascending node id order,
+  // preserving the exact stats/counter accumulation order of the
+  // tick-everything loop.
   //
   // All of that mutable scheduling state lives per *shard* — a contiguous
   // range of node ids (on a row-major mesh, a band of rows whenever the
@@ -278,7 +279,7 @@ class Network {
     NodeId end = 0;    ///< one past the last owned node id
     /// Hot flags, enc-relative: [2*(id-begin)] router, [2*(id-begin)+1] NI.
     std::vector<std::uint8_t> hot;
-    /// Calendar wheel of pending wake-ups, bucket = cycle % size.
+    /// Calendar wheel of pending wake-ups, bucket = cycle & wheel_mask().
     std::vector<std::vector<std::uint32_t>> wheel;
     /// Wakes this shard produced for other shards' nodes this cycle.
     std::vector<WakeEvent> outbox;
@@ -334,7 +335,8 @@ class Network {
 
   std::vector<NodeSink> sinks_;  // [2*id] router, [2*id+1] NI
   int sim_threads_ = 1;
-  int wheel_slots_ = 0;  // per-shard wheel size: max link latency + 2
+  int wheel_slots_ = 0;  // per-shard wheel size: bit_ceil(max latency + 2)
+  Cycle wheel_mask() const { return static_cast<Cycle>(wheel_slots_ - 1); }
   std::vector<Shard> shards_;
   std::vector<std::uint32_t> shard_of_;  // node id -> owning shard
   std::unique_ptr<BarrierTeam> team_;    // S-1 workers when S > 1

@@ -1,10 +1,59 @@
 #include "noc/router.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "common/log.hpp"
 
 namespace nocs::noc {
+
+namespace {
+
+// Port sets are one 32-bit word (bit p = port p).
+static_assert(kMaxPorts <= 32);
+
+void set_bit(std::uint64_t* words, int s) {
+  words[s >> 6] |= std::uint64_t{1} << (s & 63);
+}
+
+void clear_bit(std::uint64_t* words, int s) {
+  words[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
+}
+
+// First set bit in [from, end) of the bit array whose word w is
+// word_at(w), or -1 when there is none.
+template <typename WordAt>
+int next_set_bit(const WordAt& word_at, int from, int end) {
+  if (from >= end) return -1;
+  int w = from >> 6;
+  std::uint64_t bits = word_at(w) & (~std::uint64_t{0} << (from & 63));
+  const int last = (end - 1) >> 6;
+  while (bits == 0) {
+    if (++w > last) return -1;
+    bits = word_at(w);
+  }
+  const int s = (w << 6) + std::countr_zero(bits);
+  return s < end ? s : -1;
+}
+
+// Round-robin pick over [lo, hi): the first set bit after `after`,
+// wrapping round to lo, so `after` itself comes last; -1 when none is set.
+template <typename WordAt>
+int next_set_bit_after(const WordAt& word_at, int lo, int hi, int after) {
+  const int s = next_set_bit(word_at, after + 1, hi);
+  return s >= 0 ? s : next_set_bit(word_at, lo, after + 1);
+}
+
+// Round-robin pick over a non-empty port set: the first port after
+// `after`, wrapping, so `after` itself comes last.
+int next_port_after(std::uint32_t ports, int after) {
+  const std::uint32_t later =
+      after >= 31 ? 0u : ports & (~std::uint32_t{0} << (after + 1));
+  return std::countr_zero(later != 0 ? later : ports);
+}
+
+}  // namespace
 
 Router::Router(NodeId id, const NetworkParams& params, const Topology& topo,
                const RoutingPolicy* policy)
@@ -25,8 +74,15 @@ Router::Router(NodeId id, const NetworkParams& params, const Topology& topo,
   sa_input_rr_.assign(static_cast<std::size_t>(nports_), 0);
   sa_output_rr_.assign(static_cast<std::size_t>(nports_), 0);
   va_rr_.assign(static_cast<std::size_t>(nports_), 0);
-  active_by_port_.assign(static_cast<std::size_t>(nports_), 0);
-  const auto n = static_cast<std::size_t>(nports_ * params_.num_vcs);
+  st_grants_.reserve(static_cast<std::size_t>(nports_));
+  const int slots = nports_ * params_.num_vcs;
+  mask_words_ = (slots + 63) / 64;
+  masks_.assign(static_cast<std::size_t>(3 + params_.num_classes + nports_) *
+                    static_cast<std::size_t>(mask_words_),
+                0);
+  for (int s = 0; s < slots; ++s)
+    set_bit(class_slots(params_.class_of_vc(s % params_.num_vcs)), s);
+  const auto n = static_cast<std::size_t>(slots);
   flit_arena_.resize(n * static_cast<std::size_t>(params_.vc_depth));
   input_vcs_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -34,6 +90,7 @@ Router::Router(NodeId id, const NetworkParams& params, const Topology& topo,
         flit_arena_.data() + i * static_cast<std::size_t>(params_.vc_depth),
         params_.vc_depth);
     input_vcs_.back().port = static_cast<int>(i) / params_.num_vcs;
+    input_vcs_.back().slot = static_cast<int>(i);
   }
   output_vcs_.resize(n);
   for (auto& ovc : output_vcs_) ovc.credits = params_.vc_depth;
@@ -93,22 +150,14 @@ Cycle Router::next_input_event() const {
 
 void Router::set_stage(InputVc& ivc, InputVc::Stage next) {
   if (ivc.stage == next) return;
-  switch (ivc.stage) {
-    case InputVc::Stage::kIdle: ++active_packets_; break;
-    case InputVc::Stage::kRouting: --routing_pending_; break;
-    case InputVc::Stage::kVcAlloc: --vca_pending_; break;
-    case InputVc::Stage::kActive:
-      --active_by_port_[static_cast<std::size_t>(ivc.port)];
-      break;
-  }
-  switch (next) {
-    case InputVc::Stage::kIdle: --active_packets_; break;
-    case InputVc::Stage::kRouting: ++routing_pending_; break;
-    case InputVc::Stage::kVcAlloc: ++vca_pending_; break;
-    case InputVc::Stage::kActive:
-      ++active_by_port_[static_cast<std::size_t>(ivc.port)];
-      break;
-  }
+  if (ivc.stage == InputVc::Stage::kIdle)
+    ++active_packets_;
+  else
+    clear_bit(stage_mask(ivc.stage), ivc.slot);
+  if (next == InputVc::Stage::kIdle)
+    --active_packets_;
+  else
+    set_bit(stage_mask(next), ivc.slot);
   ivc.stage = next;
 }
 
@@ -301,23 +350,26 @@ int Router::fault_aware_port(int preferred, NodeId dst, Cycle now) {
 }
 
 void Router::stage_route_compute(Cycle now) {
-  if (routing_pending_ == 0) return;
-  for (int p = 0; p < nports_; ++p) {
-    for (int v = 0; v < params_.num_vcs; ++v) {
-      auto& ivc = in_vc(p, v);
-      if (ivc.stage != InputVc::Stage::kRouting) continue;
-      NOCS_EXPECTS(!ivc.buf.empty() && ivc.buf.front().is_head);
-      const NodeId dst = ivc.buf.front().dst;
-      ivc.out_port = policy_->route_port(*topo_, id_, dst);
-      // The routing policy may only select the local port or a connected
-      // output (cur == dst must map to port 0).
-      NOCS_ENSURES(ivc.out_port >= 0 && ivc.out_port < nports_);
-      NOCS_ENSURES(ivc.out_port == 0 ||
-                   out_neighbor_[static_cast<std::size_t>(ivc.out_port)] !=
-                       kInvalidNode);
-      ivc.out_port = fault_aware_port(ivc.out_port, dst, now);
-      set_stage(ivc, InputVc::Stage::kVcAlloc);
-    }
+  // Ascending slot order, the order of a full (port, vc) scan, so the fault
+  // oracle sees the same call sequence.  Routing a slot clears only its own
+  // bit, which the walk has already passed.
+  const std::uint64_t* routing = stage_mask(InputVc::Stage::kRouting);
+  const auto word = [routing](int w) { return routing[w]; };
+  const int slots = nports_ * params_.num_vcs;
+  for (int s = next_set_bit(word, 0, slots); s >= 0;
+       s = next_set_bit(word, s + 1, slots)) {
+    auto& ivc = input_vcs_[static_cast<std::size_t>(s)];
+    NOCS_EXPECTS(!ivc.buf.empty() && ivc.buf.front().is_head);
+    const NodeId dst = ivc.buf.front().dst;
+    ivc.out_port = policy_->route_port(*topo_, id_, dst);
+    // The routing policy may only select the local port or a connected
+    // output (cur == dst must map to port 0).
+    NOCS_ENSURES(ivc.out_port >= 0 && ivc.out_port < nports_);
+    NOCS_ENSURES(ivc.out_port == 0 ||
+                 out_neighbor_[static_cast<std::size_t>(ivc.out_port)] !=
+                     kInvalidNode);
+    ivc.out_port = fault_aware_port(ivc.out_port, dst, now);
+    set_stage(ivc, InputVc::Stage::kVcAlloc);
   }
 }
 
@@ -326,103 +378,110 @@ void Router::stage_vc_allocation(Cycle) {
   // to requesting input VCs in round-robin order over (port, vc) requester
   // slots.  Each input VC holds at most one request, so no input-side
   // conflict resolution is needed.
-  if (vca_pending_ == 0) return;
   const int nv = params_.num_vcs;
   const int slots = nports_ * nv;
-  // One pass over the slots finds every requested output port (the per-port
-  // "any requester?" scans this replaces were the stage's main cost).
-  // kMaxPorts <= 32 keeps the mask in one word.
-  unsigned req_mask = 0;
-  for (int s = 0; s < slots; ++s) {
-    const auto& ivc = input_vcs_[static_cast<std::size_t>(s)];
-    if (ivc.stage == InputVc::Stage::kVcAlloc)
-      req_mask |= 1u << ivc.out_port;
-  }
-  for (int op = 0; op < nports_; ++op) {
-    if ((req_mask & (1u << op)) == 0) continue;
+  const int vcs_per_class = params_.vcs_per_class();
 
-    for (int ov = 0; ov < nv; ++ov) {
-      auto& target = out_vc(op, ov);
-      if (target.allocated) continue;
-      // Round-robin over requester slots starting after the last grant.
-      // VC partitioning: an output VC may only go to a requester of the
-      // same message class (protocol-deadlock avoidance).
-      const int ov_class = params_.class_of_vc(ov);
-      int& rr = va_rr_[static_cast<std::size_t>(op)];
-      int granted_slot = -1;
-      for (int k = 1; k <= slots; ++k) {
-        const int s = (rr + k) % slots;
-        auto& ivc = input_vcs_[static_cast<std::size_t>(s)];
-        if (ivc.stage == InputVc::Stage::kVcAlloc && ivc.out_port == op &&
-            ivc.msg_class == ov_class) {
-          granted_slot = s;
-          break;
-        }
-      }
-      if (granted_slot < 0) continue;  // no requesters of this VC's class
-      rr = granted_slot;
-      auto& ivc = input_vcs_[static_cast<std::size_t>(granted_slot)];
-      target.allocated = true;
-      target.owner_port = granted_slot / nv;
-      target.owner_vc = granted_slot % nv;
-      ivc.out_vc = ov;
-      set_stage(ivc, InputVc::Stage::kActive);
-      ++counters_.vc_allocs;
+  // One pass over the requesting slots sorts them by output port.
+  const std::uint64_t* vca = stage_mask(InputVc::Stage::kVcAlloc);
+  std::uint32_t req_ports = 0;
+  for (int w = 0; w < mask_words_; ++w) {
+    for (std::uint64_t bits = vca[w]; bits != 0; bits &= bits - 1) {
+      const int s = (w << 6) + std::countr_zero(bits);
+      const int op = input_vcs_[static_cast<std::size_t>(s)].out_port;
+      set_bit(va_requests(op), s);
+      req_ports |= 1u << op;
     }
+  }
+
+  for (std::uint32_t ops = req_ports; ops != 0; ops &= ops - 1) {
+    const int op = std::countr_zero(ops);
+    std::uint64_t* req = va_requests(op);
+    int& rr = va_rr_[static_cast<std::size_t>(op)];
+    // VC partitioning: an output VC may only go to a requester of the same
+    // message class (protocol-deadlock avoidance).  A VC's class is fixed,
+    // and flits arrive on VCs of their own class, so the requesters of
+    // class c are the request bits inside class c's static slot mask.
+    for (int cls = 0; cls < params_.num_classes; ++cls) {
+      const std::uint64_t* cls_slots = class_slots(cls);
+      const auto word = [req, cls_slots](int w) {
+        return req[w] & cls_slots[w];
+      };
+      const VcId first = cls * vcs_per_class;  // params_.first_vc_of(cls)
+      for (VcId ov = first; ov < first + vcs_per_class; ++ov) {
+        auto& target = out_vc(op, ov);
+        if (target.allocated) continue;
+        // Round-robin over requester slots starting after the last grant.
+        const int s = next_set_bit_after(word, 0, slots, rr);
+        if (s < 0) break;  // no requesters of this class left
+        rr = s;
+        auto& ivc = input_vcs_[static_cast<std::size_t>(s)];
+        NOCS_ENSURES(ivc.msg_class == cls);
+        target.allocated = true;
+        target.owner_port = ivc.port;
+        target.owner_vc = s - ivc.port * nv;
+        ivc.out_vc = ov;
+        clear_bit(req, s);
+        set_stage(ivc, InputVc::Stage::kActive);
+        ++counters_.vc_allocs;
+      }
+    }
+    std::fill_n(req, mask_words_, std::uint64_t{0});  // zero between calls
   }
 }
 
 void Router::stage_switch_allocation(Cycle) {
-  if (active_packets_ == 0) return;
   const int nv = params_.num_vcs;
+  const int slots = nports_ * nv;
+  const std::uint64_t* active = stage_mask(InputVc::Stage::kActive);
+  const auto word = [active](int w) { return active[w]; };
 
-  // Stage 1 (input arbitration): each input port nominates one active VC
-  // that has a buffered flit and a downstream credit.  Ports with no
+  // Stage 1 (input arbitration): each input port with an active VC
+  // nominates one that has a buffered flit and a downstream credit, in
+  // round-robin order from the VC after its last nominee.  Ports with no
   // active VC are skipped outright — the round-robin pointer only moves on
   // a nomination, so skipping them cannot change any arbitration outcome.
-  std::vector<int> nominee(static_cast<std::size_t>(nports_), -1);
-  unsigned out_mask = 0;  // output ports some nominee targets
-  for (int p = 0; p < nports_; ++p) {
-    if (active_by_port_[static_cast<std::size_t>(p)] == 0) continue;
+  // nominee[p] is read only for ports p that some requesters word names.
+  std::array<int, kMaxPorts> nominee;               // per input port
+  std::array<std::uint32_t, kMaxPorts> requesters;  // per output port
+  std::fill_n(requesters.begin(), nports_, 0u);
+  std::uint32_t out_mask = 0;  // output ports some nominee targets
+  const auto eligible = [&](int lo, int hi) {
+    for (int s = next_set_bit(word, lo, hi); s >= 0;
+         s = next_set_bit(word, s + 1, hi)) {
+      const auto& ivc = input_vcs_[static_cast<std::size_t>(s)];
+      if (!ivc.buf.empty() && out_vc(ivc.out_port, ivc.out_vc).credits > 0)
+        return s;
+    }
+    return -1;
+  };
+  for (int s = next_set_bit(word, 0, slots); s >= 0;) {
+    const int p = input_vcs_[static_cast<std::size_t>(s)].port;
+    const int base = p * nv;
     int& rr = sa_input_rr_[static_cast<std::size_t>(p)];
-    int v = rr;
-    for (int k = 1; k <= nv; ++k) {
-      if (++v >= nv) v = 0;
-      const auto& ivc = in_vc(p, v);
-      if (ivc.stage != InputVc::Stage::kActive || ivc.buf.empty()) continue;
-      const auto& ovc = out_vc(ivc.out_port, ivc.out_vc);
-      if (ovc.credits <= 0) continue;
-      nominee[static_cast<std::size_t>(p)] = v;
-      out_mask |= 1u << ivc.out_port;
-      rr = v;
-      break;
+    int pick = eligible(base + rr + 1, base + nv);
+    if (pick < 0) pick = eligible(base, base + rr + 1);
+    if (pick >= 0) {
+      const int op = input_vcs_[static_cast<std::size_t>(pick)].out_port;
+      out_mask |= 1u << op;
+      requesters[static_cast<std::size_t>(op)] |= 1u << p;
+      nominee[static_cast<std::size_t>(p)] = pick - base;
+      rr = pick - base;
     }
+    s = next_set_bit(word, base + nv, slots);
   }
-  if (out_mask == 0) return;
 
-  // Stage 2 (output arbitration): each targeted output port grants one
-  // nominee (un-targeted ports would scan and grant nothing).
-  std::vector<bool> output_claimed(static_cast<std::size_t>(nports_), false);
-  std::vector<bool> input_granted(static_cast<std::size_t>(nports_), false);
-  for (int op = 0; op < nports_; ++op) {
-    if ((out_mask & (1u << op)) == 0) continue;
+  // Stage 2 (output arbitration): each targeted output port grants the
+  // first nominating input after its last grant.  An input nominates one
+  // VC and so targets one output: grants never collide on the input side.
+  for (std::uint32_t ops = out_mask; ops != 0; ops &= ops - 1) {
+    const int op = std::countr_zero(ops);
     int& rr = sa_output_rr_[static_cast<std::size_t>(op)];
-    int p = rr;
-    for (int k = 1; k <= nports_; ++k) {
-      if (++p >= nports_) p = 0;
-      if (input_granted[static_cast<std::size_t>(p)]) continue;
-      const int v = nominee[static_cast<std::size_t>(p)];
-      if (v < 0) continue;
-      const auto& ivc = in_vc(p, v);
-      if (ivc.out_port != op) continue;
-      if (output_claimed[static_cast<std::size_t>(op)]) break;
-      output_claimed[static_cast<std::size_t>(op)] = true;
-      input_granted[static_cast<std::size_t>(p)] = true;
-      st_grants_.push_back(Grant{p, v});
-      ++counters_.sa_arbitrations;
-      rr = p;
-      break;
-    }
+    const int p =
+        next_port_after(requesters[static_cast<std::size_t>(op)], rr);
+    st_grants_.push_back(Grant{p, nominee[static_cast<std::size_t>(p)]});
+    ++counters_.sa_arbitrations;
+    rr = p;
   }
 }
 
@@ -568,8 +627,15 @@ void Router::load_state(snapshot::Reader& r) {
 
   for (InputVc& ivc : input_vcs_) {
     ivc.buf.load_state(r);
-    ivc.stage = static_cast<InputVc::Stage>(r.u8());
-    ivc.out_port = static_cast<int>(r.u8());
+    // Stage and output port index the mask blocks: reject bytes that would
+    // point outside them.
+    const std::uint8_t stage = r.u8();
+    const int out_port = r.u8();
+    if (stage > static_cast<std::uint8_t>(InputVc::Stage::kActive) ||
+        out_port >= nports_)
+      throw snapshot::SnapshotError("router VC state in checkpoint is invalid");
+    ivc.stage = static_cast<InputVc::Stage>(stage);
+    ivc.out_port = out_port;
     ivc.out_vc = static_cast<VcId>(r.i64());
     ivc.msg_class = static_cast<int>(r.i64());
   }
@@ -599,29 +665,15 @@ void Router::load_state(snapshot::Reader& r) {
   counted_until_ = r.u64();
   r.end_section();
 
-  // The stage tallies driving busy_next_cycle() and the per-stage skip
-  // checks are derived state: recompute them from the restored stages
-  // rather than trusting redundant bytes that could go inconsistent.
+  // The stage masks (the first three mask blocks) and active_packets_ are
+  // derived state: rebuild them from the restored stages rather than
+  // trusting redundant bytes that could go inconsistent.
+  std::fill_n(masks_.begin(), 3 * mask_words_, std::uint64_t{0});
   active_packets_ = 0;
-  routing_pending_ = 0;
-  vca_pending_ = 0;
-  std::fill(active_by_port_.begin(), active_by_port_.end(), 0);
-  for (const InputVc& ivc : input_vcs_) {
-    switch (ivc.stage) {
-      case InputVc::Stage::kIdle: break;
-      case InputVc::Stage::kRouting:
-        ++active_packets_;
-        ++routing_pending_;
-        break;
-      case InputVc::Stage::kVcAlloc:
-        ++active_packets_;
-        ++vca_pending_;
-        break;
-      case InputVc::Stage::kActive:
-        ++active_packets_;
-        ++active_by_port_[static_cast<std::size_t>(ivc.port)];
-        break;
-    }
+  for (InputVc& ivc : input_vcs_) {
+    const InputVc::Stage stage = ivc.stage;
+    ivc.stage = InputVc::Stage::kIdle;
+    set_stage(ivc, stage);
   }
 }
 

@@ -15,6 +15,7 @@
 // power-gating schemes the paper compares against.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -162,6 +163,7 @@ class Router {
     enum class Stage { kIdle, kRouting, kVcAlloc, kActive } stage =
         Stage::kIdle;
     int port = 0;       ///< owning input port (fixed at construction)
+    int slot = 0;       ///< port * num_vcs + vc (fixed at construction)
     int out_port = 0;   ///< output port index (0 = local)
     VcId out_vc = -1;
     int msg_class = 0;  ///< class of the packet currently in flight
@@ -206,6 +208,20 @@ class Router {
     return output_vcs_[static_cast<std::size_t>(port * params_.num_vcs + vc)];
   }
 
+  // Slot masks: blocks of mask_words_ words in masks_, one bit per input
+  // VC slot (nports * num_vcs bits), laid out as
+  //   [stage kRouting | kVcAlloc | kActive | class 0..C-1 | VA port 0..P-1].
+  std::uint64_t* mask_block(int b) {
+    return masks_.data() + static_cast<std::size_t>(b) * mask_words_;
+  }
+  std::uint64_t* stage_mask(InputVc::Stage st) {
+    return mask_block(static_cast<int>(st) - 1);
+  }
+  std::uint64_t* class_slots(int cls) { return mask_block(3 + cls); }
+  std::uint64_t* va_requests(int op) {
+    return mask_block(3 + params_.num_classes + op);
+  }
+
   NodeId id_;
   NetworkParams params_;
   const Topology* topo_;
@@ -227,6 +243,7 @@ class Router {
   std::vector<OutputVc> output_vcs_;  // [port][vc] flattened
 
   std::vector<Grant> st_grants_;      // SA winners, executed next cycle
+                                      // (capacity reserved: <= 1 per port)
 
   // Round-robin fairness pointers.
   std::vector<int> sa_input_rr_;   // per input port, over VCs
@@ -241,12 +258,22 @@ class Router {
   Cycle idle_streak_ = 0;
   FaultOracle* oracle_ = nullptr;
 
-  // Work tracking for the skip fast path and for skipping empty pipeline
-  // stages: counts of input VCs per non-idle stage.
-  int active_packets_ = 0;   // input VCs with stage != kIdle
-  int routing_pending_ = 0;  // input VCs in kRouting
-  int vca_pending_ = 0;      // input VCs in kVcAlloc
-  std::vector<int> active_by_port_;  // kActive VCs per in-port
+  // Work tracking for the skip fast path and the pipeline stages.
+  // set_stage keeps, for every input VC slot s (= port * num_vcs + vc):
+  //   bit s of stage_mask(kRouting)  <=> slot s is in kRouting
+  //   bit s of stage_mask(kVcAlloc)  <=> slot s is in kVcAlloc
+  //   bit s of stage_mask(kActive)   <=> slot s is in kActive (port p's
+  //                                      active VCs are bits
+  //                                      [p * num_vcs, (p + 1) * num_vcs))
+  //   active_packets_ == number of slots not in kIdle
+  // RC, VA and SA visit only the set bits; load_state rebuilds all four
+  // from the restored stages.  Besides the stage masks:
+  //   bit s of class_slots(c)   <=> slot s's VC belongs to class c (static)
+  //   va_requests(op)           VA scratch, zero between calls: the kVcAlloc
+  //                             slots that request output op this cycle
+  int active_packets_ = 0;
+  int mask_words_ = 0;  // words per slot mask
+  std::vector<std::uint64_t> masks_;
   std::function<void()> wake_cb_;
 
   // Lazily synced so skipped cycles can be credited on demand from const

@@ -1,8 +1,14 @@
 // Cycle-level tests for the five-stage router: pipeline timing, credit
-// flow, wormhole ordering, and the power-gating state machine.
+// flow, wormhole ordering, the power-gating state machine, and a router
+// wider than one 64-bit stage-mask word.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "noc/router.hpp"
+#include "noc/simulator.hpp"
+#include "sprint/network_builder.hpp"
 
 namespace nocs::noc {
 namespace {
@@ -257,6 +263,105 @@ TEST(Router, GatingRequiresDrained) {
   h.tick();
   h.tick();
   EXPECT_DEATH(h.router().set_gated(true), "precondition");
+}
+
+// --- wide routers: more input-VC slots than one mask word -------------------
+
+// Hamming 8x8 gives every router 15 ports; 8 VCs per port make 120 input-VC
+// slots, so the stage masks span two words and slots >= 64 carry traffic.
+// Two message classes (request/reply) exercise the class-partitioned VC
+// allocation across the word boundary.
+SimResults run_wide(int sim_threads, const CheckpointConfig& ckpt = {}) {
+  NetworkParams p;
+  p.width = 8;
+  p.height = 8;
+  p.num_vcs = 8;
+  p.num_classes = 2;
+  const sprint::NetworkBundle b = sprint::make_sprinting_network(
+      p, Topology::hamming(8, 8), sprint::NetworkScheme::kNoc, 64, "uniform",
+      13);
+  EXPECT_EQ(b.network->router(0).num_ports() * p.num_vcs, 120);
+  b.network->set_request_reply(/*request_length=*/1, /*reply_length=*/5);
+  b.network->set_sim_threads(sim_threads);
+  SimConfig sim;
+  sim.warmup = 300;
+  sim.measure = 1500;
+  sim.drain_max = 20000;
+  sim.injection_rate = 0.1;
+  SimResults r = run_simulation(*b.network, sim, ckpt);
+  // The run's summed counters are the network's, read after the run.
+  const RouterCounters c = b.network->total_counters();
+  EXPECT_EQ(c.buffer_writes, r.counters.buffer_writes);
+  EXPECT_EQ(c.vc_allocs, r.counters.vc_allocs);
+  EXPECT_EQ(c.sa_arbitrations, r.counters.sa_arbitrations);
+  EXPECT_EQ(c.idle_active_cycles, r.counters.idle_active_cycles);
+  return r;
+}
+
+void expect_same_run(const SimResults& a, const SimResults& b) {
+  EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
+  EXPECT_EQ(a.avg_network_latency, b.avg_network_latency);
+  EXPECT_EQ(a.p50_latency, b.p50_latency);
+  EXPECT_EQ(a.p99_latency, b.p99_latency);
+  EXPECT_EQ(a.avg_hops, b.avg_hops);
+  EXPECT_EQ(a.packets_generated, b.packets_generated);
+  EXPECT_EQ(a.packets_ejected, b.packets_ejected);
+  EXPECT_EQ(a.accepted_rate, b.accepted_rate);
+  EXPECT_EQ(a.max_packet_latency, b.max_packet_latency);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.counters.buffer_writes, b.counters.buffer_writes);
+  EXPECT_EQ(a.counters.buffer_reads, b.counters.buffer_reads);
+  EXPECT_EQ(a.counters.xbar_traversals, b.counters.xbar_traversals);
+  EXPECT_EQ(a.counters.vc_allocs, b.counters.vc_allocs);
+  EXPECT_EQ(a.counters.sa_arbitrations, b.counters.sa_arbitrations);
+  EXPECT_EQ(a.counters.link_flits, b.counters.link_flits);
+  EXPECT_EQ(a.counters.active_cycles, b.counters.active_cycles);
+  EXPECT_EQ(a.counters.idle_active_cycles, b.counters.idle_active_cycles);
+}
+
+TEST(WideRouter, RequestReplyOnHammingMatchesRecordedRun) {
+  const SimResults r = run_wide(1);
+  EXPECT_FALSE(r.saturated);
+  EXPECT_FALSE(r.hung);
+  EXPECT_EQ(r.avg_packet_latency, 37.854586589880725);
+  EXPECT_EQ(r.avg_network_latency, 21.136415055532723);
+  EXPECT_EQ(r.p50_latency, 33.337526205450736);
+  EXPECT_EQ(r.p99_latency, 114.40000000000001);
+  EXPECT_EQ(r.avg_hops, 1.7745783628136613);
+  EXPECT_EQ(r.packets_generated, 19448u);
+  EXPECT_EQ(r.packets_ejected, 19448u);
+  EXPECT_EQ(r.accepted_rate, 0.60633333333333328);
+  EXPECT_EQ(r.max_packet_latency, 187);
+  EXPECT_EQ(r.cycles, 1920u);
+  EXPECT_EQ(r.counters.buffer_writes, 201284u);
+  EXPECT_EQ(r.counters.buffer_reads, 200646u);
+  EXPECT_EQ(r.counters.xbar_traversals, 200646u);
+  EXPECT_EQ(r.counters.vc_allocs, 67518u);
+  EXPECT_EQ(r.counters.sa_arbitrations, 200753u);
+  EXPECT_EQ(r.counters.link_flits, 128628u);
+  EXPECT_EQ(r.counters.active_cycles, 122880u);
+  EXPECT_EQ(r.counters.idle_active_cycles, 2987u);
+}
+
+TEST(WideRouter, ShardedTickMatchesSerial) {
+  expect_same_run(run_wide(4), run_wide(1));
+}
+
+TEST(WideRouter, MidFlightResumeIsBitIdentical) {
+  // Restoring rebuilds the stage masks from the saved per-VC stages; a
+  // cut in the measurement window leaves many VCs mid-packet.
+  const std::string path = ::testing::TempDir() + "wide_router.nocsnap";
+  CheckpointConfig stop;
+  stop.save_path = path;
+  stop.stop_at = 300 + 700;
+  const SimResults partial = run_wide(1, stop);
+  ASSERT_TRUE(partial.interrupted);
+  CheckpointConfig resume;
+  resume.restore_path = path;
+  const SimResults resumed = run_wide(1, resume);
+  EXPECT_FALSE(resumed.interrupted);
+  expect_same_run(resumed, run_wide(1));
+  std::remove(path.c_str());
 }
 
 }  // namespace
