@@ -43,43 +43,6 @@ struct LevelResult {
   std::uint64_t weight_mcasts = 0;
 };
 
-/// Contiguous near-equal partition of the sprint-order active set into
-/// `groups` tile groups (member 0 of each block is the leader).
-std::vector<std::vector<NodeId>> partition_groups(
-    const std::vector<NodeId>& active, int groups) {
-  const int n = static_cast<int>(active.size());
-  const int base = n / groups;
-  const int extra = n % groups;
-  std::vector<std::vector<NodeId>> out;
-  out.reserve(static_cast<std::size_t>(groups));
-  int pos = 0;
-  for (int g = 0; g < groups; ++g) {
-    const int len = base + (g < extra ? 1 : 0);
-    out.emplace_back(active.begin() + pos, active.begin() + pos + len);
-    pos += len;
-  }
-  return out;
-}
-
-/// Active tiles, controller sites, and every node on an XY route between
-/// any two of them — the sub-network that must stay powered so no packet
-/// of this closed-loop workload ever reaches a gated router.
-std::vector<NodeId> powered_closure(const MeshShape& shape,
-                                    const std::vector<NodeId>& active,
-                                    const std::vector<NodeId>& sites) {
-  std::vector<bool> on(static_cast<std::size_t>(shape.size()), false);
-  std::vector<NodeId> all = active;
-  all.insert(all.end(), sites.begin(), sites.end());
-  for (NodeId a : all)
-    for (NodeId b : all)
-      for (NodeId n : mem::xy_path_nodes(shape, a, b))
-        on[static_cast<std::size_t>(n)] = true;
-  std::vector<NodeId> powered;
-  for (NodeId n = 0; n < shape.size(); ++n)
-    if (on[static_cast<std::size_t>(n)]) powered.push_back(n);
-  return powered;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -131,12 +94,12 @@ int main(int argc, char** argv) {
     const std::vector<NodeId> active = sprint::active_set(shape, level);
     const std::vector<NodeId> sites =
         mem::controller_sites(shape, mp.ctrls, mp.placement);
-    network.gate_dark_region(powered_closure(shape, active, sites));
+    network.gate_dark_region(mem::powered_closure(shape, active, sites));
 
     mem::MemSubsystem mem_sys(network, mp);
     mem::TileTransferDriver driver(
         network, mem_sys, sched,
-        partition_groups(active, std::min(tile_groups, level)),
+        mem::partition_groups(active, std::min(tile_groups, level)),
         {.multicast = multicast, .chunk_flits = 0});
     driver.install();
 

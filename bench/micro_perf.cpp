@@ -10,7 +10,9 @@
 // Tick benchmarks run at stated loads: uniform traffic at about half of
 // each mesh's measured saturation knee (perfbench's mesh8_uniform and
 // mesh32_sharded operating points), plus one explicitly named overload
-// case above the 32x32 knee.
+// case above the 32x32 knee.  The tile-transfer benchmark is fig13's
+// closed loop at one sprint level: mostly idle barrier cycles, the
+// network's quiescence path.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -21,6 +23,8 @@
 
 #include "bench_util.hpp"
 #include "cmp/perf_model.hpp"
+#include "mem/mem_subsystem.hpp"
+#include "mem/tile_driver.hpp"
 #include "noc/parallel_sweep.hpp"
 #include "noc/simulator.hpp"
 #include "sprint/cdor.hpp"
@@ -66,6 +70,34 @@ std::unique_ptr<noc::Network> make_tick_network(
   net->set_seed(1);
   net->run(1000);  // warm the pipelines
   return net;
+}
+
+/// fig13's DRAM-bound closed loop at sprint level 8 on an 8x8 mesh: 4 edge
+/// controllers, 4 tile groups, tree multicast, the example schedule, run
+/// to completion on `sim_threads` shards.  Returns the simulated cycles.
+Cycle run_tile_transfer(int sim_threads) {
+  noc::NetworkParams p;
+  p.width = 8;
+  p.height = 8;
+  p.num_classes = 2;  // requests and replies on separate classes
+  const noc::XyRouting xy;
+  noc::Network net(p, &xy);
+  net.set_sim_threads(sim_threads);
+  mem::MemParams mp;
+  mp.ctrls = 4;
+  const MeshShape shape = p.shape();
+  const std::vector<NodeId> active = sprint::active_set(shape, 8);
+  net.gate_dark_region(mem::powered_closure(
+      shape, active, mem::controller_sites(shape, mp.ctrls, mp.placement)));
+  mem::MemSubsystem mem_sys(net, mp);
+  mem::TileTransferDriver driver(net, mem_sys, mem::TileSchedule::example(),
+                                 mem::partition_groups(active, 4),
+                                 {.multicast = true, .chunk_flits = 0});
+  driver.install();
+  while (!driver.done() && net.now() < 2'000'000) net.tick();
+  driver.uninstall();
+  NOCS_ENSURES(driver.done());
+  return net.now();
 }
 
 }  // namespace
@@ -126,6 +158,16 @@ static void BM_NetworkTickGated(benchmark::State& state) {
                           static_cast<std::int64_t>(p.num_nodes()));
 }
 BENCHMARK(BM_NetworkTickGated);
+
+// One full fig13 tile transfer per iteration; reports simulated cycles/s.
+static void BM_TileTransfer(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  Cycle cycles = 0;
+  for (auto _ : state) cycles += run_tile_transfer(threads);
+  state.counters["cycles_per_sec"] = benchmark::Counter(
+      static_cast<double>(cycles), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TileTransfer)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 namespace {
 
@@ -343,6 +385,16 @@ void emit_bench_json() {
     metrics.emplace_back(
         tick_key("tick_overload", 32, kOverloadLoad) + "_t1_ticks_per_sec",
         measure_ticks_per_sec(*jammed, 3000 / div));
+  }
+
+  // Closed-loop tile transfer (one full run per thread count; a run is a
+  // fixed workload, so NOCS_BENCH_FAST does not shrink it).
+  for (const int t : {1, 4}) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const Cycle cycles = run_tile_transfer(t);
+    metrics.emplace_back(
+        "tile_transfer_8x8_level8_t" + std::to_string(t) + "_cycles_per_sec",
+        static_cast<double>(cycles) / seconds_since(t0));
   }
 
   const double serial = measure_sweep_seconds(1);

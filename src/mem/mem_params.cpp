@@ -98,4 +98,20 @@ std::vector<NodeId> xy_path_nodes(const MeshShape& shape, NodeId a, NodeId b) {
   return path;
 }
 
+std::vector<NodeId> powered_closure(const MeshShape& shape,
+                                    const std::vector<NodeId>& active,
+                                    const std::vector<NodeId>& sites) {
+  std::vector<bool> on(static_cast<std::size_t>(shape.size()), false);
+  std::vector<NodeId> all = active;
+  all.insert(all.end(), sites.begin(), sites.end());
+  for (NodeId a : all)
+    for (NodeId b : all)
+      for (NodeId n : xy_path_nodes(shape, a, b))
+        on[static_cast<std::size_t>(n)] = true;
+  std::vector<NodeId> powered;
+  for (NodeId n = 0; n < shape.size(); ++n)
+    if (on[static_cast<std::size_t>(n)]) powered.push_back(n);
+  return powered;
+}
+
 }  // namespace nocs::mem

@@ -61,4 +61,11 @@ std::vector<NodeId> controller_sites(const MeshShape& shape, int n,
 /// needs so DRAM traffic never hits a gated router.
 std::vector<NodeId> xy_path_nodes(const MeshShape& shape, NodeId a, NodeId b);
 
+/// The powered closure of a sprint level with edge DRAM: every node on an
+/// XY route between any two of `active` and `sites`, ascending.  Gating
+/// everything else keeps DRAM traffic off dark routers.
+std::vector<NodeId> powered_closure(const MeshShape& shape,
+                                    const std::vector<NodeId>& active,
+                                    const std::vector<NodeId>& sites);
+
 }  // namespace nocs::mem

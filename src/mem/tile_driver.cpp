@@ -4,6 +4,23 @@
 
 namespace nocs::mem {
 
+std::vector<std::vector<NodeId>> partition_groups(
+    const std::vector<NodeId>& active, int groups) {
+  NOCS_EXPECTS(groups >= 1);
+  const int n = static_cast<int>(active.size());
+  const int base = n / groups;
+  const int extra = n % groups;
+  std::vector<std::vector<NodeId>> out;
+  out.reserve(static_cast<std::size_t>(groups));
+  int pos = 0;
+  for (int g = 0; g < groups; ++g) {
+    const int len = base + (g < extra ? 1 : 0);
+    out.emplace_back(active.begin() + pos, active.begin() + pos + len);
+    pos += len;
+  }
+  return out;
+}
+
 TileTransferDriver::TileTransferDriver(noc::Network& net, MemSubsystem& mem,
                                        TileSchedule sched,
                                        std::vector<std::vector<NodeId>> groups,
@@ -86,9 +103,10 @@ void TileTransferDriver::on_pre_tick(Cycle now) {
     // drained() at the cycle boundary means every packet of the current
     // phase was delivered and every controller finished — the barrier
     // between phases.  A compute phase additionally holds the barrier
-    // until the slowest tile's share of the work is done.
-    if (!net_->drained()) return;
+    // until the slowest tile's share of the work is done (tested first:
+    // it is the cheaper check, and both only gate the same return).
     if (phase_ == Phase::kCompute && now < compute_until_) return;
+    if (!net_->drained()) return;
     issued_ = false;
     advance(/*step=*/true);
     if (phase_ == Phase::kDone) {

@@ -46,6 +46,11 @@ struct TileDriverCounters {
   std::uint64_t layers_done = 0;
 };
 
+/// Contiguous near-equal partition of `active` into `groups` tile groups
+/// (the first active.size() % groups get one extra member), in order.
+std::vector<std::vector<NodeId>> partition_groups(
+    const std::vector<NodeId>& active, int groups);
+
 class TileTransferDriver final : public snapshot::Serializable {
  public:
   /// `groups` lists the member tiles of each group; member 0 is the group

@@ -15,6 +15,22 @@ namespace {
 /// only ever executes one network's phase at a time.
 thread_local int t_current_shard = -1;
 
+/// Calls visit(i) for every set bit i of `bits` in ascending order,
+/// re-reading the live word after each visit, so a bit set above the
+/// current one during the walk is still visited (the order and coverage
+/// of a byte-flag scan).
+template <typename Visit>
+void walk_live_bits(const std::vector<std::uint64_t>& bits, Visit&& visit) {
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    std::uint64_t word = bits[w];
+    while (word != 0) {
+      const int b = std::countr_zero(word);
+      visit(w * 64 + static_cast<std::size_t>(b));
+      word = bits[w] & ((~std::uint64_t{0} << b) << 1);
+    }
+  }
+}
+
 }  // namespace
 
 Network::Network(const NetworkParams& params, Topology topo,
@@ -41,7 +57,7 @@ Network::Network(const NetworkParams& params, Topology topo,
   }
 
   // Fast-path bookkeeping: everything starts hot and cools after the first
-  // tick in which it reports no work (rebuild_shards below sets the flags).
+  // tick in which it reports no work (rebuild_shards below sets the bits).
   sinks_.resize(static_cast<std::size_t>(2 * n));
   for (NodeId id = 0; id < n; ++id) {
     auto& rs = sinks_[static_cast<std::size_t>(2 * id)];
@@ -136,6 +152,7 @@ void Network::set_sim_threads(int n) {
 }
 
 void Network::rebuild_shards() {
+  for (const Shard& sh : shards_) flit_base_ += sh.flit_balance;
   const int S = sim_threads_;
   const int n = num_nodes();
   shards_.assign(static_cast<std::size_t>(S), Shard{});
@@ -150,18 +167,24 @@ void Network::rebuild_shards() {
     // previously accumulated wake schedule — nodes with no work simply
     // cool again after one tick.  That property is what makes re-sharding
     // legal at any cycle boundary (including after load_state).
-    sh.hot.assign(2 * static_cast<std::size_t>(sh.end - sh.begin), 1);
-    sh.active = sh.hot.size();
+    const auto owned = static_cast<std::size_t>(sh.end - sh.begin);
+    sh.hot_routers.assign((owned + 63) / 64, ~std::uint64_t{0});
+    if (owned % 64 != 0)
+      sh.hot_routers.back() = (std::uint64_t{1} << (owned % 64)) - 1;
+    sh.hot_nis = sh.hot_routers;
+    sh.active = 2 * owned;
     sh.wheel.assign(static_cast<std::size_t>(wheel_slots_),
                     std::vector<std::uint32_t>{});
     sh.stats.defer_to(S > 1 ? &stats_ : nullptr);
     for (NodeId id = sh.begin; id < sh.end; ++id)
       shard_of_[static_cast<std::size_t>(id)] = static_cast<std::uint32_t>(s);
   }
-  for (NodeId id = 0; id < n; ++id)
-    nis_[static_cast<std::size_t>(id)]->set_stats(
-        S > 1 ? &shards_[shard_of_[static_cast<std::size_t>(id)]].stats
-              : &stats_);
+  for (NodeId id = 0; id < n; ++id) {
+    Shard& sh = shards_[shard_of_[static_cast<std::size_t>(id)]];
+    NetworkInterface& ni = *nis_[static_cast<std::size_t>(id)];
+    ni.set_stats(S > 1 ? &sh.stats : &stats_);
+    ni.set_flit_balance(&sh.flit_balance);
+  }
   if (S > 1 && (team_ == nullptr || team_->size() != S))
     team_ = std::make_unique<BarrierTeam>(S);
   else if (S == 1)
@@ -194,7 +217,6 @@ void Network::schedule_local(Shard& sh, std::uint32_t enc, Cycle ready_at) {
   }
   NOCS_EXPECTS(ready_at - now_ < static_cast<Cycle>(sh.wheel.size()));
   sh.wheel[static_cast<std::size_t>(ready_at & wheel_mask())].push_back(enc);
-  ++sh.pending_wakes;
 }
 
 int Network::link_latency(NodeId from, NodeId to) const {
@@ -363,21 +385,21 @@ void Network::tick_phase1(int s) {
   // quiescent node is a no-op beyond counters sync_counters() reproduces.
   auto& bucket = sh.wheel[static_cast<std::size_t>(now_ & wheel_mask())];
   for (const std::uint32_t enc : bucket) mark_hot(enc);
-  sh.pending_wakes -= bucket.size();
   bucket.clear();
+  if (sh.active == 0) return;
 
   // Ascending-id order over hot nodes matches the tick-everything loop, so
   // stats and counters accumulate in the identical order (bit-identical
   // floating-point results).  Pushes this phase have ready times strictly
   // after now_ (latency >= 1), so they only ever append to wheels/outboxes,
-  // never flip a hot flag — hot flags stay owner-written.
-  const std::size_t base = 2 * static_cast<std::size_t>(sh.begin);
-  for (NodeId id = sh.begin; id < sh.end; ++id)
-    if (sh.hot[2 * static_cast<std::size_t>(id) - base + 1] != 0)
-      nis_[static_cast<std::size_t>(id)]->tick(now_);
-  for (NodeId id = sh.begin; id < sh.end; ++id)
-    if (sh.hot[2 * static_cast<std::size_t>(id) - base] != 0)
-      routers_[static_cast<std::size_t>(id)]->tick(now_);
+  // never flip a hot bit — hot bits stay owner-written.  The walks re-read
+  // the live words anyway, so a wake callback setting a later bit mid-walk
+  // is honored exactly as a flag scan would.
+  const auto base = static_cast<std::size_t>(sh.begin);
+  walk_live_bits(sh.hot_nis,
+                 [&](std::size_t bit) { nis_[base + bit]->tick(now_); });
+  walk_live_bits(sh.hot_routers,
+                 [&](std::size_t bit) { routers_[base + bit]->tick(now_); });
 }
 
 void Network::tick_phase2(int s) {
@@ -396,25 +418,33 @@ void Network::tick_phase2(int s) {
     }
   }
 
-  // Cool nodes reporting no work; re-arm their wake-up at the earliest
+  if (sh.active == 0) return;
+
+  // Cool hot nodes reporting no work; re-arm their wake-up at the earliest
   // pending input event (all pipe latencies are >= 1, so after this cycle's
   // producers ran every pending event is strictly in the future; the phase
-  // barrier made all cross-shard pushes visible).
-  const std::size_t base = 2 * static_cast<std::size_t>(sh.begin);
-  for (NodeId id = sh.begin; id < sh.end; ++id) {
-    const std::size_t ridx = 2 * static_cast<std::size_t>(id) - base;
-    const auto i = static_cast<std::size_t>(id);
-    if (sh.hot[ridx + 1] != 0 && !nis_[i]->busy_next_cycle()) {
-      sh.hot[ridx + 1] = 0;
-      --sh.active;
-      schedule_local(sh, (static_cast<std::uint32_t>(id) << 1) | 1u,
-                     nis_[i]->next_input_event());
-    }
-    if (sh.hot[ridx] != 0 && !routers_[i]->busy_next_cycle()) {
-      sh.hot[ridx] = 0;
-      --sh.active;
-      schedule_local(sh, static_cast<std::uint32_t>(id) << 1,
-                     routers_[i]->next_input_event());
+  // barrier made all cross-shard pushes visible).  Only set bits are
+  // visited, NI before router per node in ascending id order; cooling a
+  // node only touches that node's own bits.
+  const auto base = static_cast<std::size_t>(sh.begin);
+  for (std::size_t w = 0; w < sh.hot_nis.size(); ++w) {
+    std::uint64_t word = sh.hot_nis[w] | sh.hot_routers[w];
+    while (word != 0) {
+      const int b = std::countr_zero(word);
+      word &= word - 1;
+      const std::uint64_t m = std::uint64_t{1} << b;
+      const std::size_t i = base + w * 64 + static_cast<std::size_t>(b);
+      const auto enc = static_cast<std::uint32_t>(i) << 1;
+      if ((sh.hot_nis[w] & m) != 0 && !nis_[i]->busy_next_cycle()) {
+        sh.hot_nis[w] &= ~m;
+        --sh.active;
+        schedule_local(sh, enc | 1u, nis_[i]->next_input_event());
+      }
+      if ((sh.hot_routers[w] & m) != 0 && !routers_[i]->busy_next_cycle()) {
+        sh.hot_routers[w] &= ~m;
+        --sh.active;
+        schedule_local(sh, enc, routers_[i]->next_input_event());
+      }
     }
   }
 }
@@ -424,30 +454,45 @@ void Network::run(Cycle n) {
 }
 
 bool Network::drained() const {
-  // Short circuit on the live activity counters: no hot entity and no
-  // pending wake means nothing holds or awaits a flit anywhere — a
-  // non-empty pipe implies a hot consumer or a queued wake-up, and a
-  // router holding flits reports busy_next_cycle() and stays hot.  The
-  // converse does not hold (dynamic gating keeps idle routers hot, credit
-  // pipes re-arm wakes after the last flit drains), so a nonzero count
-  // still falls through to the full scan.
-  std::uint64_t live = 0;
-  for (const Shard& sh : shards_) live += sh.active + sh.pending_wakes;
-  if (live == 0) {
-    NOCS_ASSERT(drained_slow());
-    return true;
-  }
-  return drained_slow();
-}
-
-bool Network::drained_slow() const {
-  for (const auto& r : routers_)
-    if (!r->drained()) return false;
+  // Exact, not a heuristic: by flit conservation a zero balance means no
+  // flit sits in any router buffer or flit pipe.  A router with empty
+  // buffers holds no VC stage, output VC or switch grant either — each
+  // belongs to a packet whose tail has not yet passed, and that tail is
+  // buffered, in a pipe, or still inside its (non-idle) source NI.  So
+  // the remaining condition is that every NI is idle.
+  if (flits_in_flight() != 0) return false;
   for (const auto& ni : nis_)
     if (!ni->idle()) return false;
+  NOCS_ASSERT(drained_reference());
+  return true;
+}
+
+bool Network::drained_reference() const {
+  // Cheapest test first: NI idle() is a few field reads per node.
+  for (const auto& ni : nis_)
+    if (!ni->idle()) return false;
+  for (const auto& r : routers_)
+    if (!r->drained()) return false;
   for (const auto& p : flit_pipes_)
     if (!p->empty()) return false;
   return true;
+}
+
+std::int64_t Network::flits_in_flight() const {
+  std::int64_t n = flit_base_;
+  for (const Shard& sh : shards_) n += sh.flit_balance;
+  return n;
+}
+
+std::int64_t Network::counted_flits() const {
+  std::int64_t n = 0;
+  for (const auto& r : routers_) n += r->buffered_flits();
+  for (const auto& p : flit_pipes_) n += static_cast<std::int64_t>(p->size());
+  return n;
+}
+
+void Network::check_flit_conservation() const {
+  NOCS_ENSURES(flits_in_flight() == counted_flits());
 }
 
 RouterCounters Network::total_counters() const {
@@ -577,7 +622,10 @@ void Network::load_state(snapshot::Reader& r) {
   // is bit-identical to resuming the saved wheel — nodes with no work
   // simply cool again after one tick.  It also makes restoring under a
   // different sim_threads than the checkpoint was written with exact.
+  // The flit balance is not serialized: it is re-derived from the
+  // restored buffers and pipes, so the snapshot format is unchanged.
   rebuild_shards();
+  flit_base_ = counted_flits();
 }
 
 }  // namespace nocs::noc

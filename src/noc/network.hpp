@@ -3,6 +3,7 @@
 // endpoints + gated dark region) used by the NoC-sprinting controller.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -185,19 +186,43 @@ class Network {
     return *nis_.at(static_cast<std::size_t>(id));
   }
 
-  /// Number of routers ticked last cycle (fast-path instrumentation).
+  /// Number of routers scheduled to tick next cycle (fast-path
+  /// instrumentation): a popcount of the shards' hot-router bitsets.
   int hot_routers() const {
     int n = 0;
     for (const Shard& sh : shards_)
-      for (std::size_t i = 0; i < sh.hot.size(); i += 2) n += sh.hot[i];
+      for (const std::uint64_t word : sh.hot_routers) n += std::popcount(word);
     return n;
+  }
+
+  /// True when router `id`'s hot bit is set (it ticks next cycle).
+  bool router_hot(NodeId id) const {
+    const Shard& sh = shards_[shard_of_.at(static_cast<std::size_t>(id))];
+    const auto bit = static_cast<std::size_t>(id - sh.begin);
+    return ((sh.hot_routers[bit >> 6] >> (bit & 63)) & 1u) != 0;
   }
 
   StatsCollector& stats() { return stats_; }
   const StatsCollector& stats() const { return stats_; }
 
   /// True when no flit is anywhere in the network (buffers, pipes, NIs).
+  /// Exact and cheap: O(shards) while any flit is in flight (the flit
+  /// balance is nonzero), otherwise one idle() check per NI up to the
+  /// first busy one.  Every true answer is re-verified against
+  /// drained_reference() under NOCS_ASSERT.
   bool drained() const;
+
+  /// The reference O(nodes * VCs + pipes) drain scan drained() must agree
+  /// with: every NI idle, every router drained, every flit pipe empty.
+  bool drained_reference() const;
+
+  /// Flits between NI injection and NI ejection: the shards' signed flit
+  /// balances plus the network-level base.  O(shards).
+  std::int64_t flits_in_flight() const;
+
+  /// Flit conservation law: aborts unless flits_in_flight() equals the
+  /// flits counted in router input buffers plus flit-pipe occupancy.
+  void check_flit_conservation() const;
 
   /// Sum of all router counters (for power estimation).
   RouterCounters total_counters() const;
@@ -225,14 +250,14 @@ class Network {
  private:
   // --- active-node fast path + spatial sharding ----------------------------
   //
-  // tick() only visits routers/NIs whose hot flag is set.  A node stays hot
+  // tick() only visits routers/NIs whose hot bit is set.  A node stays hot
   // while it self-reports work (busy_next_cycle()); when it goes cold the
   // network re-arms a wake-up at the earliest pending event on its input
   // pipes (calendar wheel indexed by the cycle masked to its power-of-two
   // size), and every pipe push into an empty queue schedules the consumer
   // via its NodeSink.  Hot nodes are ticked in ascending node id order,
   // preserving the exact stats/counter accumulation order of the
-  // tick-everything loop.
+  // tick-everything loop; a shard with no hot bit skips both phases' walks.
   //
   // All of that mutable scheduling state lives per *shard* — a contiguous
   // range of node ids (on a row-major mesh, a band of rows whenever the
@@ -250,7 +275,7 @@ class Network {
   //                         every outbox (fixed shard order), then cools
   //                         its own quiescent nodes and re-arms their
   //                         wake-ups.  Only owner shards ever write their
-  //                         hot flags and wheels.
+  //                         hot bits, wheels and flit balances.
   //
   // After the second barrier the caller thread drains every shard's
   // deferred statistics into the master collector in ascending shard
@@ -277,28 +302,32 @@ class Network {
   struct alignas(64) Shard {
     NodeId begin = 0;  ///< first owned node id
     NodeId end = 0;    ///< one past the last owned node id
-    /// Hot flags, enc-relative: [2*(id-begin)] router, [2*(id-begin)+1] NI.
-    std::vector<std::uint8_t> hot;
+    /// Hot bitsets, bit (id - begin): the router / NI ticks next cycle.
+    std::vector<std::uint64_t> hot_routers;
+    std::vector<std::uint64_t> hot_nis;
     /// Calendar wheel of pending wake-ups, bucket = cycle & wheel_mask().
     std::vector<std::vector<std::uint32_t>> wheel;
     /// Wakes this shard produced for other shards' nodes this cycle.
     std::vector<WakeEvent> outbox;
     /// Deferring collector fed by this shard's NIs (S > 1 only).
     StatsCollector stats;
-    std::uint64_t active = 0;         ///< set hot flags (live entities)
-    std::uint64_t pending_wakes = 0;  ///< queued wheel entries
+    std::uint64_t active = 0;       ///< set hot bits (live entities)
+    /// Flits this shard's NIs injected minus flits they ejected since the
+    /// last rebuild_shards (signed: a flit may leave on another shard).
+    std::int64_t flit_balance = 0;
   };
 
   void schedule(std::uint32_t enc, Cycle ready_at);
   void schedule_local(Shard& sh, std::uint32_t enc, Cycle ready_at);
   void mark_hot(std::uint32_t enc) {
     Shard& sh = shards_[shard_of_[enc >> 1]];
-    std::uint8_t& flag =
-        sh.hot[static_cast<std::size_t>(enc) -
-               2 * static_cast<std::size_t>(static_cast<std::uint32_t>(
-                       sh.begin))];
-    if (flag == 0) {
-      flag = 1;
+    const auto bit = static_cast<std::size_t>(enc >> 1) -
+                     static_cast<std::size_t>(sh.begin);
+    std::uint64_t& word =
+        ((enc & 1u) != 0 ? sh.hot_nis : sh.hot_routers)[bit >> 6];
+    const std::uint64_t m = std::uint64_t{1} << (bit & 63);
+    if ((word & m) == 0) {
+      word |= m;
       ++sh.active;
     }
   }
@@ -310,12 +339,13 @@ class Network {
   }
 
   /// Rebuilds the shard partition for sim_threads_ shards with the
-  /// conservative scheduler reset (everything hot, wheels empty).
+  /// conservative scheduler reset (everything hot, wheels empty), folding
+  /// the old shards' flit balances into flit_base_.
   void rebuild_shards();
   void tick_phase1(int s);
   void tick_phase2(int s);
-  /// Reference O(n) drain scan (the counter short-circuit's slow path).
-  bool drained_slow() const;
+  /// Flits counted where they sit: router input buffers plus flit pipes.
+  std::int64_t counted_flits() const;
 
   NetworkParams params_;
   Topology topo_;
@@ -340,6 +370,9 @@ class Network {
   std::vector<Shard> shards_;
   std::vector<std::uint32_t> shard_of_;  // node id -> owning shard
   std::unique_ptr<BarrierTeam> team_;    // S-1 workers when S > 1
+  /// Flits in flight not accounted in any shard's balance: folded in when
+  /// the shards are rebuilt, re-derived from the buffers on load_state.
+  std::int64_t flit_base_ = 0;
 
   StatsCollector stats_;
 };

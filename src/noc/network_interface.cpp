@@ -292,6 +292,7 @@ void NetworkInterface::eject(Cycle now) {
   while (from_router_->ready(now)) {
     const Flit f = from_router_->pop(now);
     NOCS_EXPECTS(f.dst == id_);
+    --*flit_balance_;
     // The ejection buffer drains instantly; return the credit right away.
     credit_to_router_->push(now, Credit{f.vc});
     ++total_ejected_flits_;
@@ -445,6 +446,7 @@ void NetworkInterface::inject(Cycle now) {
 
   --credits_[static_cast<std::size_t>(current_vc_)];
   to_router_->push(now, f);
+  ++*flit_balance_;
   ++flits_sent_;
   if (f.is_tail) {
     sending_ = false;

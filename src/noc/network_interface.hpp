@@ -36,6 +36,15 @@ class NetworkInterface {
     stats_ = stats;
   }
 
+  /// Points the NI at the signed flit counter it adds one to per injected
+  /// flit and subtracts one from per ejected flit (the network gives every
+  /// NI its shard's balance before the first tick).  Safe between ticks
+  /// only.
+  void set_flit_balance(std::int64_t* balance) {
+    NOCS_EXPECTS(balance != nullptr);
+    flit_balance_ = balance;
+  }
+
   /// Wires the four local channels between this NI and its router.
   void connect(Pipe<Flit>* to_router, Pipe<Credit>* credit_from_router,
                Pipe<Flit>* from_router, Pipe<Credit>* credit_to_router);
@@ -248,6 +257,7 @@ class NetworkInterface {
   NodeId id_;
   NetworkParams params_;
   StatsCollector* stats_;
+  std::int64_t* flit_balance_ = nullptr;
 
   Pipe<Flit>* to_router_ = nullptr;
   Pipe<Credit>* credit_from_router_ = nullptr;

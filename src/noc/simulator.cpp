@@ -219,6 +219,9 @@ SimResults run_simulation(Network& net, const SimConfig& cfg,
                         static_cast<double>(net.now() - len),
                         static_cast<double>(len));
       net.stats().set_measuring(phase == 0);
+      // Flit conservation is checked at every phase boundary (and after
+      // the drain below) in every build: it is O(buffers), once per phase.
+      net.check_flit_conservation();
       done_in_phase -= len;
       ++phase;
     }
@@ -258,6 +261,7 @@ SimResults run_simulation(Network& net, const SimConfig& cfg,
       trace::complete("drain", "sim.phase", trace::kSimPid, 0,
                       static_cast<double>(drain_start),
                       static_cast<double>(net.now() - drain_start));
+    net.check_flit_conservation();
   }
 
   SimResults r;
