@@ -10,6 +10,12 @@
 # bit-identical for any shard count by contract, so one golden file
 # serves both runs.
 #
+# The CLI's batch modes (simulate, sweep, topo) are pinned the same way:
+# each run executes inside a fresh scratch directory with fixed relative
+# output names, so its stdout (including the "report written to
+# report.json" line) and every JSON file it writes are compared byte for
+# byte with tests/golden/cli_<name>.<file>.
+#
 # Usage: scripts/check_golden.sh <build-dir>
 #
 # Exits non-zero after listing every run whose output differs.
@@ -19,7 +25,8 @@ cd "$(dirname "$0")/.."
 BUILD="${1:?usage: scripts/check_golden.sh <build-dir>}"
 
 out="$(mktemp)"
-trap 'rm -f "${out}"' EXIT
+work="$(mktemp -d)"
+trap 'rm -rf "${out}" "${work}"' EXIT
 failed=0
 
 # check <bench> <label> <command...>: runs the command under env(1) and
@@ -45,5 +52,48 @@ for bench in fig09_net_latency fig11_synthetic fig14_topology_sprint \
   check "${bench}" serial "${bin}"
   check "${bench}" "NOCS_SIM_THREADS=4 threads=1" \
     NOCS_SIM_THREADS=4 "${bin}" threads=1
+done
+# check_cli <name> <label> <env...> -- <cli args...>: runs nocsprint_cli in
+# an empty scratch dir and compares stdout.txt plus every output file
+# named by a tests/golden/cli_<name>.* golden.
+cli="$(cd "${BUILD}" && pwd)/examples/nocsprint_cli"
+check_cli() {
+  local name="$1" label="$2"
+  shift 2
+  local envs=()
+  while [[ "$1" != "--" ]]; do envs+=("$1"); shift; done
+  shift
+  local dir
+  dir="$(mktemp -d -p "${work}")"
+  (cd "${dir}" && env "${envs[@]}" "${cli}" "$@" >stdout.txt)
+  local golden file ok=1
+  for golden in tests/golden/cli_"${name}".*; do
+    file="${golden#tests/golden/cli_${name}.}"
+    if ! cmp -s "${golden}" "${dir}/${file}"; then
+      echo "FAIL  cli_${name} (${label}): ${file} differs from ${golden}"
+      diff "${golden}" "${dir}/${file}" | head -20 || true
+      ok=0
+      failed=1
+    fi
+  done
+  if [[ ${ok} -eq 1 ]]; then echo "ok    cli_${name} (${label})"; fi
+}
+
+# name|CLI arguments (report=/metrics= use fixed relative file names)
+cli_runs=(
+  "simulate_full|mode=simulate level=4 injection=0.2 scheme=full report=report.json"
+  "simulate_faults|mode=simulate level=8 classes=2 protocol=true faults=true fault_flip_rate=1e-3 metrics=metrics.json report=report.json"
+  "sweep_faults|mode=sweep level=8 rates=0.05:0.1:0.45 faults=true report=report.json"
+  "topo_ring|mode=topo topology=ring_circulant ring_skip=4 level=8 report=report.json"
+)
+for run in "${cli_runs[@]}"; do
+  name="${run%%|*}"
+  read -r -a args <<<"${run#*|}"
+  check_cli "${name}" serial -- "${args[@]}"
+  # threads=1 keeps a sweep's points inline so the shards really run.
+  extra=()
+  if [[ "${args[0]}" == mode=sweep ]]; then extra=(threads=1); fi
+  check_cli "${name}" "NOCS_SIM_THREADS=4" NOCS_SIM_THREADS=4 -- \
+    "${args[@]}" "${extra[@]}"
 done
 exit "${failed}"
