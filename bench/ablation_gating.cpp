@@ -33,8 +33,6 @@ int main(int argc, char** argv) {
   const power::RouterPowerParams rp =
       power::RouterPowerParams::from_network(net);
   const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(net.flit_bytes * 8, 2.5, rp.tech,
-                                         rp.op);
 
   const GatingAnalysis analysis(router_model, GatingParams{});
   std::printf("router leakage: %.3f mW; break-even idle period: %.0f "
@@ -59,8 +57,7 @@ int main(int argc, char** argv) {
     n.set_endpoints(active, noc::make_traffic("uniform", level));
     n.set_seed(seed);
     const noc::SimResults r = noc::run_simulation(n, sim);
-    const auto est =
-        power::estimate_noc_power(n, router_model, link_model, r.cycles);
+    const auto est = power::estimate_noc_power(n, r.cycles);
     const auto c = n.total_counters();
     t.add_row({"no gating", Table::fmt(r.avg_packet_latency, 2),
                Table::fmt(est.total() * 1e3, 2),
@@ -79,8 +76,7 @@ int main(int argc, char** argv) {
     n.set_dynamic_gating(true);
     n.set_seed(seed);
     const noc::SimResults r = noc::run_simulation(n, sim);
-    const auto est =
-        power::estimate_noc_power(n, router_model, link_model, r.cycles);
+    const auto est = power::estimate_noc_power(n, r.cycles);
     const auto c = n.total_counters();
     t.add_row({"dynamic (idle-timeout)", Table::fmt(r.avg_packet_latency, 2),
                Table::fmt(est.total() * 1e3, 2),
@@ -93,8 +89,7 @@ int main(int argc, char** argv) {
   {
     auto b = make_noc_sprinting_network(net, level, "uniform", seed);
     const noc::SimResults r = noc::run_simulation(*b.network, sim);
-    const auto est = power::estimate_noc_power(*b.network, router_model,
-                                               link_model, r.cycles);
+    const auto est = power::estimate_noc_power(*b.network, r.cycles);
     const auto c = b.network->total_counters();
     t.add_row({"static dark-region", Table::fmt(r.avg_packet_latency, 2),
                Table::fmt(est.total() * 1e3, 2),

@@ -47,28 +47,16 @@ int main(int argc, char** argv) {
     params.height = sides[i];
     const int level = 4;
     tasks.push_back([&, i, params, level] {
-      const auto rp = power::RouterPowerParams::from_network(params);
-      const power::RouterPowerModel router_model(rp);
-      const power::LinkPowerModel link_model(params.flit_bytes * 8, 2.5,
-                                             rp.tech, rp.op);
       auto nb = make_noc_sprinting_network(params, level, "uniform", seed);
       rows[i].noc = run_simulation(*nb.network, sim);
       rows[i].noc_power =
-          power::estimate_noc_power(*nb.network, router_model, link_model,
-                                    rows[i].noc.cycles)
-              .total();
+          power::estimate_noc_power(*nb.network, rows[i].noc.cycles).total();
     });
     tasks.push_back([&, i, params, level] {
-      const auto rp = power::RouterPowerParams::from_network(params);
-      const power::RouterPowerModel router_model(rp);
-      const power::LinkPowerModel link_model(params.flit_bytes * 8, 2.5,
-                                             rp.tech, rp.op);
       auto fb = make_full_sprinting_network(params, level, "uniform", seed);
       rows[i].full = run_simulation(*fb.network, sim);
       rows[i].full_power =
-          power::estimate_noc_power(*fb.network, router_model, link_model,
-                                    rows[i].full.cycles)
-              .total();
+          power::estimate_noc_power(*fb.network, rows[i].full.cycles).total();
     });
   }
   run_tasks(tasks, threads);

@@ -27,13 +27,10 @@ struct Result {
   Watts power;
 };
 
-Result run_one(noc::Network& net, const noc::SimConfig& sim,
-               const power::RouterPowerModel& router_model,
-               const power::LinkPowerModel& link_model) {
+Result run_one(noc::Network& net, const noc::SimConfig& sim) {
   const noc::SimResults r = run_simulation(net, sim);
   return {r.avg_packet_latency,
-          power::estimate_noc_power(net, router_model, link_model, r.cycles)
-              .total()};
+          power::estimate_noc_power(net, r.cycles).total()};
 }
 
 }  // namespace
@@ -48,10 +45,6 @@ int main(int argc, char** argv) {
                 params);
 
   const std::uint64_t seed = cfg.get_int("seed", 29);
-  const auto rp = power::RouterPowerParams::from_network(params);
-  const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(params.flit_bytes * 8, 2.5, rp.tech,
-                                         rp.op);
   noc::SimConfig sim;
   sim.warmup = 1000;
   sim.measure = 6000;
@@ -75,14 +68,14 @@ int main(int argc, char** argv) {
       if (protocol) noc_net.set_request_reply(1, 5);
       noc_net.gate_dark_region(active);
       noc_net.set_seed(seed);
-      const Result rn = run_one(noc_net, sim, router_model, link_model);
+      const Result rn = run_one(noc_net, sim);
 
       // Full-sprinting configuration (random endpoint mapping).
       auto full = make_full_sprinting_network(params, level,
                                               protocol ? "cache" : "uniform",
                                               seed);
       if (protocol) full.network->set_request_reply(1, 5);
-      const Result rf = run_one(*full.network, sim, router_model, link_model);
+      const Result rf = run_one(*full.network, sim);
 
       t.add_row({protocol ? "cache req/reply" : "uniform",
                  Table::fmt(static_cast<long long>(level)),

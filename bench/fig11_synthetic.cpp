@@ -8,15 +8,14 @@
 // power cut 62.1 % / 25.9 %, and NoC-sprinting saturates earlier because
 // it concentrates the same traffic on fewer links.
 #include <cstdio>
-#include <functional>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/parallel.hpp"
 #include "common/snapshot.hpp"
 #include "common/stats.hpp"
+#include "noc/parallel_sweep.hpp"
 #include "noc/simulator.hpp"
-#include "parsec_sim.hpp"
+#include "power/noc_power.hpp"
 #include "sprint/network_builder.hpp"
 
 using namespace nocs;
@@ -28,14 +27,6 @@ struct Point {
   double noc_lat = 0.0, full_lat = 0.0;
   double noc_pow = 0.0, full_pow = 0.0;
   bool noc_sat = false, full_sat = false;
-};
-
-/// One full-sprinting random-mapping sample (folded in sample order after
-/// the parallel batch so averages match the serial loop bit for bit).
-struct FullSample {
-  double lat = 0.0;
-  double pow = 0.0;
-  bool sat = false;
 };
 
 }  // namespace
@@ -56,117 +47,69 @@ int main(int argc, char** argv) {
 
   // checkpoint= names a manifest file recording every finished (level,
   // rate, mapping) simulation, so an interrupted sweep resumes from the
-  // last completed task (see docs/SNAPSHOT_FORMAT.md).  Task indices are
-  // assigned level-major / rate-major / sample-minor below.
+  // last completed task (see docs/SNAPSHOT_FORMAT.md).
   snapshot::TaskManifest manifest(
       cfg.get_string("checkpoint", ""),
       "fig11:rates=" + std::to_string(rates.size()) +
           ";samples=" + std::to_string(samples) +
           ";seed=" + std::to_string(seed) + ";mesh=" +
           std::to_string(net.width) + "x" + std::to_string(net.height));
+  const std::vector<int> levels = {4, 8};
   const std::size_t tasks_per_rate = 1 + static_cast<std::size_t>(samples);
   const std::size_t tasks_per_level = rates.size() * tasks_per_rate;
-
-  const power::RouterPowerParams rp =
-      power::RouterPowerParams::from_network(net);
-  const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(net.flit_bytes * 8, 2.5, rp.tech,
-                                         rp.op);
 
   noc::SimConfig sim;
   sim.warmup = 2000;
   sim.measure = 8000;
   sim.drain_max = 40000;
 
-  // Manifest payload for one task: the three numbers folded into the
+  // Every (level, rate, mapping) simulation is an independent task,
+  // numbered level-major / rate-major / mapping-minor: mapping 0 is the
+  // NoC-sprinting point (deterministic convex region), mapping 1 + s the
+  // s-th full-sprinting random endpoint mapping.  The seeds are the ones
+  // the serial loop used, so the tables below are identical for any
+  // thread count.  A task records the three numbers folded into the
   // tables (doubles round-trip bit-exactly through the JSON layer).
-  const auto sample_to_json = [](double lat, double pow, bool sat) {
-    json::Value o = json::Value::object();
-    o.set("lat", lat);
-    o.set("pow", pow);
-    o.set("sat", sat);
-    return o;
-  };
+  const std::vector<json::Value> runs = noc::run_resumable(
+      levels.size() * tasks_per_level, threads, &manifest, nullptr,
+      [&](std::size_t t) {
+        const int level = levels[t / tasks_per_level];
+        const std::size_t mapping = t % tasks_per_rate;
+        noc::SimConfig point_sim = sim;
+        point_sim.injection_rate = rates[t % tasks_per_level / tasks_per_rate];
+        auto b = mapping == 0
+                     ? sprint::make_noc_sprinting_network(net, level,
+                                                          "uniform", seed)
+                     : sprint::make_full_sprinting_network(
+                           net, level, "uniform", seed + mapping - 1);
+        const noc::SimResults r = noc::run_simulation(*b.network, point_sim);
+        json::Value o = json::Value::object();
+        o.set("lat", r.avg_packet_latency);
+        o.set("pow", power::estimate_noc_power(*b.network, r.cycles).total());
+        o.set("sat", r.saturated);
+        return o;
+      });
 
-  json::Value levels = json::Value::array();
-  std::size_t level_base = 0;
-  for (int level : {4, 8}) {
-    // Every (rate, mapping) simulation is independent: one task per
-    // NoC-sprinting point plus one per full-sprinting random mapping, all
-    // with the same seeds the serial loop used, so the tables below are
-    // identical for any thread count.  Tasks already in the manifest are
-    // replayed from their recorded numbers instead of queued.
+  json::Value levels_doc = json::Value::array();
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    const int level = levels[l];
     std::vector<Point> points(rates.size());
-    std::vector<std::vector<FullSample>> full(
-        rates.size(), std::vector<FullSample>(static_cast<std::size_t>(
-                          samples)));
-    std::vector<std::function<void()>> tasks;
     for (std::size_t i = 0; i < rates.size(); ++i) {
-      noc::SimConfig point_sim = sim;
-      point_sim.injection_rate = rates[i];
+      const std::size_t base = l * tasks_per_level + i * tasks_per_rate;
+      const json::Value& noc = runs[base];
       points[i].rate = rates[i];
-
-      const std::size_t noc_task = level_base + i * tasks_per_rate;
-      if (manifest.enabled() && manifest.completed(noc_task)) {
-        const json::Value v = manifest.result(noc_task);
-        points[i].noc_lat = v.at("lat").as_number();
-        points[i].noc_pow = v.at("pow").as_number();
-        points[i].noc_sat = v.at("sat").as_bool();
-      } else {
-        tasks.push_back([&, i, point_sim, level, noc_task] {
-          // NoC-sprinting: deterministic convex region.
-          auto b =
-              sprint::make_noc_sprinting_network(net, level, "uniform", seed);
-          const noc::SimResults r =
-              noc::run_simulation(*b.network, point_sim);
-          points[i].noc_lat = r.avg_packet_latency;
-          points[i].noc_sat = r.saturated;
-          points[i].noc_pow = power::estimate_noc_power(*b.network,
-                                                        router_model,
-                                                        link_model, r.cycles)
-                                  .total();
-          manifest.record(noc_task, sample_to_json(points[i].noc_lat,
-                                                   points[i].noc_pow,
-                                                   points[i].noc_sat));
-        });
-      }
-      for (int s = 0; s < samples; ++s) {
-        const std::size_t full_task =
-            noc_task + 1 + static_cast<std::size_t>(s);
-        if (manifest.enabled() && manifest.completed(full_task)) {
-          const json::Value v = manifest.result(full_task);
-          FullSample& fs = full[i][static_cast<std::size_t>(s)];
-          fs.lat = v.at("lat").as_number();
-          fs.pow = v.at("pow").as_number();
-          fs.sat = v.at("sat").as_bool();
-          continue;
-        }
-        tasks.push_back([&, i, s, point_sim, level, full_task] {
-          // Full-sprinting: one random endpoint mapping.
-          auto b = sprint::make_full_sprinting_network(
-              net, level, "uniform", seed + static_cast<std::uint64_t>(s));
-          const noc::SimResults r =
-              noc::run_simulation(*b.network, point_sim);
-          FullSample& fs = full[i][static_cast<std::size_t>(s)];
-          fs.lat = r.avg_packet_latency;
-          fs.sat = r.saturated;
-          fs.pow = power::estimate_noc_power(*b.network, router_model,
-                                             link_model, r.cycles)
-                       .total();
-          manifest.record(full_task, sample_to_json(fs.lat, fs.pow, fs.sat));
-        });
-      }
-    }
-    run_tasks(tasks, threads);
-    level_base += tasks_per_level;
-
-    for (std::size_t i = 0; i < rates.size(); ++i) {
+      points[i].noc_lat = noc.at("lat").as_number();
+      points[i].noc_pow = noc.at("pow").as_number();
+      points[i].noc_sat = noc.at("sat").as_bool();
+      // Folded in sample order so the averages match the serial loop bit
+      // for bit.
       RunningStat lat, pow;
       int saturated = 0;
-      for (const FullSample& fs : full[i]) {
-        lat.add(fs.lat);
-        pow.add(fs.pow);
-        saturated += fs.sat ? 1 : 0;
+      for (std::size_t s = 1; s < tasks_per_rate; ++s) {
+        const json::Value& full = runs[base + s];
+        lat.add(full.at("lat").as_number());
+        pow.add(full.at("pow").as_number());
+        saturated += full.at("sat").as_bool() ? 1 : 0;
       }
       points[i].full_lat = lat.mean();
       points[i].full_pow = pow.mean();
@@ -226,7 +169,7 @@ int main(int argc, char** argv) {
     lv.set("points", std::move(point_rows));
     lv.set("avg_presat_latency_cut", arithmetic_mean(lat_cuts));
     lv.set("avg_presat_power_cut", arithmetic_mean(pow_cuts));
-    levels.push_back(std::move(lv));
+    levels_doc.push_back(std::move(lv));
   }
 
   json::Value doc = json::Value::object();
@@ -234,7 +177,7 @@ int main(int argc, char** argv) {
   doc.set("config", bench::to_json(net));
   doc.set("seed", static_cast<std::uint64_t>(seed));
   doc.set("samples", samples);
-  doc.set("levels", std::move(levels));
+  doc.set("levels", std::move(levels_doc));
   bench::maybe_write_report(cfg, std::move(doc));
 
   std::printf(

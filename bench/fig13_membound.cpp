@@ -77,9 +77,6 @@ int main(int argc, char** argv) {
 
   const power::RouterPowerParams rp =
       power::RouterPowerParams::from_network(net);
-  const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(net.flit_bytes * 8, 2.5, rp.tech,
-                                         rp.op);
   const MeshShape shape = net.shape();
   const noc::XyRouting xy;
 
@@ -111,8 +108,8 @@ int main(int argc, char** argv) {
     r.finished = driver.done();
     r.cycles = driver.finished_at();
     if (r.finished && r.cycles > 0) {
-      const power::NocPowerEstimate est = power::estimate_noc_power(
-          network, router_model, link_model, r.cycles);
+      const power::NocPowerEstimate est =
+          power::estimate_noc_power(network, r.cycles);
       r.power_w = est.total();
       r.mcast_repl_w = est.mcast_replication;
       r.energy_j =

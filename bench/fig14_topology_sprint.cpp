@@ -65,9 +65,6 @@ int main(int argc, char** argv) {
 
   const power::RouterPowerParams rp =
       power::RouterPowerParams::from_network(mesh_net);
-  const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(mesh_net.flit_bytes * 8, 2.5,
-                                         rp.tech, rp.op);
 
   struct TopoCase {
     std::string label;
@@ -113,9 +110,7 @@ int main(int argc, char** argv) {
         row.traffic = traffic;
         row.latency = r.avg_packet_latency;
         row.saturated = r.saturated;
-        row.power_w = power::estimate_noc_power(*b.network, router_model,
-                                                link_model, r.cycles)
-                          .total();
+        row.power_w = power::estimate_noc_power(*b.network, r.cycles).total();
         row.energy_j =
             row.power_w * static_cast<double>(r.cycles) / rp.op.frequency;
         row.deadlock_channels = deadlock.channels_used;

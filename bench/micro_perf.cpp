@@ -23,6 +23,7 @@
 
 #include "bench_util.hpp"
 #include "cmp/perf_model.hpp"
+#include "common/rng.hpp"
 #include "mem/mem_subsystem.hpp"
 #include "mem/tile_driver.hpp"
 #include "noc/parallel_sweep.hpp"
@@ -296,15 +297,14 @@ double measure_sweep_seconds(int threads) {
   sim.warmup = 500;
   sim.measure = 4000;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto points = noc::parallel_sweep_injection(
-      [&](const noc::SweepTask& task) {
-        sprint::NetworkBundle b =
-            sprint::make_noc_sprinting_network(p, 8, "uniform", task.seed);
+  const auto points = noc::run_resumable(
+      rates.size(), threads, nullptr, nullptr, [&](std::size_t i) {
+        sprint::NetworkBundle b = sprint::make_noc_sprinting_network(
+            p, 8, "uniform", task_seed(/*base_seed=*/11, i));
         noc::SimConfig point_sim = sim;
-        point_sim.injection_rate = task.injection_rate;
-        return noc::run_simulation(*b.network, point_sim);
-      },
-      rates, /*base_seed=*/11, threads);
+        point_sim.injection_rate = rates[i];
+        return noc::to_json(noc::run_simulation(*b.network, point_sim));
+      });
   benchmark::DoNotOptimize(points);
   return seconds_since(t0);
 }

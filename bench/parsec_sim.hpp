@@ -2,13 +2,14 @@
 // and 10) — a thin adapter over the library's sprint::cosimulate().
 #pragma once
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "cmp/perf_model.hpp"
 #include "common/json.hpp"
-#include "common/parallel.hpp"
 #include "common/snapshot.hpp"
+#include "noc/parallel_sweep.hpp"
 #include "sprint/cosim.hpp"
 
 namespace nocs::bench {
@@ -74,34 +75,26 @@ inline ParsecNetResult run_parsec_network(const noc::NetworkParams& params,
 /// Runs the whole suite with one worker per benchmark (each co-simulation
 /// stays serial internally).  Every benchmark uses the same fixed `seed`
 /// and its own networks, so results are identical to the serial loop no
-/// matter the thread count.
+/// matter the thread count.  `manifest` makes the run resumable.
 inline std::vector<ParsecNetResult> run_parsec_suite(
     const noc::NetworkParams& params,
     const std::vector<cmp::WorkloadParams>& suite, const cmp::PerfModel& pm,
     std::uint64_t seed, int num_threads = 0,
     snapshot::TaskManifest* manifest = nullptr) {
-  std::vector<ParsecNetResult> results(suite.size());
-  std::vector<std::size_t> todo;
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    if (manifest != nullptr && manifest->enabled() && manifest->completed(i))
-      results[i] = parsec_net_result_from_json(manifest->result(i));
-    else
-      todo.push_back(i);
+  if (manifest != nullptr) {
+    const std::size_t done = manifest->completed_count();
+    if (done > 0 && done < suite.size())
+      std::printf("resuming: %zu/%zu benchmarks already completed\n", done,
+                  suite.size());
   }
-  if (manifest != nullptr && manifest->enabled() && !todo.empty() &&
-      todo.size() < suite.size())
-    std::printf("resuming: %zu/%zu benchmarks already completed\n",
-                suite.size() - todo.size(), suite.size());
-  ParallelFor(
-      todo.size(),
-      [&](std::size_t k) {
-        const std::size_t i = todo[k];
-        results[i] =
-            run_parsec_network(params, suite[i], pm, seed, /*num_threads=*/1);
-        if (manifest != nullptr)
-          manifest->record(i, to_json(results[i]));
-      },
-      num_threads);
+  const std::vector<json::Value> runs = noc::run_resumable(
+      suite.size(), num_threads, manifest, nullptr, [&](std::size_t i) {
+        return to_json(run_parsec_network(params, suite[i], pm, seed,
+                                          /*num_threads=*/1));
+      });
+  std::vector<ParsecNetResult> results;
+  for (const json::Value& v : runs)
+    results.push_back(parsec_net_result_from_json(v));
   return results;
 }
 

@@ -24,6 +24,10 @@
 //          write-ahead job ledger, admission control, retry/timeout
 //          supervision, and a result cache (protocol: docs/SERVE.md)
 //
+// simulate, sweep and topo parse their keys into one sprint::Scenario
+// (the serve daemon's simulate and sweep jobs run the same one) and only
+// format its results; unknown keys are rejected before anything runs.
+//
 // Observability (simulate and sweep modes, all off by default — see
 // README "Observability"):
 //   trace=path.json         Chrome trace-event file (chrome://tracing /
@@ -55,7 +59,6 @@
 //   ./nocsprint_cli mode=topo topology=ring_circulant ring_skip=4 level=8
 //   ./nocsprint_cli mode=serve serve_port=4517 serve_dir=campaign
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
 
 #include "cmp/perf_model.hpp"
@@ -64,15 +67,11 @@
 #include "common/shutdown.hpp"
 #include "common/table.hpp"
 #include "common/trace.hpp"
-#include "fault/fault_injector.hpp"
 #include "noc/parallel_sweep.hpp"
-#include "noc/simulator.hpp"
-#include "noc/topology.hpp"
 #include "power/chip_power.hpp"
-#include "power/noc_power.hpp"
 #include "serve/server.hpp"
 #include "sprint/floorplanner.hpp"
-#include "sprint/network_builder.hpp"
+#include "sprint/scenario.hpp"
 #include "sprint/sprint_controller.hpp"
 #include "sprint/topology.hpp"
 #include "thermal/grid.hpp"
@@ -82,20 +81,11 @@ using namespace nocs;
 
 namespace {
 
-noc::NetworkParams params_from(const Config& cfg) {
-  noc::NetworkParams p;
-  p.num_classes = static_cast<int>(cfg.get_int("classes", 1));
-  p.pipeline_stages = static_cast<int>(cfg.get_int("pipeline", 5));
-  p.validate();
-  return p;
-}
-
-/// Opens/closes the global trace session around a mode when `trace=` is
-/// set; a no-op otherwise.
+/// Opens/closes the global trace session around a mode when `path` is
+/// set (the trace= key); a no-op otherwise.
 class TraceSession {
  public:
-  explicit TraceSession(const Config& cfg)
-      : path_(cfg.get_string("trace", "")) {
+  explicit TraceSession(std::string path) : path_(std::move(path)) {
     if (!path_.empty()) trace::begin(path_);
   }
   ~TraceSession() {
@@ -108,6 +98,27 @@ class TraceSession {
  private:
   std::string path_;
 };
+
+/// The result lines simulate and topo share.
+void print_run(const sprint::TaskRun& run) {
+  const noc::SimResults& r = run.results;
+  std::printf("avg latency      %.2f cycles (p50 %.1f, p99 %.1f)\n",
+              r.avg_packet_latency, r.p50_latency, r.p99_latency);
+  std::printf("avg hops         %.2f\n", r.avg_hops);
+  std::printf("accepted rate    %.4f flits/cycle/node\n", r.accepted_rate);
+  std::printf("packets          %llu (saturated: %s)\n",
+              static_cast<unsigned long long>(r.packets_ejected),
+              r.saturated ? "yes" : "no");
+  std::printf("network power    %.2f mW (routers %.2f, links %.2f)\n",
+              run.power.total() * 1e3, run.power.routers.total() * 1e3,
+              (run.power.link_dynamic + run.power.link_leakage) * 1e3);
+}
+
+/// Writes `doc` to `path` when set and says so.
+void write_report(const std::string& path, const json::Value& doc) {
+  if (!path.empty() && noc::write_report(path, doc))
+    std::printf("report written to %s\n", path.c_str());
+}
 
 int mode_plan(const Config& cfg) {
   const MeshShape mesh(4, 4);
@@ -142,58 +153,27 @@ int mode_plan(const Config& cfg) {
 
 int mode_simulate(const Config& cfg) {
   install_shutdown_handlers();
-  const noc::NetworkParams params = params_from(cfg);
-  const int level = static_cast<int>(cfg.get_int("level", 4));
-  const std::string traffic = cfg.get_string("traffic", "uniform");
-  const std::uint64_t seed = cfg.get_int("seed", 1);
-  const bool full = cfg.get_string("scheme", "noc") == "full";
-
-  sprint::NetworkBundle b =
-      full ? sprint::make_full_sprinting_network(params, level, traffic, seed)
-           : sprint::make_noc_sprinting_network(params, level, traffic, seed);
-  const bool protocol = cfg.get_bool("protocol", false);
-  if (params.num_classes >= 2 && protocol) b.network->set_request_reply(1, 5);
-  // Shard tick() across threads; results are bit-identical for any value
-  // (0 defers to NOCS_SIM_THREADS, else serial).
-  b.network->set_sim_threads(static_cast<int>(cfg.get_int("sim_threads", 0)));
-
-  noc::SimConfig sim;
-  sim.warmup = cfg.get_int("warmup", 2000);
-  sim.measure = cfg.get_int("measure", 10000);
-  sim.injection_rate = cfg.get_double("injection", 0.1);
-  sim.trace_sample = static_cast<Cycle>(cfg.get_int("trace_sample", 256));
-  const TraceSession trace_session(cfg);
-
-  const fault::FaultParams fparams = fault::FaultParams::from_config(cfg);
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (fparams.enabled) {
-    injector =
-        std::make_unique<fault::FaultInjector>(params.shape(), fparams);
-    const noc::ProtectionParams prot = fparams.protection();
-    b.network->enable_resilience(injector.get(), &prot);
-    sim.watchdog_cycles =
-        static_cast<Cycle>(cfg.get_int("watchdog", 50000));
-  }
-
-  // Checkpoint/restore: the fault injector's RNG streams are part of the
-  // simulation state, so it rides along as an extra snapshot component.
+  sprint::Scenario scenario = sprint::Scenario::from_config("simulate", cfg);
+  scenario.set_trace_sample(
+      static_cast<Cycle>(cfg.get_int("trace_sample", 256)));
   noc::CheckpointConfig ckpt;
   ckpt.save_path = cfg.get_string("checkpoint", "");
   ckpt.every = static_cast<Cycle>(cfg.get_int("checkpoint_every", 0));
   ckpt.restore_path = cfg.get_string("restore", "");
   // Ctrl-C / SIGTERM: checkpoint (when configured) instead of dying mid-run.
   ckpt.stop_flag = shutdown_flag();
-  if (injector != nullptr) ckpt.extras.emplace_back("fault", injector.get());
+  const std::string report = cfg.get_string("report", "");
+  const std::string metrics = cfg.get_string("metrics", "");
+  const std::string trace = cfg.get_string("trace", "");
+  cfg.reject_unknown();
+  const TraceSession trace_session(trace);
 
   if (!ckpt.restore_path.empty())
     std::printf("restoring from %s\n", ckpt.restore_path.c_str());
-
-  const noc::SimResults r = run_simulation(*b.network, sim, ckpt);
-  if (r.interrupted && shutdown_requested()) {
-    // Keys normally read further down; touch them so reject_unknown()
-    // in main() doesn't flag a legitimate report=/metrics= after ^C.
-    (void)cfg.get_string("report", "");
-    (void)cfg.get_string("metrics", "");
+  sprint::TaskRun run;
+  const json::Value result = scenario.run_task(0, ckpt, &run);
+  const noc::SimResults& r = run.results;
+  if (result.is_null()) {
     std::printf("interrupted by signal %d at cycle %llu\n",
                 shutdown_signal(),
                 static_cast<unsigned long long>(r.cycles));
@@ -205,27 +185,11 @@ int mode_simulate(const Config& cfg) {
     return 130;
   }
 
-  const auto rp = power::RouterPowerParams::from_network(params);
-  const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(params.flit_bytes * 8, 2.5, rp.tech,
-                                         rp.op);
-  const auto power_est =
-      power::estimate_noc_power(*b.network, router_model, link_model,
-                                r.cycles);
-
-  std::printf("scheme           %s (routing %s)\n", full ? "full" : "noc",
-              b.policy->name());
-  std::printf("avg latency      %.2f cycles (p50 %.1f, p99 %.1f)\n",
-              r.avg_packet_latency, r.p50_latency, r.p99_latency);
-  std::printf("avg hops         %.2f\n", r.avg_hops);
-  std::printf("accepted rate    %.4f flits/cycle/node\n", r.accepted_rate);
-  std::printf("packets          %llu (saturated: %s)\n",
-              static_cast<unsigned long long>(r.packets_ejected),
-              r.saturated ? "yes" : "no");
-  std::printf("network power    %.2f mW (routers %.2f, links %.2f)\n",
-              power_est.total() * 1e3, power_est.routers.total() * 1e3,
-              (power_est.link_dynamic + power_est.link_leakage) * 1e3);
-  if (fparams.enabled) {
+  std::printf("scheme           %s (routing %s)\n",
+              result.at("scheme").as_string().c_str(),
+              run.bundle.policy->name());
+  print_run(run);
+  if (run.injector != nullptr) {
     const noc::ResilienceCounters& rs = r.resilience;
     std::printf(
         "resilience       retx %llu (timeouts %llu), corrupted %llu, "
@@ -244,31 +208,12 @@ int mode_simulate(const Config& cfg) {
       std::printf("WATCHDOG FIRED: no flit progress\n%s", r.diagnostic.c_str());
   }
 
-  const std::string report = cfg.get_string("report", "");
-  if (!report.empty()) {
-    json::Value doc = noc::to_json(r);
-    doc.set("mode", "simulate");
-    doc.set("scheme", full ? "full" : "noc");
-    doc.set("level", level);
-    doc.set("traffic", traffic);
-    doc.set("injection_rate", sim.injection_rate);
-    doc.set("seed", static_cast<std::uint64_t>(seed));
-    json::Value pw = json::Value::object();
-    pw.set("total_mw", power_est.total() * 1e3);
-    pw.set("routers_mw", power_est.routers.total() * 1e3);
-    pw.set("links_mw",
-           (power_est.link_dynamic + power_est.link_leakage) * 1e3);
-    doc.set("power", std::move(pw));
-    if (noc::write_report(report, doc))
-      std::printf("report written to %s\n", report.c_str());
-  }
-
-  const std::string metrics = cfg.get_string("metrics", "");
+  write_report(report, scenario.aggregate({result}, "mode"));
   if (!metrics.empty()) {
     MetricsRegistry reg;
     r.export_metrics(reg);
-    b.network->stats().export_metrics(reg);
-    power_est.export_metrics(reg);
+    run.bundle.network->stats().export_metrics(reg);
+    run.power.export_metrics(reg);
     if (reg.write_json(metrics))
       std::printf("metrics written to %s\n", metrics.c_str());
   }
@@ -277,107 +222,58 @@ int mode_simulate(const Config& cfg) {
 
 int mode_sweep(const Config& cfg) {
   install_shutdown_handlers();
-  const noc::NetworkParams params = params_from(cfg);
-  const int level = static_cast<int>(cfg.get_int("level", 4));
-  const std::string spec = cfg.get_string("rates", "0.05:0.05:0.5");
-  double start = 0.05, step = 0.05, end = 0.5;
-  if (std::sscanf(spec.c_str(), "%lf:%lf:%lf", &start, &step, &end) != 3)
-    throw std::invalid_argument("rates=start:step:end");
-
-  const std::string traffic = cfg.get_string("traffic", "uniform");
-  const std::uint64_t seed = cfg.get_int("seed", 1);
+  sprint::Scenario scenario = sprint::Scenario::from_config("sweep", cfg);
+  scenario.set_trace_sample(
+      static_cast<Cycle>(cfg.get_int("trace_sample", 256)));
   const int threads = static_cast<int>(cfg.get_int("threads", 0));
-  const int sim_threads = static_cast<int>(cfg.get_int("sim_threads", 0));
-  const fault::FaultParams fparams = fault::FaultParams::from_config(cfg);
-  const Cycle watchdog =
-      static_cast<Cycle>(cfg.get_int("watchdog", 50000));
-  std::vector<double> rates;
-  for (double r = start; r <= end + 1e-12; r += step) rates.push_back(r);
-  noc::SimConfig sim;
-  sim.warmup = 1000;
-  sim.measure = 6000;
-  sim.trace_sample = static_cast<Cycle>(cfg.get_int("trace_sample", 256));
-  const TraceSession trace_session(cfg);
+  const std::string checkpoint = cfg.get_string("checkpoint", "");
+  const std::string report = cfg.get_string("report", "");
+  const std::string trace = cfg.get_string("trace", "");
+  cfg.reject_unknown();
+  const TraceSession trace_session(trace);
+
   // checkpoint= names a task manifest: each finished point is recorded
   // immediately, and a re-run with the same arguments replays completed
   // points instead of re-simulating them.
-  snapshot::TaskManifest manifest(cfg.get_string("checkpoint", ""),
-                                  noc::sweep_fingerprint(rates, seed));
+  snapshot::TaskManifest manifest(
+      checkpoint, noc::sweep_fingerprint(scenario.rates(), scenario.seed()));
   // One independent network per point, seeded per task: results are
   // identical for any threads= value (threads=1 is the plain serial loop).
-  // Fault injection follows the same rule — one injector per point, so
-  // fault schedules never depend on scheduling.
-  const auto points = noc::resumable_sweep_injection(
-      [&](const noc::SweepTask& task) {
-        sprint::NetworkBundle b = sprint::make_noc_sprinting_network(
-            params, level, traffic, task.seed);
-        // Orthogonal to threads=: threads= parallelizes across points,
-        // sim_threads= shards each point's tick loop.  Either way the
-        // results stay bit-identical to the all-serial sweep.
-        b.network->set_sim_threads(sim_threads);
-        std::unique_ptr<fault::FaultInjector> injector;
-        noc::SimConfig point_sim = sim;
-        if (fparams.enabled) {
-          injector = std::make_unique<fault::FaultInjector>(params.shape(),
-                                                            fparams);
-          const noc::ProtectionParams prot = fparams.protection();
-          b.network->enable_resilience(injector.get(), &prot);
-          point_sim.watchdog_cycles = watchdog;
-        }
-        point_sim.injection_rate = task.injection_rate;
-        // Wire the signal flag into every point: on SIGINT/SIGTERM the
-        // running points stop cooperatively and stay off the manifest, so
-        // the interrupted sweep resumes exactly where it was killed.
-        noc::CheckpointConfig point_ckpt;
-        point_ckpt.stop_flag = shutdown_flag();
-        return noc::run_simulation(*b.network, point_sim, point_ckpt);
-      },
-      rates, seed, &manifest, threads, shutdown_flag());
+  // threads= parallelizes across points, sim_threads= shards each point's
+  // tick loop.  On SIGINT/SIGTERM the running points stop cooperatively
+  // and stay off the manifest, so the sweep resumes where it was killed.
+  noc::CheckpointConfig ckpt;
+  ckpt.stop_flag = shutdown_flag();
+  const std::vector<json::Value> points = noc::run_resumable(
+      scenario.task_count(), threads, &manifest, shutdown_flag(),
+      [&](std::size_t i) { return scenario.run_task(i, ckpt); });
 
   Table t({"rate", "latency", "p99", "accepted", "saturated"});
   std::size_t finished = 0;
-  for (const auto& pt : points) {
-    if (pt.results.interrupted) continue;
+  for (const json::Value& pt : points) {
+    if (pt.is_null()) continue;
     ++finished;
-    t.add_row({Table::fmt(pt.injection_rate, 3),
-               Table::fmt(pt.results.avg_packet_latency, 2),
-               Table::fmt(pt.results.p99_latency, 1),
-               Table::fmt(pt.results.accepted_rate, 4),
-               pt.results.saturated ? "yes" : "no"});
+    t.add_row({Table::fmt(pt.at("injection_rate").as_number(), 3),
+               Table::fmt(pt.at("avg_packet_latency").as_number(), 2),
+               Table::fmt(pt.at("p99_latency").as_number(), 1),
+               Table::fmt(pt.at("accepted_rate").as_number(), 4),
+               pt.at("saturated").as_bool() ? "yes" : "no"});
   }
   t.print();
 
   if (shutdown_requested() && finished < points.size()) {
-    (void)cfg.get_string("report", "");
     std::printf("interrupted by signal %d after %zu of %zu point(s)\n",
                 shutdown_signal(), finished, points.size());
     if (manifest.enabled())
       std::printf("manifest flushed to %s; re-run the same command to "
                   "resume\n",
-                  cfg.get_string("checkpoint", "").c_str());
+                  checkpoint.c_str());
     else
       std::printf("no checkpoint= manifest configured, finished points "
                   "were discarded\n");
     return 130;
   }
-
-  const std::string report = cfg.get_string("report", "");
-  if (!report.empty()) {
-    json::Value doc = json::Value::object();
-    doc.set("mode", "sweep");
-    doc.set("level", level);
-    doc.set("traffic", traffic);
-    doc.set("seed", static_cast<std::uint64_t>(seed));
-    json::Value arr = json::Value::array();
-    for (const auto& pt : points) {
-      json::Value p = noc::to_json(pt.results);
-      p.set("injection_rate", pt.injection_rate);
-      arr.push_back(std::move(p));
-    }
-    doc.set("points", std::move(arr));
-    if (noc::write_report(report, doc))
-      std::printf("report written to %s\n", report.c_str());
-  }
+  write_report(report, scenario.aggregate(points, "mode"));
   return 0;
 }
 
@@ -400,85 +296,27 @@ int mode_serve(const Config& cfg) {
 }
 
 int mode_topo(const Config& cfg) {
-  // topology= picks a generator (docs/TOPOLOGY.md); topology=file loads
-  // the documented text format from topo_file=.  The mesh keeps the
+  // Sprint on a topology graph (docs/TOPOLOGY.md).  The mesh keeps the
   // paper's CDOR; everything else routes on up*/down* tables, and either
   // way the channel-dependency deadlock check runs before the first tick
   // (this is the one mode that accepts a user-written graph).
-  const std::string kind = cfg.get_string("topology", "mesh");
-  const int width = static_cast<int>(cfg.get_int("width", 4));
-  const int height = static_cast<int>(cfg.get_int("height", 4));
-  const int ring_skip = static_cast<int>(cfg.get_int("ring_skip", 4));
-  const noc::Topology topo =
-      kind == "file"
-          ? noc::Topology::from_file(cfg.get_string("topo_file", ""))
-          : noc::Topology::make(kind, width, height, ring_skip);
+  const sprint::Scenario scenario = sprint::Scenario::from_config("topo", cfg);
+  const std::string report = cfg.get_string("report", "");
+  cfg.reject_unknown();
 
-  noc::NetworkParams params = params_from(cfg);
-  if (topo.is_mesh()) {
-    params.width = topo.mesh_shape().width();
-    params.height = topo.mesh_shape().height();
-  } else {
-    // Only num_nodes() matters off the mesh; keep validate() happy.
-    params.width = topo.num_nodes();
-    params.height = 1;
-  }
-  params.validate();
-
-  const int level = static_cast<int>(cfg.get_int("level", 4));
-  const std::string traffic = cfg.get_string("traffic", "uniform");
-  const std::uint64_t seed = cfg.get_int("seed", 1);
-  const sprint::NetworkBundle b = sprint::make_sprinting_network(
-      params, topo, sprint::NetworkScheme::kNoc, level, traffic, seed);
-  const noc::DeadlockCheckResult deadlock =
-      sprint::require_deadlock_free(b, level);
-
-  noc::SimConfig sim;
-  sim.warmup = cfg.get_int("warmup", 2000);
-  sim.measure = cfg.get_int("measure", 10000);
-  sim.injection_rate = cfg.get_double("injection", 0.1);
-  const noc::SimResults r = run_simulation(*b.network, sim);
-
-  const auto rp = power::RouterPowerParams::from_network(params);
-  const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(params.flit_bytes * 8, 2.5, rp.tech,
-                                         rp.op);
-  const auto power_est = power::estimate_noc_power(
-      *b.network, router_model, link_model, r.cycles);
-
+  sprint::TaskRun run;
+  const json::Value result = scenario.run_task(0, {}, &run);
+  const noc::Topology& topo = run.bundle.network->topology();
   std::printf("topology         %s (%d nodes, %zu directed links)\n",
               topo.kind().c_str(), topo.num_nodes(), topo.links().size());
-  std::printf("routing          %s\n", b.policy->name());
+  std::printf("routing          %s\n", run.bundle.policy->name());
   std::printf("active nodes     ");
-  for (NodeId id : b.endpoints) std::printf("%d ", id);
+  for (NodeId id : run.bundle.endpoints) std::printf("%d ", id);
   std::printf("\ndeadlock check   ok (%d channels, %d dependencies)\n",
-              deadlock.channels_used, deadlock.dependencies);
-  std::printf("avg latency      %.2f cycles (p50 %.1f, p99 %.1f)\n",
-              r.avg_packet_latency, r.p50_latency, r.p99_latency);
-  std::printf("avg hops         %.2f\n", r.avg_hops);
-  std::printf("accepted rate    %.4f flits/cycle/node\n", r.accepted_rate);
-  std::printf("packets          %llu (saturated: %s)\n",
-              static_cast<unsigned long long>(r.packets_ejected),
-              r.saturated ? "yes" : "no");
-  std::printf("network power    %.2f mW (routers %.2f, links %.2f)\n",
-              power_est.total() * 1e3, power_est.routers.total() * 1e3,
-              (power_est.link_dynamic + power_est.link_leakage) * 1e3);
-
-  const std::string report = cfg.get_string("report", "");
-  if (!report.empty()) {
-    json::Value doc = noc::to_json(r);
-    doc.set("mode", "topo");
-    doc.set("topology", topo.kind());
-    doc.set("level", level);
-    doc.set("traffic", traffic);
-    doc.set("injection_rate", sim.injection_rate);
-    doc.set("seed", static_cast<std::uint64_t>(seed));
-    doc.set("topology_fingerprint", topo.fingerprint());
-    doc.set("deadlock_channels", deadlock.channels_used);
-    doc.set("deadlock_dependencies", deadlock.dependencies);
-    if (noc::write_report(report, doc))
-      std::printf("report written to %s\n", report.c_str());
-  }
+              static_cast<int>(result.at("deadlock_channels").as_number()),
+              static_cast<int>(result.at("deadlock_dependencies").as_number()));
+  print_run(run);
+  write_report(report, scenario.aggregate({result}, "mode"));
   return 0;
 }
 
@@ -527,7 +365,8 @@ int main(int argc, char** argv) {
       return 2;
     }
     // Every knob the mode understands has been queried by now; anything
-    // left over is a typo (error out with a near-miss suggestion).
+    // left over is a typo (error out with a near-miss suggestion).  The
+    // batch modes check before they run.
     cfg.reject_unknown();
     return rc;
   } catch (const std::exception& e) {

@@ -23,10 +23,6 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = cfg.get_int("seed", 3);
 
   noc::NetworkParams params;  // Table 1 defaults
-  const auto rp = power::RouterPowerParams::from_network(params);
-  const power::RouterPowerModel router_model(rp);
-  const power::LinkPowerModel link_model(params.flit_bytes * 8, 2.5, rp.tech,
-                                         rp.op);
 
   noc::SimConfig sim;
   sim.warmup = 1000;
@@ -43,16 +39,14 @@ int main(int argc, char** argv) {
       auto nb = sprint::make_noc_sprinting_network(params, level, traffic,
                                                    seed);
       const noc::SimResults rn = run_simulation(*nb.network, sim);
-      const Watts pn = power::estimate_noc_power(*nb.network, router_model,
-                                                 link_model, rn.cycles)
-                           .total();
+      const Watts pn =
+          power::estimate_noc_power(*nb.network, rn.cycles).total();
 
       auto fb = sprint::make_full_sprinting_network(params, level, traffic,
                                                     seed);
       const noc::SimResults rf = run_simulation(*fb.network, sim);
-      const Watts pf = power::estimate_noc_power(*fb.network, router_model,
-                                                 link_model, rf.cycles)
-                           .total();
+      const Watts pf =
+          power::estimate_noc_power(*fb.network, rf.cycles).total();
 
       t.add_row({traffic, Table::fmt(static_cast<long long>(level)),
                  rn.saturated ? "sat" : Table::fmt(rn.avg_packet_latency, 1),

@@ -48,6 +48,19 @@ FaultParams FaultParams::from_config(const Config& cfg) {
   p.stuck_from = static_cast<Cycle>(cfg.get_int("fault_stuck_from", 0));
   p.ack_timeout = static_cast<int>(cfg.get_int("fault_ack_timeout", 256));
   p.max_backoff = static_cast<int>(cfg.get_int("fault_max_backoff", 4096));
+  // Bad values are the user's error, not a broken contract: report them
+  // as std::invalid_argument before validate() would abort on them.
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(what);
+  };
+  const auto probability = [](double x) { return x >= 0.0 && x <= 1.0; };
+  require(probability(p.flip_rate) && probability(p.drop_rate) &&
+              probability(p.link_down_rate) && probability(p.wake_fail_prob),
+          "fault rates and probabilities must lie in [0, 1]");
+  require(p.link_down_cycles >= 1 && p.wake_retry >= 1,
+          "fault_link_down_cycles and fault_wake_retry must be >= 1");
+  require(p.ack_timeout >= 1 && p.max_backoff >= p.ack_timeout,
+          "fault_ack_timeout must be >= 1 and <= fault_max_backoff");
   p.validate();
   return p;
 }

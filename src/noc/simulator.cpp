@@ -424,25 +424,4 @@ bool write_report(const std::string& path, const json::Value& v) {
   return json::write_file(path, v);
 }
 
-std::vector<SweepPoint> sweep_injection(Network& net, SimConfig cfg,
-                                        const std::vector<double>& rates,
-                                        bool stop_at_saturation) {
-  std::vector<SweepPoint> points;
-  points.reserve(rates.size());
-  bool saturated = false;
-  for (double rate : rates) {
-    SweepPoint pt;
-    pt.injection_rate = rate;
-    if (saturated && stop_at_saturation) {
-      pt.results.saturated = true;
-    } else {
-      cfg.injection_rate = rate;
-      pt.results = run_simulation(net, cfg);
-      saturated = saturated || pt.results.saturated;
-    }
-    points.push_back(pt);
-  }
-  return points;
-}
-
 }  // namespace nocs::noc

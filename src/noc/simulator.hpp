@@ -1,6 +1,6 @@
 // Simulation driver implementing the standard warmup / measure / drain
-// methodology plus injection-rate sweeps for latency-throughput curves
-// (the experiments behind Figure 11 of the paper).
+// methodology (the runs behind every latency and power figure; sweeps over
+// many runs live in noc/parallel_sweep.hpp).
 #pragma once
 
 #include <atomic>
@@ -77,8 +77,8 @@ json::Value to_json(const SimResults& r);
 
 /// Inverse of to_json: rebuilds a SimResults from its JSON form.  Exact
 /// (bit-identical doubles — the JSON layer round-trips numbers through
-/// shortest-representation formatting); used by resumable sweeps to
-/// replay completed tasks from a manifest.
+/// shortest-representation formatting), so a report read back (a served
+/// job's result, a manifest entry) equals the run that wrote it.
 SimResults sim_results_from_json(const json::Value& v);
 
 /// Writes `v` to `path` (pretty-printed, trailing newline); false after
@@ -137,18 +137,5 @@ SimResults run_simulation(Network& net, const SimConfig& cfg);
 /// a run that never stopped.
 SimResults run_simulation(Network& net, const SimConfig& cfg,
                           const CheckpointConfig& ckpt);
-
-/// One point of a load sweep.
-struct SweepPoint {
-  double injection_rate = 0.0;
-  SimResults results;
-};
-
-/// Sweeps injection rate over `rates`, rebuilding statistics per point.
-/// Stops early (marking remaining points saturated) once a point saturates,
-/// since latency is unbounded beyond saturation.
-std::vector<SweepPoint> sweep_injection(Network& net, SimConfig cfg,
-                                        const std::vector<double>& rates,
-                                        bool stop_at_saturation = false);
 
 }  // namespace nocs::noc

@@ -51,4 +51,13 @@ NocPowerEstimate estimate_noc_power(const noc::Network& net,
   return est;
 }
 
+NocPowerEstimate estimate_noc_power(const noc::Network& net,
+                                    Cycle window_cycles) {
+  const RouterPowerParams rp = RouterPowerParams::from_network(net.params());
+  return estimate_noc_power(
+      net, RouterPowerModel(rp),
+      LinkPowerModel(rp.flit_bits, kLinkLengthMm, rp.tech, rp.op),
+      window_cycles);
+}
+
 }  // namespace nocs::power

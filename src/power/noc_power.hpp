@@ -9,6 +9,10 @@
 
 namespace nocs::power {
 
+/// Link length (mm) of one mesh hop in the paper's 16-core floorplan, the
+/// length every network-level power estimate assumes.
+inline constexpr double kLinkLengthMm = 2.5;
+
 /// NoC-wide power split.
 struct NocPowerEstimate {
   RouterPowerBreakdown routers;  ///< summed over all routers
@@ -45,6 +49,12 @@ struct NocPowerEstimate {
 NocPowerEstimate estimate_noc_power(const noc::Network& net,
                                     const RouterPowerModel& router_model,
                                     const LinkPowerModel& link_model,
+                                    Cycle window_cycles);
+
+/// As above with both models derived from `net.params()`: the router
+/// model from the network's VC/buffer/flit geometry and a kLinkLengthMm
+/// link at the same technology and operating point.
+NocPowerEstimate estimate_noc_power(const noc::Network& net,
                                     Cycle window_cycles);
 
 }  // namespace nocs::power

@@ -1,7 +1,6 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -46,28 +45,7 @@ std::string fingerprint(const JobSpec& spec) {
   return fp;
 }
 
-std::vector<double> parse_rates(const std::string& spec) {
-  double start = 0, step = 0, end = 0;
-  if (std::sscanf(spec.c_str(), "%lf:%lf:%lf", &start, &step, &end) != 3)
-    throw std::invalid_argument("rates must be start:step:end");
-  if (!(step > 0) || !(start > 0) || end < start)
-    throw std::invalid_argument(
-        "rates must satisfy start > 0, step > 0, end >= start");
-  std::vector<double> rates;
-  for (double r = start; r <= end + 1e-12; r += step) {
-    rates.push_back(r);
-    if (rates.size() > kMaxTasksPerJob)
-      throw std::invalid_argument("rates expand to too many points");
-  }
-  return rates;
-}
-
 std::size_t task_count(const JobSpec& spec) {
-  if (spec.kind == "sweep") {
-    const json::Value* r = spec.params.find("rates");
-    return parse_rates(r != nullptr ? r->as_string() : "0.05:0.05:0.5")
-        .size();
-  }
   if (spec.kind == "selftest") {
     const json::Value* t = spec.params.find("tasks");
     if (t == nullptr) return 1;
@@ -84,7 +62,7 @@ std::size_t task_count(const JobSpec& spec) {
     }
     throw std::invalid_argument("selftest 'tasks' must be a number");
   }
-  return 1;
+  return scenario_of(spec).task_count();
 }
 
 Config params_config(const JobSpec& spec) {
@@ -92,6 +70,13 @@ Config params_config(const JobSpec& spec) {
   for (const auto& [key, value] : spec.params.members())
     cfg.set(key, dump_scalar(value));
   return cfg;
+}
+
+sprint::Scenario scenario_of(const JobSpec& spec) {
+  const Config cfg = params_config(spec);
+  sprint::Scenario scenario = sprint::Scenario::from_config(spec.kind, cfg);
+  cfg.reject_unknown();
+  return scenario;
 }
 
 namespace {

@@ -18,6 +18,7 @@
 #include "common/config.hpp"
 #include "common/json.hpp"
 #include "common/parallel.hpp"
+#include "sprint/scenario.hpp"
 
 namespace nocs::serve {
 
@@ -35,7 +36,7 @@ struct JobSpec {
   /// rate), or `selftest` (scheduler exercise: cheap, no simulator).
   std::string kind;
   /// Flat object of scalar parameters (the same keys the CLI's batch
-  /// modes accept; see docs/SERVE.md for the supported subset).
+  /// mode of the same name accepts; see docs/SERVE.md).
   json::Value params = json::Value::object();
   TaskPriority priority = TaskPriority::kNormal;
 };
@@ -46,8 +47,8 @@ struct JobSpec {
 /// results — so the result cache and the ledger replay both key on it.
 std::string fingerprint(const JobSpec& spec);
 
-/// Number of tasks the job expands to (sweep: one per rate; otherwise
-/// as given by `tasks=` for selftest, else 1).  Specs that reach here
+/// Number of tasks the job expands to (the scenario's task count: one
+/// per rate for a sweep; `tasks=` for selftest).  Specs that reach here
 /// have passed validation, so this never throws.
 std::size_t task_count(const JobSpec& spec);
 
@@ -55,10 +56,10 @@ std::size_t task_count(const JobSpec& spec);
 /// share with the CLI batch modes).
 Config params_config(const JobSpec& spec);
 
-/// Injection rates of a `rates=start:step:end` spec string (the sweep
-/// grammar shared with `mode=sweep`).  Throws std::invalid_argument on a
-/// malformed spec or a non-positive step.
-std::vector<double> parse_rates(const std::string& spec);
+/// The sprint::Scenario a `simulate` or `sweep` spec describes, parsed
+/// from exactly the keys the CLI's mode of the same name accepts.  Throws
+/// std::invalid_argument on a bad value or an unknown key.
+sprint::Scenario scenario_of(const JobSpec& spec);
 
 /// One parsed client request.
 struct Request {

@@ -4,16 +4,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <thread>
 
-#include "common/assert.hpp"
 #include "common/log.hpp"
-#include "common/rng.hpp"
-#include "fault/fault_injector.hpp"
-#include "noc/simulator.hpp"
-#include "power/noc_power.hpp"
-#include "sprint/network_builder.hpp"
 
 namespace nocs::serve {
 
@@ -27,14 +20,6 @@ bool file_exists(const std::string& path) {
 std::string snapshot_path(const std::string& dir, const std::string& job_id,
                           std::size_t index) {
   return dir + "/" + job_id + ".task" + std::to_string(index) + ".nocsnap";
-}
-
-noc::NetworkParams params_from(const Config& cfg) {
-  noc::NetworkParams p;
-  p.num_classes = static_cast<int>(cfg.get_int("classes", 1));
-  p.pipeline_stages = static_cast<int>(cfg.get_int("pipeline", 5));
-  p.validate();
-  return p;
 }
 
 /// Runs `attempt_run(allow_restore)`, retrying once from scratch when the
@@ -57,43 +42,13 @@ TaskOutcome with_snapshot_recovery(const std::string& snap, Fn attempt_run) {
   }
 }
 
-/// kind=simulate: one cycle-accurate run, result shaped like the CLI's
-/// `mode=simulate report=` document (minus the "mode" key).
-TaskOutcome run_simulate(const JobSpec& spec, const std::string& snap,
-                         const TaskContext& ctx) {
-  const Config cfg = params_config(spec);
-  const noc::NetworkParams params = params_from(cfg);
-  const int level = static_cast<int>(cfg.get_int("level", 4));
-  const std::string traffic = cfg.get_string("traffic", "uniform");
-  const std::uint64_t seed = cfg.get_int("seed", 1);
-  const bool full = cfg.get_string("scheme", "noc") == "full";
-  const bool protocol = cfg.get_bool("protocol", false);
-  const int sim_threads = static_cast<int>(cfg.get_int("sim_threads", 0));
-  noc::SimConfig sim;
-  sim.warmup = cfg.get_int("warmup", 2000);
-  sim.measure = cfg.get_int("measure", 10000);
-  sim.injection_rate = cfg.get_double("injection", 0.1);
-  const fault::FaultParams fparams = fault::FaultParams::from_config(cfg);
-  const Cycle watchdog = static_cast<Cycle>(cfg.get_int("watchdog", 50000));
-  cfg.reject_unknown();
-
+/// kind=simulate|sweep: task `ctx.task_index` of the spec's Scenario —
+/// the very code path of the CLI's mode of the same name, so a daemon
+/// result equals a direct run bit for bit.
+TaskOutcome run_scenario_task(const JobSpec& spec, const std::string& snap,
+                              const TaskContext& ctx) {
+  const sprint::Scenario scenario = scenario_of(spec);
   return with_snapshot_recovery(snap, [&](bool allow_restore) {
-    sprint::NetworkBundle b =
-        full ? sprint::make_full_sprinting_network(params, level, traffic,
-                                                   seed)
-             : sprint::make_noc_sprinting_network(params, level, traffic,
-                                                  seed);
-    if (params.num_classes >= 2 && protocol) b.network->set_request_reply(1, 5);
-    b.network->set_sim_threads(sim_threads);
-    std::unique_ptr<fault::FaultInjector> injector;
-    noc::SimConfig point_sim = sim;
-    if (fparams.enabled) {
-      injector =
-          std::make_unique<fault::FaultInjector>(params.shape(), fparams);
-      const noc::ProtectionParams prot = fparams.protection();
-      b.network->enable_resilience(injector.get(), &prot);
-      point_sim.watchdog_cycles = watchdog;
-    }
     noc::CheckpointConfig ckpt;
     ckpt.stop_flag = ctx.cancel.flag();
     ckpt.on_progress = ctx.report_progress;
@@ -101,73 +56,10 @@ TaskOutcome run_simulate(const JobSpec& spec, const std::string& snap,
       ckpt.save_path = snap;
       if (allow_restore && file_exists(snap)) ckpt.restore_path = snap;
     }
-    if (injector != nullptr) ckpt.extras.emplace_back("fault", injector.get());
-
-    const noc::SimResults r = run_simulation(*b.network, point_sim, ckpt);
-    if (r.interrupted) return TaskOutcome::cancelled();
+    json::Value result = scenario.run_task(ctx.task_index, ckpt);
+    if (result.is_null()) return TaskOutcome::cancelled();
     if (!snap.empty()) std::remove(snap.c_str());
-
-    json::Value doc = noc::to_json(r);
-    doc.set("scheme", full ? "full" : "noc");
-    doc.set("level", level);
-    doc.set("traffic", traffic);
-    doc.set("injection_rate", point_sim.injection_rate);
-    doc.set("seed", static_cast<std::uint64_t>(seed));
-    const auto rp = power::RouterPowerParams::from_network(params);
-    const power::RouterPowerModel router_model(rp);
-    const power::LinkPowerModel link_model(params.flit_bytes * 8, 2.5,
-                                           rp.tech, rp.op);
-    const auto power_est = power::estimate_noc_power(
-        *b.network, router_model, link_model, r.cycles);
-    json::Value pw = json::Value::object();
-    pw.set("total_mw", power_est.total() * 1e3);
-    pw.set("routers_mw", power_est.routers.total() * 1e3);
-    pw.set("links_mw",
-           (power_est.link_dynamic + power_est.link_leakage) * 1e3);
-    doc.set("power", std::move(pw));
-    return TaskOutcome::ok(std::move(doc));
-  });
-}
-
-/// kind=sweep, task `index`: the index-th rate of the sweep, run exactly
-/// as `mode=sweep` runs it (same per-task seed, same warmup/measure), so
-/// the aggregated points match a direct sweep report bit for bit.
-TaskOutcome run_sweep_point(const JobSpec& spec, std::size_t index,
-                            const std::string& snap,
-                            const TaskContext& ctx) {
-  const Config cfg = params_config(spec);
-  const noc::NetworkParams params = params_from(cfg);
-  const int level = static_cast<int>(cfg.get_int("level", 4));
-  const std::string traffic = cfg.get_string("traffic", "uniform");
-  const std::uint64_t seed = cfg.get_int("seed", 1);
-  const int sim_threads = static_cast<int>(cfg.get_int("sim_threads", 0));
-  const std::vector<double> rates =
-      parse_rates(cfg.get_string("rates", "0.05:0.05:0.5"));
-  cfg.reject_unknown();
-  NOCS_EXPECTS(index < rates.size());
-  const double rate = rates[index];
-
-  return with_snapshot_recovery(snap, [&](bool allow_restore) {
-    sprint::NetworkBundle b = sprint::make_noc_sprinting_network(
-        params, level, traffic, task_seed(seed, index));
-    b.network->set_sim_threads(sim_threads);
-    noc::SimConfig sim;
-    sim.warmup = 1000;
-    sim.measure = 6000;
-    sim.injection_rate = rate;
-    noc::CheckpointConfig ckpt;
-    ckpt.stop_flag = ctx.cancel.flag();
-    ckpt.on_progress = ctx.report_progress;
-    if (!snap.empty()) {
-      ckpt.save_path = snap;
-      if (allow_restore && file_exists(snap)) ckpt.restore_path = snap;
-    }
-    const noc::SimResults r = run_simulation(*b.network, sim, ckpt);
-    if (r.interrupted) return TaskOutcome::cancelled();
-    if (!snap.empty()) std::remove(snap.c_str());
-    json::Value p = noc::to_json(r);
-    p.set("injection_rate", rate);
-    return TaskOutcome::ok(std::move(p));
+    return TaskOutcome::ok(std::move(result));
   });
 }
 
@@ -212,33 +104,27 @@ TaskRunner make_sim_runner(std::string state_dir) {
     if (spec.kind == "selftest") return run_selftest(spec, ctx);
     const std::string snap =
         dir.empty() ? "" : snapshot_path(dir, ctx.job_id, ctx.task_index);
-    if (spec.kind == "sweep")
-      return run_sweep_point(spec, ctx.task_index, snap, ctx);
-    return run_simulate(spec, snap, ctx);
+    return run_scenario_task(spec, snap, ctx);
   };
 }
 
 Aggregator make_sim_aggregator() {
   return [](const JobSpec& spec,
             const std::vector<json::Value>& results) -> json::Value {
-    if (spec.kind == "simulate") {
-      json::Value doc = results.at(0);
-      doc.set("kind", "simulate");
+    if (spec.kind == "selftest") {
+      json::Value doc = json::Value::object();
+      doc.set("kind", spec.kind);
+      json::Value arr = json::Value::array();
+      for (const json::Value& r : results) arr.push_back(r);
+      doc.set("tasks", std::move(arr));
       return doc;
     }
-    json::Value doc = json::Value::object();
+    // A sweep's "kind" leads the document; a simulate result keeps the
+    // run's own key order and gains "kind" last.
+    if (spec.kind == "sweep")
+      return scenario_of(spec).aggregate(results, "kind");
+    json::Value doc = scenario_of(spec).aggregate(results);
     doc.set("kind", spec.kind);
-    json::Value arr = json::Value::array();
-    for (const json::Value& r : results) arr.push_back(r);
-    if (spec.kind == "sweep") {
-      const Config cfg = params_config(spec);
-      doc.set("level", static_cast<int>(cfg.get_int("level", 4)));
-      doc.set("traffic", cfg.get_string("traffic", "uniform"));
-      doc.set("seed", static_cast<std::uint64_t>(cfg.get_int("seed", 1)));
-      doc.set("points", std::move(arr));
-    } else {
-      doc.set("tasks", std::move(arr));
-    }
     return doc;
   };
 }

@@ -43,7 +43,7 @@ struct CosimConfig {
   Cycle warmup = 2000;
   Cycle measure = 10000;
   std::uint64_t seed = 7;
-  double link_length_mm = 2.5;  ///< uniform physical link length
+  double link_length_mm = power::kLinkLengthMm;  ///< uniform link length
 
   /// Workers for the two independent network simulations (<= 0 selects
   /// the default thread count, 1 forces serial).  Results are identical

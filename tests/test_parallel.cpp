@@ -1,21 +1,24 @@
 // Thread pool, deterministic per-task seeding, and the golden guarantee of
-// the parallel sweep drivers: results are bit-identical to the serial loop
+// the resumable batch driver: results are bit-identical to the serial loop
 // for any thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "noc/parallel_sweep.hpp"
+#include "noc/simulator.hpp"
 #include "sprint/network_builder.hpp"
 
 namespace nocs {
@@ -188,99 +191,109 @@ TEST(TaskSeed, DistinctAcrossTasksAndBases) {
   EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
 }
 
-// --- golden determinism of the sweep drivers -----------------------------
+// --- golden determinism of the resumable driver ---------------------------
 
-void expect_identical(const noc::SimResults& a, const noc::SimResults& b) {
-  // Bit-identical, not approximately equal: the parallel runner must
-  // reproduce the serial results exactly.
-  EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
-  EXPECT_EQ(a.avg_network_latency, b.avg_network_latency);
-  EXPECT_EQ(a.p50_latency, b.p50_latency);
-  EXPECT_EQ(a.p99_latency, b.p99_latency);
-  EXPECT_EQ(a.avg_hops, b.avg_hops);
-  EXPECT_EQ(a.packets_generated, b.packets_generated);
-  EXPECT_EQ(a.packets_ejected, b.packets_ejected);
-  EXPECT_EQ(a.accepted_rate, b.accepted_rate);
-  EXPECT_EQ(a.saturated, b.saturated);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.counters.buffer_writes, b.counters.buffer_writes);
-  EXPECT_EQ(a.counters.xbar_traversals, b.counters.xbar_traversals);
-  EXPECT_EQ(a.counters.active_cycles, b.counters.active_cycles);
-  EXPECT_EQ(a.counters.gated_cycles, b.counters.gated_cycles);
-  EXPECT_EQ(a.counters.idle_active_cycles, b.counters.idle_active_cycles);
-}
-
-noc::SweepRunner sprint_runner(noc::SimConfig sim) {
+/// Task body of a small 4x4 sweep: point i runs at rates[i] on its own
+/// level-8 network seeded task_seed(11, i) (full-sprinting: a random
+/// endpoint mapping per task, as fig11 samples them).
+std::function<json::Value(std::size_t)> sweep_body(
+    const std::vector<double>& rates, bool full = false) {
   noc::NetworkParams p;
   p.width = 4;
   p.height = 4;
-  return [p, sim](const noc::SweepTask& task) {
-    sprint::NetworkBundle b =
-        sprint::make_noc_sprinting_network(p, 8, "uniform", task.seed);
-    noc::SimConfig point_sim = sim;
-    point_sim.injection_rate = task.injection_rate;
-    return noc::run_simulation(*b.network, point_sim);
-  };
-}
-
-TEST(ParallelSweep, InjectionSweepMatchesSerialBitForBit) {
   noc::SimConfig sim;
   sim.warmup = 300;
   sim.measure = 1500;
-  const std::vector<double> rates = {0.05, 0.10, 0.15, 0.20, 0.25, 0.30};
-  const noc::SweepRunner run = sprint_runner(sim);
+  return [p, sim, rates, full](std::size_t i) {
+    const std::uint64_t seed = task_seed(11, i);
+    sprint::NetworkBundle b =
+        full ? sprint::make_full_sprinting_network(p, 8, "uniform", seed)
+             : sprint::make_noc_sprinting_network(p, 8, "uniform", seed);
+    noc::SimConfig point_sim = sim;
+    point_sim.injection_rate = rates[i];
+    return noc::to_json(noc::run_simulation(*b.network, point_sim));
+  };
+}
 
+/// Bit-identical, not approximately equal: every double is dumped with
+/// shortest round-trip formatting, so equal dumps mean equal bits.
+void expect_identical(const std::vector<json::Value>& a,
+                      const std::vector<json::Value>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(a[i].dump(), b[i].dump()) << "task " << i;
+}
+
+TEST(ResumableDriver, InjectionSweepMatchesSerialBitForBit) {
+  const std::vector<double> rates = {0.05, 0.10, 0.15, 0.20, 0.25, 0.30};
   // threads=1 IS the serial loop (ParallelFor runs inline); threads=4 must
   // reproduce it exactly thanks to per-task networks and indexed seeds.
-  const auto serial = noc::parallel_sweep_injection(run, rates, 11, 1);
-  const auto parallel = noc::parallel_sweep_injection(run, rates, 11, 4);
-
-  ASSERT_EQ(serial.size(), rates.size());
-  ASSERT_EQ(parallel.size(), rates.size());
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    EXPECT_EQ(serial[i].injection_rate, rates[i]);
-    EXPECT_EQ(parallel[i].injection_rate, rates[i]);
-    expect_identical(serial[i].results, parallel[i].results);
-  }
+  const auto serial =
+      noc::run_resumable(rates.size(), 1, nullptr, nullptr, sweep_body(rates));
+  const auto parallel =
+      noc::run_resumable(rates.size(), 4, nullptr, nullptr, sweep_body(rates));
+  expect_identical(serial, parallel);
+  for (const json::Value& r : serial) EXPECT_FALSE(r.is_null());
 }
 
-TEST(ParallelSweep, SamplerMatchesSerialBitForBit) {
+TEST(ResumableDriver, SamplerMatchesSerialBitForBit) {
   // The fig11 methodology: N random-mapping samples at one rate.
-  noc::SimConfig sim;
-  sim.warmup = 300;
-  sim.measure = 1500;
-  noc::NetworkParams p;
-  p.width = 4;
-  p.height = 4;
-  const noc::SweepRunner run = [p, sim](const noc::SweepTask& task) {
-    sprint::NetworkBundle b =
-        sprint::make_full_sprinting_network(p, 8, "uniform", task.seed);
-    noc::SimConfig point_sim = sim;
-    point_sim.injection_rate = task.injection_rate;
-    return noc::run_simulation(*b.network, point_sim);
-  };
-
-  const auto serial = noc::parallel_samples(run, 6, 0.15, 23, 1);
-  const auto parallel = noc::parallel_samples(run, 6, 0.15, 23, 4);
-
-  ASSERT_EQ(serial.size(), 6u);
-  ASSERT_EQ(parallel.size(), 6u);
-  for (std::size_t s = 0; s < serial.size(); ++s)
-    expect_identical(serial[s], parallel[s]);
+  const std::vector<double> rates(6, 0.15);
+  const auto serial = noc::run_resumable(rates.size(), 1, nullptr, nullptr,
+                                         sweep_body(rates, /*full=*/true));
+  const auto parallel = noc::run_resumable(rates.size(), 4, nullptr, nullptr,
+                                           sweep_body(rates, /*full=*/true));
+  expect_identical(serial, parallel);
 }
 
-TEST(ParallelSweep, TasksReceiveIndexedSeeds) {
-  std::vector<noc::SweepTask> seen(3);
-  const noc::SweepRunner run = [&](const noc::SweepTask& task) {
-    seen[task.index] = task;
-    return noc::SimResults{};
-  };
-  noc::parallel_sweep_injection(run, {0.1, 0.2, 0.3}, 7, 1);
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i].index, i);
-    EXPECT_EQ(seen[i].seed, task_seed(7, i));
+TEST(ResumableDriver, ReturnsResultsInIndexOrder) {
+  std::vector<std::atomic<int>> calls(5);
+  const auto results =
+      noc::run_resumable(5, 3, nullptr, nullptr, [&](std::size_t i) {
+        ++calls[i];
+        return json::Value(static_cast<double>(task_seed(7, i)));
+      });
+  ASSERT_EQ(results.size(), 5u);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(calls[i].load(), 1);
+    EXPECT_EQ(results[i].as_number(), static_cast<double>(task_seed(7, i)));
   }
-  EXPECT_EQ(seen[1].injection_rate, 0.2);
+}
+
+TEST(ResumableDriver, StopFlagStartsNoNewTaskAndKeepsPartialRunsOut) {
+  const std::string path = ::testing::TempDir() + "driver_stop.json";
+  std::remove(path.c_str());
+  snapshot::TaskManifest manifest(path, "stop-test");
+  std::atomic<bool> stop{false};
+  int calls = 0;
+  // Serial: task 1 is cut short (null) and raises the flag, as a run
+  // interrupted by the shutdown flag would; tasks 2.. never start.
+  const auto results =
+      noc::run_resumable(4, 1, &manifest, &stop, [&](std::size_t i) {
+        ++calls;
+        if (i == 1) {
+          stop.store(true);
+          return json::Value();
+        }
+        return json::Value(static_cast<double>(i));
+      });
+  EXPECT_EQ(calls, 2);
+  ASSERT_EQ(results.size(), 4u);
+  EXPECT_EQ(results[0].as_number(), 0.0);
+  for (std::size_t i = 1; i < 4; ++i) EXPECT_TRUE(results[i].is_null());
+  EXPECT_EQ(manifest.completed_count(), 1u);
+  EXPECT_TRUE(manifest.completed(0));
+
+  // A flag raised before the batch claims nothing at all.
+  calls = 0;
+  const auto none = noc::run_resumable(3, 2, nullptr, &stop,
+                                       [&](std::size_t) {
+                                         ++calls;
+                                         return json::Value(1.0);
+                                       });
+  EXPECT_EQ(calls, 0);
+  for (const json::Value& r : none) EXPECT_TRUE(r.is_null());
+  std::remove(path.c_str());
 }
 
 }  // namespace

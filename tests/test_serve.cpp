@@ -19,6 +19,7 @@
 
 #include "common/shutdown.hpp"
 #include "common/snapshot.hpp"
+#include "noc/parallel_sweep.hpp"
 #include "serve/ledger.hpp"
 #include "serve/protocol.hpp"
 #include "serve/runner.hpp"
@@ -220,14 +221,8 @@ TEST(Protocol, SpecJsonRoundTrips) {
                std::invalid_argument);
 }
 
-TEST(Protocol, RatesGrammar) {
-  const std::vector<double> r = parse_rates("0.1:0.1:0.3");
-  ASSERT_EQ(r.size(), 3u);
-  EXPECT_DOUBLE_EQ(r.front(), 0.1);
-  EXPECT_THROW(parse_rates("0.1:0:0.3"), std::invalid_argument);
-  EXPECT_THROW(parse_rates("0.3:0.1:0.1"), std::invalid_argument);
-  EXPECT_THROW(parse_rates("xyz"), std::invalid_argument);
-
+TEST(Protocol, TaskCountIsTheScenarios) {
+  // The rates grammar itself is pinned in test_scenario.
   JobSpec sweep;
   sweep.kind = "sweep";
   sweep.params.set("rates", "0.05:0.05:0.5");
@@ -1099,6 +1094,84 @@ TEST(Server, HandlesProtocolLinesEndToEnd) {
   ASSERT_TRUE(cached.at("ok").as_bool());
   EXPECT_TRUE(cached.at("cached").as_bool());
   EXPECT_EQ(cached.at("result").dump(), done.at("result").dump());
+}
+
+TEST(Server, InvalidScenarioIsRejectedAtSubmit) {
+  const std::string dir = tmp_path("serve_bad_spec");
+  wipe_state_dir(dir);
+  Server server(test_server_options(dir));
+  const json::Value before = server.handle_line("{\"op\":\"status\"}");
+
+  // A typo is a 400 at submit, with the CLI's near-miss suggestion — not
+  // a job that fails serve_max_attempts times and is quarantined.
+  const json::Value typo = server.handle_line(
+      "{\"op\":\"submit\",\"kind\":\"simulate\","
+      "\"params\":{\"level\":4,\"injecton\":0.1}}");
+  EXPECT_FALSE(typo.at("ok").as_bool());
+  EXPECT_EQ(typo.at("code").as_number(), kCodeBadRequest);
+  EXPECT_NE(typo.at("error").as_string().find("did you mean 'injection'"),
+            std::string::npos)
+      << typo.dump();
+
+  // A sweep is NoC-sprinting only, exactly like mode=sweep.
+  const json::Value full = server.handle_line(
+      "{\"op\":\"submit\",\"kind\":\"sweep\","
+      "\"params\":{\"scheme\":\"full\"}}");
+  EXPECT_FALSE(full.at("ok").as_bool());
+  EXPECT_EQ(full.at("code").as_number(), kCodeBadRequest);
+
+  // Neither became a job, and the ledger holds nothing new.
+  const json::Value after = server.handle_line("{\"op\":\"status\"}");
+  EXPECT_EQ(after.at("counters").at("submitted").as_number(), 0.0);
+  EXPECT_EQ(after.at("jobs").dump(), before.at("jobs").dump());
+  EXPECT_EQ(after.at("ledger").at("bytes").as_number(),
+            before.at("ledger").at("bytes").as_number());
+  EXPECT_EQ(server.handle_line("{\"op\":\"job\",\"job\":\"job-1\"}")
+                .at("code")
+                .as_number(),
+            kCodeNotFound);
+}
+
+TEST(Scheduler, FaultedSweepMatchesTheCliScenarioRun) {
+  // The daemon's sweep accepts the same fault keys as mode=sweep, and its
+  // points are the CLI path's: Scenario tasks on the resumable driver.
+  JobSpec spec;
+  spec.kind = "sweep";
+  spec.params.set("level", 8);
+  spec.params.set("rates", "0.05:0.1:0.25");
+  spec.params.set("faults", true);
+  spec.params.set("fault_flip_rate", 1e-3);
+  spec.params.set("watchdog", 20000);
+
+  JobScheduler sched(fast_limits(), make_sim_runner(""),
+                     make_sim_aggregator(), nullptr);
+  const SubmitOutcome out = sched.submit(spec);
+  ASSERT_EQ(out.code, SubmitOutcome::Code::kAccepted);
+  const json::Value done = sched.wait(out.job_id);
+  ASSERT_EQ(done.at("state").as_string(), "done") << done.dump();
+
+  Config cfg;
+  cfg.set("level", "8");
+  cfg.set("rates", "0.05:0.1:0.25");
+  cfg.set("faults", "true");
+  cfg.set("fault_flip_rate", "1e-3");
+  cfg.set("watchdog", "20000");
+  const sprint::Scenario scenario = sprint::Scenario::from_config("sweep", cfg);
+  cfg.reject_unknown();
+  const std::vector<json::Value> points = noc::run_resumable(
+      scenario.task_count(), 4, nullptr, nullptr,
+      [&](std::size_t i) { return scenario.run_task(i, {}); });
+  const json::Value direct = scenario.aggregate(points, "kind");
+  EXPECT_EQ(done.at("result").at("points").dump(),
+            direct.at("points").dump());
+  EXPECT_EQ(done.at("result").dump(), direct.dump());
+  EXPECT_GT(done.at("result")
+                .at("points")
+                .at(0)
+                .at("counters")
+                .at("flits_corrupted")
+                .as_number(),
+            0.0);
 }
 
 TEST(Server, InterruptedCampaignResumesAcrossRestart) {

@@ -155,33 +155,5 @@ TEST(Simulator, CountersResetPerRun) {
             2.0 * static_cast<double>(a.counters.buffer_writes) + 100.0);
 }
 
-TEST(Sweep, ProducesOnePointPerRate) {
-  NetFixture f;
-  SimConfig cfg;
-  cfg.warmup = 200;
-  cfg.measure = 1000;
-  const std::vector<double> rates = {0.05, 0.1, 0.2};
-  const auto points = sweep_injection(f.net, cfg, rates);
-  ASSERT_EQ(points.size(), 3u);
-  for (std::size_t i = 0; i < rates.size(); ++i)
-    EXPECT_EQ(points[i].injection_rate, rates[i]);
-}
-
-TEST(Sweep, StopAtSaturationSkipsTail) {
-  NetFixture f;
-  SimConfig cfg;
-  cfg.warmup = 200;
-  cfg.measure = 3000;
-  cfg.drain_max = 1000;
-  const std::vector<double> rates = {1.5, 2.0};
-  const auto points = sweep_injection(f.net, cfg, rates,
-                                      /*stop_at_saturation=*/true);
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_TRUE(points[0].results.saturated);
-  // Second point short-circuited: marked saturated without running.
-  EXPECT_TRUE(points[1].results.saturated);
-  EXPECT_EQ(points[1].results.packets_generated, 0u);
-}
-
 }  // namespace
 }  // namespace nocs::noc

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -544,17 +545,38 @@ TEST(SnapshotResume, MissingExtraComponentRejected) {
 
 // --- resumable sweeps --------------------------------------------------------
 
-noc::SweepRunner tiny_runner(int* calls = nullptr) {
-  return [calls](const noc::SweepTask& task) {
+/// Task body of a tiny level-4 sweep: point i at rates[i], seeded
+/// task_seed(seed, i), recorded as a report point.
+std::function<json::Value(std::size_t)> tiny_body(
+    const std::vector<double>& rates, std::uint64_t seed,
+    int* calls = nullptr) {
+  return [rates, seed, calls](std::size_t i) {
     if (calls != nullptr) ++*calls;
     auto b = sprint::make_noc_sprinting_network(noc::NetworkParams{}, 4,
-                                                "uniform", task.seed);
+                                                "uniform", task_seed(seed, i));
     noc::SimConfig sim;
     sim.warmup = 100;
     sim.measure = 400;
-    sim.injection_rate = task.injection_rate;
-    return noc::run_simulation(*b.network, sim);
+    sim.injection_rate = rates[i];
+    json::Value point = to_json(noc::run_simulation(*b.network, sim));
+    point.set("injection_rate", rates[i]);
+    return point;
   };
+}
+
+/// The same sweep with no manifest: the reference every resumed run must
+/// reproduce bit for bit.
+std::vector<json::Value> plain_sweep(const std::vector<double>& rates,
+                                     std::uint64_t seed) {
+  return noc::run_resumable(rates.size(), 1, nullptr, nullptr,
+                            tiny_body(rates, seed));
+}
+
+void expect_same_points(const std::vector<json::Value>& a,
+                        const std::vector<json::Value>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(a[i].dump(), b[i].dump()) << "point " << i;
 }
 
 TEST(SweepResume, ManifestRecordsAndReplays) {
@@ -563,31 +585,28 @@ TEST(SweepResume, ManifestRecordsAndReplays) {
   const std::vector<double> rates = {0.05, 0.1, 0.15};
   const std::uint64_t seed = 21;
   const std::string fp = noc::sweep_fingerprint(rates, seed);
-
-  const auto plain =
-      noc::parallel_sweep_injection(tiny_runner(), rates, seed, 1);
+  const auto plain = plain_sweep(rates, seed);
 
   {
     snapshot::TaskManifest manifest(path, fp);
     int calls = 0;
-    const auto first = noc::resumable_sweep_injection(
-        tiny_runner(&calls), rates, seed, &manifest, 1);
+    const auto first = noc::run_resumable(rates.size(), 1, &manifest,
+                                          nullptr,
+                                          tiny_body(rates, seed, &calls));
     EXPECT_EQ(calls, 3);
-    for (std::size_t i = 0; i < rates.size(); ++i)
-      expect_identical(first[i].results, plain[i].results);
+    expect_same_points(first, plain);
   }
 
   // A fresh process re-running the same sweep replays every task from the
-  // manifest without calling the runner.
+  // manifest without calling the body.
   {
     snapshot::TaskManifest manifest(path, fp);
     EXPECT_EQ(manifest.completed_count(), 3u);
     int calls = 0;
-    const auto replayed = noc::resumable_sweep_injection(
-        tiny_runner(&calls), rates, seed, &manifest, 1);
+    const auto replayed = noc::run_resumable(
+        rates.size(), 1, &manifest, nullptr, tiny_body(rates, seed, &calls));
     EXPECT_EQ(calls, 0);
-    for (std::size_t i = 0; i < rates.size(); ++i)
-      expect_identical(replayed[i].results, plain[i].results);
+    expect_same_points(replayed, plain);
   }
   std::remove(path.c_str());
 }
@@ -602,22 +621,18 @@ TEST(SweepResume, PartialManifestRunsOnlyMissingTasks) {
   // Simulate an interrupted sweep: only tasks 0 and 2 completed.
   {
     snapshot::TaskManifest manifest(path, fp);
-    const noc::SweepRunner run = tiny_runner();
-    manifest.record(0, to_json(run({0, rates[0], task_seed(seed, 0)})));
-    manifest.record(2, to_json(run({2, rates[2], task_seed(seed, 2)})));
+    const auto body = tiny_body(rates, seed);
+    manifest.record(0, body(0));
+    manifest.record(2, body(2));
   }
 
   snapshot::TaskManifest manifest(path, fp);
   int calls = 0;
-  const auto points = noc::resumable_sweep_injection(
-      tiny_runner(&calls), rates, seed, &manifest, 1);
+  const auto points = noc::run_resumable(rates.size(), 1, &manifest, nullptr,
+                                         tiny_body(rates, seed, &calls));
   EXPECT_EQ(calls, 2);  // tasks 1 and 3 only
   EXPECT_EQ(manifest.completed_count(), 4u);
-
-  const auto plain =
-      noc::parallel_sweep_injection(tiny_runner(), rates, seed, 1);
-  for (std::size_t i = 0; i < rates.size(); ++i)
-    expect_identical(points[i].results, plain[i].results);
+  expect_same_points(points, plain_sweep(rates, seed));
   std::remove(path.c_str());
 }
 
@@ -634,24 +649,33 @@ TEST(SweepResume, FingerprintMismatchStartsFresh) {
   std::remove(path.c_str());
 }
 
-TEST(SweepResume, DisabledManifestDelegatesToPlainSweep) {
+TEST(SweepResume, FingerprintNamesThePointPayload) {
+  // Manifests written when a task recorded bare SimResults carried a
+  // "sweep:" fingerprint; they must start fresh, never replay as points.
+  const std::string fp = noc::sweep_fingerprint({0.05, 0.1}, 7);
+  EXPECT_EQ(fp, "sweep-point:n=2;seed=7;rates=0.05,0.1");
+}
+
+TEST(SweepResume, DisabledManifestIsThePlainSweep) {
   const std::vector<double> rates = {0.05, 0.1};
   const std::uint64_t seed = 23;
   snapshot::TaskManifest disabled;
   int calls = 0;
-  const auto points = noc::resumable_sweep_injection(
-      tiny_runner(&calls), rates, seed, &disabled, 1);
+  const auto points = noc::run_resumable(rates.size(), 1, &disabled, nullptr,
+                                         tiny_body(rates, seed, &calls));
   EXPECT_EQ(calls, 2);
-  const auto plain =
-      noc::parallel_sweep_injection(tiny_runner(), rates, seed, 1);
-  for (std::size_t i = 0; i < rates.size(); ++i)
-    expect_identical(points[i].results, plain[i].results);
+  EXPECT_EQ(disabled.completed_count(), 0u);
+  expect_same_points(points, plain_sweep(rates, seed));
 }
 
 TEST(SweepResume, SimResultsJsonRoundTripIsExact) {
-  const auto points = noc::parallel_sweep_injection(
-      tiny_runner(), {0.18}, /*base_seed=*/31, 1);
-  const noc::SimResults& r = points[0].results;
+  auto b = sprint::make_noc_sprinting_network(noc::NetworkParams{}, 4,
+                                              "uniform", task_seed(31, 0));
+  noc::SimConfig sim;
+  sim.warmup = 100;
+  sim.measure = 400;
+  sim.injection_rate = 0.18;
+  const noc::SimResults r = noc::run_simulation(*b.network, sim);
   expect_identical(noc::sim_results_from_json(noc::to_json(r)), r);
 }
 
@@ -754,7 +778,8 @@ TEST(ManifestRecovery, TruncatedManifestRecoversCompletePrefix) {
   const std::string fp = noc::sweep_fingerprint(rates, seed);
   {
     snapshot::TaskManifest manifest(path, fp);
-    noc::resumable_sweep_injection(tiny_runner(), rates, seed, &manifest, 1);
+    noc::run_resumable(rates.size(), 1, &manifest, nullptr,
+                       tiny_body(rates, seed));
   }
   // Chop the file mid-way through the last completed entry — a half-
   // written copy left behind by a dying process.
@@ -780,13 +805,10 @@ TEST(ManifestRecovery, TruncatedManifestRecoversCompletePrefix) {
   EXPECT_TRUE(manifest.completed(1));
   EXPECT_FALSE(manifest.completed(2));
   int calls = 0;
-  const auto points = noc::resumable_sweep_injection(
-      tiny_runner(&calls), rates, seed, &manifest, 1);
+  const auto points = noc::run_resumable(rates.size(), 1, &manifest, nullptr,
+                                         tiny_body(rates, seed, &calls));
   EXPECT_EQ(calls, 1);
-  const auto plain =
-      noc::parallel_sweep_injection(tiny_runner(), rates, seed, 1);
-  for (std::size_t i = 0; i < rates.size(); ++i)
-    expect_identical(points[i].results, plain[i].results);
+  expect_same_points(points, plain_sweep(rates, seed));
   std::remove(path.c_str());
 }
 
@@ -800,8 +822,8 @@ TEST(ManifestRecovery, GarbageManifestStartsFreshInsteadOfAborting) {
   snapshot::TaskManifest manifest(path, noc::sweep_fingerprint(rates, 34));
   EXPECT_EQ(manifest.completed_count(), 0u);
   int calls = 0;
-  noc::resumable_sweep_injection(tiny_runner(&calls), rates, 34, &manifest,
-                                 1);
+  noc::run_resumable(rates.size(), 1, &manifest, nullptr,
+                     tiny_body(rates, 34, &calls));
   EXPECT_EQ(calls, 2);
   std::remove(path.c_str());
 }
@@ -813,7 +835,8 @@ TEST(ManifestRecovery, PrefixOfOtherFingerprintIsNotSalvaged) {
   {
     snapshot::TaskManifest manifest(path,
                                     noc::sweep_fingerprint(rates, 35));
-    noc::resumable_sweep_injection(tiny_runner(), rates, 35, &manifest, 1);
+    noc::run_resumable(rates.size(), 1, &manifest, nullptr,
+                       tiny_body(rates, 35));
   }
   // Truncate so the strict parse fails, then load under a *different*
   // fingerprint: recovery must refuse foreign task results.
