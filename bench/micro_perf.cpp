@@ -10,7 +10,8 @@
 // Tick benchmarks run at stated loads: uniform traffic at about half of
 // each mesh's measured saturation knee (perfbench's mesh8_uniform and
 // mesh32_sharded operating points), plus one explicitly named overload
-// case above the 32x32 knee.  The tile-transfer benchmark is fig13's
+// case above the 32x32 knee, and a serial ns-per-flit-hop curve over mesh
+// sides 8-32 at load 0.03.  The tile-transfer benchmark is fig13's
 // closed loop at one sprint level: mostly idle barrier cycles, the
 // network's quiescence path.
 #include <benchmark/benchmark.h>
@@ -385,6 +386,28 @@ void emit_bench_json() {
     metrics.emplace_back(
         tick_key("tick_overload", 32, kOverloadLoad) + "_t1_ticks_per_sec",
         measure_ticks_per_sec(*jammed, 3000 / div));
+  }
+
+  // Serial host cost per flit-hop (crossbar traversal) against mesh side
+  // at a light load, so the curve shows where the state one tick touches
+  // outgrows the core's caches.
+  {
+    noc::XyRouting hop_xy;
+    constexpr double kHopLoad = 0.03;
+    const struct { int side; Cycle cycles; } meshes[] = {
+        {8, 40000}, {16, 10000}, {24, 5000}, {32, 3000}};
+    for (const auto& m : meshes) {
+      auto net = make_tick_network(m.side, kHopLoad, &hop_xy);
+      const std::uint64_t before = net->total_counters().xbar_traversals;
+      const auto t0 = std::chrono::steady_clock::now();
+      net->run(m.cycles / div);
+      const double s = seconds_since(t0);
+      const std::uint64_t hops =
+          net->total_counters().xbar_traversals - before;
+      metrics.emplace_back(
+          tick_key("ns_per_flit_hop", m.side, kHopLoad) + "_t1",
+          hops > 0 ? s * 1e9 / static_cast<double>(hops) : 0.0);
+    }
   }
 
   // Closed-loop tile transfer (one full run per thread count; a run is a

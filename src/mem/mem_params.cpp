@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "common/assert.hpp"
+#include "noc/flit.hpp"
 
 namespace nocs::mem {
 
@@ -39,7 +40,7 @@ void MemParams::validate() const {
   NOCS_EXPECTS(ctrls >= 0);
   NOCS_EXPECTS(bandwidth >= 1);
   NOCS_EXPECTS(access_latency >= 0);
-  NOCS_EXPECTS(reply_length >= 1);
+  NOCS_EXPECTS(reply_length >= 1 && reply_length <= noc::kMaxPacketLength);
   NOCS_EXPECTS(queue_capacity >= 0);
 }
 

@@ -1,7 +1,16 @@
 // Flit and packet descriptors for the wormhole network.
+//
+// A Flit is 48 bytes: the per-flit position and hop count are int16 (so a
+// packet is at most kMaxPacketLength = 32767 flits and a flit takes at most
+// kMaxHops = 32767 hops), and the VC and message class are int8 (at most
+// kMaxVcs = 127 VCs per port and classes per network).  The four flags
+// share one byte.  Checkpoints keep every field at 64 bits, and load()
+// rejects a value the narrowed field cannot hold.
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <string>
 
 #include "common/snapshot.hpp"
 #include "common/types.hpp"
@@ -25,31 +34,45 @@ enum class PacketKind : std::uint8_t {
   kMcast = 3,
 };
 
+/// Longest packet a Flit can describe: `index` is an int16, so flit
+/// positions run 0..kMaxPacketLength-1.
+inline constexpr int kMaxPacketLength = std::numeric_limits<std::int16_t>::max();
+
+/// Most hops a flit may take (`hops` is an int16).
+inline constexpr int kMaxHops = std::numeric_limits<std::int16_t>::max();
+
+/// Most VCs per port and message classes: `vc` and `msg_class` are int8.
+inline constexpr int kMaxVcs = std::numeric_limits<std::int8_t>::max();
+
 /// One flow-control unit.  Packets are wormhole-switched: the head flit
 /// carries routing state, body/tail flits follow the head's path on the
 /// same VC.
+///
+/// Fields run widest first so the struct packs into 48 bytes, which keeps
+/// a router's VC arena and every pipe slot small.  NetworkParams::validate
+/// and the NI's packet-length checks keep the narrowed fields in range.
 struct Flit {
   PacketId packet = 0;    ///< owning packet id
-  int index = 0;          ///< position within the packet (0 = head)
-  bool is_head = false;
-  bool is_tail = false;
+  Cycle created = 0;      ///< cycle the packet was generated at the source
+  Cycle injected = 0;     ///< cycle the flit entered the network (left NI)
+  PacketId ack_for = 0;   ///< packet id an ACK/NACK refers to
 
   NodeId src = kInvalidNode;  ///< injecting node
   NodeId dst = kInvalidNode;  ///< destination node
 
-  VcId vc = -1;           ///< VC assigned on the current link
-  int msg_class = 0;      ///< message class (virtual network)
-
-  Cycle created = 0;      ///< cycle the packet was generated at the source
-  Cycle injected = 0;     ///< cycle the flit entered the network (left NI)
-  int hops = 0;           ///< router-to-router hops traversed so far
-  bool measured = false;  ///< generated inside the measurement window
+  std::int16_t index = 0;     ///< position within the packet (0 = head)
+  std::int16_t hops = 0;      ///< router-to-router hops traversed so far
+  std::int8_t vc = -1;        ///< VC assigned on the current link
+  std::int8_t msg_class = 0;  ///< message class (virtual network)
 
   // End-to-end protection state (inert without a fault oracle).
-  bool corrupted = false;            ///< a link fault flipped payload bits
   PacketKind kind = PacketKind::kData;
-  PacketId ack_for = 0;              ///< packet id an ACK/NACK refers to
+  bool is_head : 1 = false;
+  bool is_tail : 1 = false;
+  bool measured : 1 = false;   ///< generated inside the measurement window
+  bool corrupted : 1 = false;  ///< a link fault flipped payload bits
 };
+static_assert(sizeof(Flit) == 48);
 
 /// Credit returned upstream when a flit leaves a VC buffer.
 struct Credit {
@@ -76,21 +99,37 @@ inline void save(snapshot::Writer& w, const Flit& f) {
   w.u64(f.ack_for);
 }
 
+/// Reads one 64-bit field of a narrowed Flit member, rejecting values
+/// outside [lo, hi].
+inline std::int64_t load_ranged(snapshot::Reader& r, std::int64_t lo,
+                                std::int64_t hi, const char* field) {
+  const std::int64_t v = r.i64();
+  if (v < lo || v > hi)
+    throw snapshot::SnapshotError(std::string("flit ") + field +
+                                  " in checkpoint is out of range");
+  return v;
+}
+
 inline void load(snapshot::Reader& r, Flit& f) {
   f.packet = r.u64();
-  f.index = static_cast<int>(r.i64());
+  f.index = static_cast<std::int16_t>(
+      load_ranged(r, 0, kMaxPacketLength - 1, "index"));
   f.is_head = r.b();
   f.is_tail = r.b();
   f.src = static_cast<NodeId>(r.i64());
   f.dst = static_cast<NodeId>(r.i64());
-  f.vc = static_cast<VcId>(r.i64());
-  f.msg_class = static_cast<int>(r.i64());
+  f.vc = static_cast<std::int8_t>(load_ranged(r, -1, kMaxVcs - 1, "vc"));
+  f.msg_class =
+      static_cast<std::int8_t>(load_ranged(r, 0, kMaxVcs - 1, "msg_class"));
   f.created = r.u64();
   f.injected = r.u64();
-  f.hops = static_cast<int>(r.i64());
+  f.hops = static_cast<std::int16_t>(load_ranged(r, 0, kMaxHops, "hops"));
   f.measured = r.b();
   f.corrupted = r.b();
-  f.kind = static_cast<PacketKind>(r.u8());
+  const std::uint8_t kind = r.u8();
+  if (kind > static_cast<std::uint8_t>(PacketKind::kMcast))
+    throw snapshot::SnapshotError("flit kind in checkpoint is out of range");
+  f.kind = static_cast<PacketKind>(kind);
   f.ack_for = r.u64();
 }
 

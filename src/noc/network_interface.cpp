@@ -48,7 +48,8 @@ void NetworkInterface::clear_endpoint() {
 void NetworkInterface::set_request_reply(int request_length,
                                          int reply_length) {
   NOCS_EXPECTS(params_.num_classes >= 2);
-  NOCS_EXPECTS(request_length >= 1 && reply_length >= 1);
+  NOCS_EXPECTS(request_length >= 1 && request_length <= kMaxPacketLength);
+  NOCS_EXPECTS(reply_length >= 1 && reply_length <= kMaxPacketLength);
   request_reply_ = true;
   request_length_ = request_length;
   reply_length_ = reply_length;
@@ -64,6 +65,7 @@ PacketId NetworkInterface::send_packet(Cycle now, NodeId dst, int msg_class,
                                        int length) {
   NOCS_EXPECTS(dst != id_);
   NOCS_EXPECTS(msg_class >= 0 && msg_class < params_.num_classes);
+  NOCS_EXPECTS(length <= kMaxPacketLength);
   if (length <= 0) length = params_.packet_length;
   const PacketId pid =
       (static_cast<PacketId>(id_) << 48) | next_packet_id_++;
@@ -106,6 +108,7 @@ PacketId NetworkInterface::send_multicast(Cycle now, int group, int msg_class,
   // Tree relays re-inject copies outside the sender's retransmission
   // bookkeeping, so the two features do not compose.
   NOCS_EXPECTS(!protection_);
+  NOCS_EXPECTS(length <= kMaxPacketLength);
   if (length <= 0) length = params_.packet_length;
 
   const std::vector<NodeId>& members =
@@ -431,13 +434,13 @@ void NetworkInterface::inject(Cycle now) {
 
   Flit f;
   f.packet = current_.id;
-  f.index = flits_sent_;
+  f.index = static_cast<std::int16_t>(flits_sent_);
   f.is_head = flits_sent_ == 0;
   f.is_tail = flits_sent_ == current_.length - 1;
   f.src = id_;
   f.dst = current_.dst;
-  f.vc = current_vc_;
-  f.msg_class = current_.msg_class;
+  f.vc = static_cast<std::int8_t>(current_vc_);
+  f.msg_class = static_cast<std::int8_t>(current_.msg_class);
   f.created = current_.created;
   f.injected = head_injected_;  // every flit carries the head's entry time
   f.measured = current_.measured;

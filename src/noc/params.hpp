@@ -3,6 +3,7 @@
 
 #include "common/assert.hpp"
 #include "common/geometry.hpp"
+#include "noc/flit.hpp"
 
 namespace nocs::noc {
 
@@ -43,12 +44,14 @@ struct NetworkParams {
   /// Validates the invariants every component assumes.
   void validate() const {
     NOCS_EXPECTS(width >= 2 && height >= 1);
-    NOCS_EXPECTS(num_vcs >= 1 && vc_depth >= 1);
-    NOCS_EXPECTS(packet_length >= 1);
+    // Flit carries the VC and class as int8 and the flit index as int16.
+    NOCS_EXPECTS(num_vcs >= 1 && num_vcs <= kMaxVcs && vc_depth >= 1);
+    NOCS_EXPECTS(packet_length >= 1 && packet_length <= kMaxPacketLength);
     NOCS_EXPECTS(flit_bytes >= 1);
     NOCS_EXPECTS(link_latency >= 1);
     NOCS_EXPECTS(wakeup_latency >= 0);
-    NOCS_EXPECTS(num_classes >= 1 && num_vcs % num_classes == 0);
+    NOCS_EXPECTS(num_classes >= 1 && num_classes <= kMaxVcs &&
+                 num_vcs % num_classes == 0);
     NOCS_EXPECTS(pipeline_stages == 3 || pipeline_stages == 5);
   }
 };

@@ -19,7 +19,7 @@ TEST(Pipe, ValueInvisibleBeforeLatency) {
 }
 
 TEST(Pipe, FifoOrder) {
-  Pipe<int> p(1);
+  Pipe<int> p(1, /*capacity=*/4);
   p.push(0, 1);
   p.push(0, 2);
   p.push(1, 3);
@@ -61,14 +61,27 @@ TEST(Pipe, MultipleReadyAtSameCycle) {
   EXPECT_EQ(drained, 2);
 }
 
-TEST(Pipe, RingGrowsPastInitialCapacityPreservingOrder) {
-  // The ring starts sized for the steady state (latency+1 slots).  Bursts
-  // beyond that must transparently grow without reordering.
+TEST(Pipe, FixedCapacityHoldsItsBoundInOrder) {
+  // The ring is sized once (max(capacity, latency+1), rounded up to a
+  // power of two) and wraps in FIFO order at exactly that occupancy.
+  Pipe<int> p(1, 37);
+  EXPECT_EQ(p.capacity(), 64u);
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 64; ++i) p.push(/*now=*/static_cast<Cycle>(i), i);
+    EXPECT_EQ(p.size(), 64u);
+    for (int i = 0; i < 64; ++i) EXPECT_EQ(p.pop(100), i);
+    EXPECT_TRUE(p.empty());
+  }
+}
+
+TEST(Pipe, PushIntoFullRingDies) {
+  // The ring never grows (a concurrent consumer would race the regrow);
+  // on a network pipe an overflow means credit flow is broken.
   Pipe<int> p(1);
-  for (int i = 0; i < 37; ++i) p.push(/*now=*/static_cast<Cycle>(i), i);
-  EXPECT_EQ(p.size(), 37u);
-  for (int i = 0; i < 37; ++i) EXPECT_EQ(p.pop(100), i);
-  EXPECT_TRUE(p.empty());
+  ASSERT_EQ(p.capacity(), 2u);
+  p.push(0, 1);
+  p.push(0, 2);
+  EXPECT_DEATH(p.push(0, 3), "invariant");
 }
 
 TEST(Pipe, NextReadyTimeTracksTheFront) {

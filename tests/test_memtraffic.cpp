@@ -242,6 +242,20 @@ TEST(Multicast, UnicastFallbackDeliversIdenticalSet) {
   EXPECT_EQ(repl_flat, 0u);  // no relaying without the tree
 }
 
+TEST(Multicast, LengthsPastTheFlitIndexRejected) {
+  noc::XyRouting xy;
+  noc::Network net(mesh44(), &xy);
+  const int group = net.add_multicast_group({2, 7});
+  EXPECT_DEATH(net.ni(0).send_multicast(0, group, 0,
+                                        noc::kMaxPacketLength + 1),
+               "precondition");
+  mem::MemParams mp;
+  mp.reply_length = noc::kMaxPacketLength;
+  mp.validate();
+  mp.reply_length = noc::kMaxPacketLength + 1;
+  EXPECT_DEATH(mp.validate(), "precondition");
+}
+
 TEST(Multicast, SourceOutsideGroupReachesEveryMember) {
   const std::vector<NodeId> members = {2, 7, 8, 13};
   const auto ejected = run_multicast(true, 0, members, 5, nullptr);

@@ -39,6 +39,15 @@ TEST(Network, SinglePacketDelivery) {
             static_cast<std::uint64_t>(p.packet_length));
 }
 
+TEST(Network, SendPacketRejectsLengthsPastTheFlitIndex) {
+  const NetworkParams p = small_params();
+  XyRouting xy;
+  Network net(p, &xy);
+  EXPECT_NE(net.ni(0).send_packet(0, 1, 0, kMaxPacketLength), 0u);
+  EXPECT_DEATH(net.ni(0).send_packet(0, 1, 0, kMaxPacketLength + 1),
+               "precondition");
+}
+
 TEST(Network, PacketLatencyIsDeterministic) {
   // Two identical runs produce identical ejection cycles.
   auto run_once = [] {

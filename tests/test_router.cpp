@@ -3,6 +3,7 @@
 // wider than one 64-bit stage-mask word.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <string>
 
@@ -13,6 +14,15 @@
 namespace nocs::noc {
 namespace {
 
+/// Sets a router input bit on every push into an empty pipe.  Without a
+/// network's wake wheel the bit is set at push time rather than at the
+/// value's ready time, which only makes the router read the pipe early.
+struct InputSink final : WakeSink {
+  Router* router = nullptr;
+  int bit = 0;
+  void on_push(Cycle) override { router->note_input(bit); }
+};
+
 /// Harness wiring one router's local input and all outputs to test pipes.
 class RouterHarness {
  public:
@@ -20,17 +30,28 @@ class RouterHarness {
       : params_(params),
         topo_(Topology::mesh(params.width, params.height)),
         router_(id, params, topo_, &xy_) {
+    // Test pipes hold everything a test pushes or the router sends before
+    // the test reads it.
+    constexpr int kCapacity = 64;
     for (int p = 0; p < kNumPorts; ++p) {
-      in_flits_.emplace_back(std::make_unique<Pipe<Flit>>(1));
-      in_credits_.emplace_back(std::make_unique<Pipe<Credit>>(1));
-      out_flits_.emplace_back(std::make_unique<Pipe<Flit>>(1));
-      out_credits_.emplace_back(std::make_unique<Pipe<Credit>>(1));
+      in_flits_.emplace_back(std::make_unique<Pipe<Flit>>(1, kCapacity));
+      in_credits_.emplace_back(std::make_unique<Pipe<Credit>>(1, kCapacity));
+      out_flits_.emplace_back(std::make_unique<Pipe<Flit>>(1, kCapacity));
+      out_credits_.emplace_back(std::make_unique<Pipe<Credit>>(1, kCapacity));
       router_.connect_input(static_cast<Port>(p), in_flits_.back().get(),
                             in_credits_.back().get());
       router_.connect_output(static_cast<Port>(p), out_flits_.back().get(),
                              out_credits_.back().get());
+      sinks_[2 * p].router = &router_;
+      sinks_[2 * p].bit = p;
+      sinks_[2 * p + 1].router = &router_;
+      sinks_[2 * p + 1].bit = Router::kCreditInput + p;
+      in_flits_.back()->set_sink(&sinks_[2 * p]);
+      out_credits_.back()->set_sink(&sinks_[2 * p + 1]);
     }
   }
+  RouterHarness(const RouterHarness&) = delete;
+  RouterHarness& operator=(const RouterHarness&) = delete;
 
   /// Sends one flit into `port` at the current cycle.
   void inject(Port port, const Flit& f) {
@@ -83,6 +104,7 @@ class RouterHarness {
   std::vector<std::unique_ptr<Pipe<Credit>>> in_credits_;
   std::vector<std::unique_ptr<Pipe<Flit>>> out_flits_;
   std::vector<std::unique_ptr<Pipe<Credit>>> out_credits_;
+  std::array<InputSink, 2 * kNumPorts> sinks_;
 };
 
 TEST(Router, FiveStagePipelineLatency) {
@@ -96,6 +118,21 @@ TEST(Router, FiveStagePipelineLatency) {
   const Flit out = h.take_output(Port::kEast);
   EXPECT_EQ(out.dst, 7);
   EXPECT_EQ(out.hops, 1);
+}
+
+TEST(Router, HopCountOverflowDies) {
+  // Flit::hops is an int16: the link traversal that would wrap it aborts.
+  RouterHarness h;
+  Flit f = h.make_flit(/*dst=*/7, /*vc=*/0);
+  f.hops = kMaxHops - 1;
+  h.inject(Port::kLocal, f);
+  ASSERT_TRUE(h.tick_until_output(Port::kEast, 20));
+  EXPECT_EQ(h.take_output(Port::kEast).hops, kMaxHops);
+
+  RouterHarness full;
+  f.hops = kMaxHops;
+  full.inject(Port::kLocal, f);
+  EXPECT_DEATH(full.tick_until_output(Port::kEast, 20), "invariant");
 }
 
 TEST(Router, RoutesEachDirectionAndLocal) {

@@ -198,6 +198,71 @@ TEST(SnapshotComponents, RngStateRoundTrips) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
 }
 
+TEST(SnapshotComponents, FlitRoundTripsAndRejectsOutOfRangeFields) {
+  noc::Flit f;
+  f.packet = 77;
+  f.index = noc::kMaxPacketLength - 1;
+  f.hops = noc::kMaxHops;
+  f.vc = noc::kMaxVcs - 1;
+  f.msg_class = 3;
+  f.is_tail = true;
+  f.corrupted = true;
+  f.kind = noc::PacketKind::kNack;
+  f.ack_for = 9;
+  snapshot::Writer w;
+  noc::save(w, f);
+  snapshot::Reader r(w.bytes());
+  noc::Flit back;
+  noc::load(r, back);
+  EXPECT_EQ(back.index, f.index);
+  EXPECT_EQ(back.hops, f.hops);
+  EXPECT_EQ(back.vc, f.vc);
+  EXPECT_EQ(back.msg_class, f.msg_class);
+  EXPECT_FALSE(back.is_head);
+  EXPECT_TRUE(back.is_tail);
+  EXPECT_TRUE(back.corrupted);
+  EXPECT_EQ(back.kind, noc::PacketKind::kNack);
+  EXPECT_EQ(back.ack_for, 9u);
+
+  // The codec stores every field at 64 bits; a value the narrowed field
+  // cannot hold must not be truncated silently.  `record` lays one flit
+  // out field by field as save() does, with chosen index/vc/class/hops.
+  const auto record = [](std::int64_t index, std::int64_t vc,
+                         std::int64_t cls, std::int64_t hops) {
+    snapshot::Writer rw;
+    rw.u64(1);       // packet
+    rw.i64(index);
+    rw.b(true);      // is_head
+    rw.b(true);      // is_tail
+    rw.i64(0);       // src
+    rw.i64(1);       // dst
+    rw.i64(vc);
+    rw.i64(cls);
+    rw.u64(0);       // created
+    rw.u64(0);       // injected
+    rw.i64(hops);
+    rw.b(false);     // measured
+    rw.b(false);     // corrupted
+    rw.u8(0);        // kind
+    rw.u64(0);       // ack_for
+    return rw.bytes();
+  };
+  const auto load_record = [](std::vector<std::uint8_t> bytes) {
+    snapshot::Reader rr(std::move(bytes));
+    noc::Flit out;
+    noc::load(rr, out);
+  };
+  EXPECT_NO_THROW(load_record(record(0, 0, 0, 0)));
+  EXPECT_THROW(load_record(record(-1, 0, 0, 0)), snapshot::SnapshotError);
+  EXPECT_THROW(load_record(record(noc::kMaxPacketLength, 0, 0, 0)),
+               snapshot::SnapshotError);
+  EXPECT_THROW(load_record(record(0, noc::kMaxVcs, 0, 0)),
+               snapshot::SnapshotError);
+  EXPECT_THROW(load_record(record(0, 0, -1, 0)), snapshot::SnapshotError);
+  EXPECT_THROW(load_record(record(0, 0, 0, noc::kMaxHops + 1)),
+               snapshot::SnapshotError);
+}
+
 TEST(SnapshotComponents, RunningStatRoundTrips) {
   RunningStat s;
   Rng rng(3);
