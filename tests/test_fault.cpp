@@ -4,7 +4,11 @@
 // degradation.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "cmp/perf_model.hpp"
 #include "common/rng.hpp"
@@ -13,6 +17,7 @@
 #include "noc/parallel_sweep.hpp"
 #include "noc/simulator.hpp"
 #include "power/chip_power.hpp"
+#include "power/noc_power.hpp"
 #include "sprint/cdor.hpp"
 #include "sprint/network_builder.hpp"
 #include "sprint/online_adapt.hpp"
@@ -280,6 +285,148 @@ TEST(Watchdog, RunSimulationReportsHangOnStuckRouter) {
   const noc::SimResults r = run_simulation(*rig.net, sim);
   EXPECT_TRUE(r.hung);
   EXPECT_NE(r.diagnostic.find("network diagnostic"), std::string::npos);
+}
+
+// --- stuck routers and the wake schedule ------------------------------------
+//
+// A frozen router reads nothing, so the network ticks it only on the
+// cycles its input wakes say a value is due — and each such tick counts as
+// an active cycle even while the router is gated, which shows up in its
+// leakage.  These runs pin counters and network power recorded from the
+// scheduler that re-armed every cooling router at its earliest pending
+// input, so the input-bit scheduler must tick a stuck router on exactly
+// the same cycles.
+
+struct Pinned {
+  Cycle cycles;
+  std::uint64_t packets_ejected;
+  std::uint64_t active_cycles;
+  std::uint64_t idle_active_cycles;
+  std::uint64_t gated_cycles;
+  std::uint64_t waking_cycles;
+  std::uint64_t wake_events;
+  double noc_power_w;
+};
+
+void expect_pinned(const noc::SimResults& r, double noc_power_w,
+                   const Pinned& want) {
+  EXPECT_EQ(r.cycles, want.cycles);
+  EXPECT_EQ(r.packets_ejected, want.packets_ejected);
+  EXPECT_EQ(r.counters.active_cycles, want.active_cycles);
+  EXPECT_EQ(r.counters.idle_active_cycles, want.idle_active_cycles);
+  EXPECT_EQ(r.counters.gated_cycles, want.gated_cycles);
+  EXPECT_EQ(r.counters.waking_cycles, want.waking_cycles);
+  EXPECT_EQ(r.counters.wake_events, want.wake_events);
+  EXPECT_EQ(noc_power_w, want.noc_power_w);
+}
+
+TEST(StuckRouter, DarkNodeFrozenFromStartCoolsLikeTheWakeSchedule) {
+  // NoC-sprinting at level 4 on a 4x4: node 15 is dark (statically gated)
+  // and frozen from cycle 0.  No traffic ever reaches it, so after its
+  // first tick it must stay cold and keep counting gated cycles.
+  fault::FaultParams fp;
+  fp.enabled = true;
+  fp.stuck = {15};
+  fp.stuck_from = 0;
+  noc::SimConfig sim;
+  sim.warmup = 300;
+  sim.measure = 1200;
+  sim.injection_rate = 0.2;
+  sim.drain_max = 20000;
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
+    FaultRig rig = make_rig(fp, /*level=*/4, /*seed=*/1);
+    rig.net->set_sim_threads(threads);
+    const noc::SimResults r = noc::run_simulation(*rig.net, sim);
+    expect_pinned(r, power::estimate_noc_power(*rig.net, r.cycles).total(),
+                  {1519, 168, 6077, 2164, 18227, 0, 0, 0.12559192969058591});
+  }
+}
+
+/// run_frozen_slow_mesh's full run, as the earlier scheduler recorded it.
+constexpr Pinned kFrozenSlowMesh = {3300,  180,  27101, 17420,
+                                    85017, 6682, 838,   0.23388151357575751};
+
+/// A 6x6 XY mesh with 1-5 cycle links and dynamic gating after a single
+/// idle cycle, so routers gate while flits are still in flight toward
+/// them.  The endpoints are rows 0-2 plus node 18, so only node 18's
+/// eastbound packets cross router 20 (4-cycle link from router 19).
+/// Router 20 freezes at cycle 700, gated by then, and those flits pile
+/// up on its input.
+noc::SimResults run_frozen_slow_mesh(int sim_threads,
+                                     const noc::CheckpointConfig& ckpt,
+                                     double* noc_power_w) {
+  noc::NetworkParams params;
+  params.width = 6;
+  params.height = 6;
+  params.gate_idle_threshold = 1;
+  const noc::XyRouting xy;
+  noc::Network net(params, &xy,
+                   [](NodeId a, NodeId b) { return 1 + (a * 7 + b) % 5; });
+  std::vector<NodeId> endpoints(19);
+  std::iota(endpoints.begin(), endpoints.end(), NodeId{0});
+  net.set_endpoints(endpoints, noc::make_traffic("uniform", 19));
+  net.set_seed(3);
+  net.set_dynamic_gating(true);
+  fault::FaultParams fp;
+  fp.enabled = true;
+  fp.stuck = {20};
+  fp.stuck_from = 700;
+  fault::FaultInjector injector(params.shape(), fp);
+  net.enable_resilience(&injector, nullptr);
+  net.set_sim_threads(sim_threads);
+  noc::SimConfig sim;
+  sim.warmup = 300;
+  sim.measure = 1500;
+  sim.injection_rate = 0.03;
+  sim.drain_max = 1500;
+  noc::CheckpointConfig c = ckpt;
+  c.extras.emplace_back("fault", &injector);
+  const noc::SimResults r = noc::run_simulation(net, sim, c);
+  *noc_power_w = power::estimate_noc_power(net, r.cycles).total();
+  return r;
+}
+
+TEST(StuckRouter, GatedRouterFrozenOnSlowLinksTicksOnlyWhenInputsAreDue) {
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
+    double power_w = 0.0;
+    const noc::SimResults r = run_frozen_slow_mesh(threads, {}, &power_w);
+    EXPECT_TRUE(r.saturated);  // the frozen router wedges some paths
+    expect_pinned(r, power_w, kFrozenSlowMesh);
+  }
+}
+
+TEST(StuckRouter, RestoreAroundAFrozenGatedRouter) {
+  // Cut under 3 shards just after the freeze (router 20 gated with
+  // nothing due), and later while a flit waits on its input.  Restored
+  // serially and under 2 shards, the run re-arms every input wake.  A
+  // restore ticks every router once, and a frozen router counts that tick
+  // as active even while gated, so the early cuts end one active cycle
+  // above the uninterrupted run, as they did under the earlier scheduler.
+  constexpr Pinned kRestoredGated = {3300,  180,  27102, 17421,
+                                     85016, 6682, 838,   0.23388410521212116};
+  const std::string path =
+      ::testing::TempDir() + "fault_frozen_slow_mesh.nocsnap";
+  for (const Cycle cut : {701u, 705u, 720u, 1100u}) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    noc::CheckpointConfig stop;
+    stop.save_path = path;
+    stop.stop_at = cut;
+    double power_w = 0.0;
+    ASSERT_TRUE(run_frozen_slow_mesh(3, stop, &power_w).interrupted);
+    for (const int threads : {1, 2}) {
+      SCOPED_TRACE("restore with sim_threads=" + std::to_string(threads));
+      noc::CheckpointConfig resume;
+      resume.restore_path = path;
+      const noc::SimResults r =
+          run_frozen_slow_mesh(threads, resume, &power_w);
+      EXPECT_FALSE(r.interrupted);
+      expect_pinned(r, power_w,
+                    cut < 1100 ? kRestoredGated : kFrozenSlowMesh);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // --- CDOR fault-tolerant fallback ------------------------------------------
