@@ -44,6 +44,10 @@ inline constexpr int kMaxHops = std::numeric_limits<std::int16_t>::max();
 /// Most VCs per port and message classes: `vc` and `msg_class` are int8.
 inline constexpr int kMaxVcs = std::numeric_limits<std::int8_t>::max();
 
+/// Most flits one port may buffer (num_vcs * vc_depth): credit counts,
+/// VC-buffer indices and input-VC slot numbers are int16.
+inline constexpr int kMaxPortFlits = std::numeric_limits<std::int16_t>::max();
+
 /// One flow-control unit.  Packets are wormhole-switched: the head flit
 /// carries routing state, body/tail flits follow the head's path on the
 /// same VC.

@@ -30,10 +30,10 @@ class Network {
  public:
   /// Builds the network over an arbitrary topology graph (the network
   /// keeps its own copy; params.num_nodes() must equal topo.num_nodes()).
-  /// `policy` must outlive the network.  Channel pipes are instantiated in
-  /// topo.links() order; per-link latencies > 0 override
+  /// `policy` must outlive the network.  Per-link latencies > 0 override
   /// params.link_latency, and `link_latency`, when provided, fills the
-  /// rest (must return >= 1).
+  /// rest (must return >= 1; called once per link in topo.links() order).
+  /// State is laid out node-major (see node_blocks_).
   Network(const NetworkParams& params, Topology topo,
           const RoutingPolicy* policy, LinkLatencyFn link_latency = nullptr);
 
@@ -46,6 +46,7 @@ class Network {
 
   // Channel sinks and wake callbacks capture `this`.
   Network(const Network&) = delete;
+  ~Network();
   Network& operator=(const Network&) = delete;
 
   /// Latency of the directed link between adjacent nodes (cycles).
@@ -393,11 +394,25 @@ class Network {
   const RoutingPolicy* policy_ = nullptr;
   Cycle now_ = 0;
 
-  std::vector<std::unique_ptr<Router>> routers_;
-  std::vector<std::unique_ptr<NetworkInterface>> nis_;
-  /// One per topology link in links() order, then the NI pipes.
-  std::vector<std::unique_ptr<Pipe<Flit>>> flit_pipes_;
-  std::vector<std::unique_ptr<Pipe<Credit>>> credit_pipes_;
+  /// Node-major state: one cache-line-aligned block per node, allocated
+  /// in ascending id order, holding the node's router and the router's
+  /// state block, its NI, and every pipe the node consumes (router flit
+  /// inputs by port, router credit inputs by port, then the NI's ejection
+  /// and injection-credit pipes), each pipe with its ring inline.  The
+  /// vectors below point into the blocks, and ~Network ends those
+  /// objects' lifetimes before the blocks are freed.  (A block is a few
+  /// KiB, so the allocator reuses freed ones for the next network; one
+  /// network-sized block would cross malloc's mmap threshold, raise it
+  /// when freed, and leave the next network's block fragmenting the heap.)
+  std::vector<LineBlock> node_blocks_;
+  std::vector<Router*> routers_;
+  std::vector<NetworkInterface*> nis_;
+  /// One per topology link in links() order, then per node the injection
+  /// and ejection pipes (flit: injection, ejection; credit: injection
+  /// credits, ejection credits).  Checkpoints walk them in this order,
+  /// which does not depend on where the pipes sit in memory.
+  std::vector<Pipe<Flit>*> flit_pipes_;
+  std::vector<Pipe<Credit>*> credit_pipes_;
 
   std::vector<NodeId> endpoints_;
   std::unique_ptr<TrafficPattern> traffic_;

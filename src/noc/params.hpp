@@ -46,6 +46,9 @@ struct NetworkParams {
     NOCS_EXPECTS(width >= 2 && height >= 1);
     // Flit carries the VC and class as int8 and the flit index as int16.
     NOCS_EXPECTS(num_vcs >= 1 && num_vcs <= kMaxVcs && vc_depth >= 1);
+    // Credits and buffer slot indices are int16 (kMaxPortFlits).
+    NOCS_EXPECTS(vc_depth <= kMaxPortFlits &&
+                 num_vcs * vc_depth <= kMaxPortFlits);
     NOCS_EXPECTS(packet_length >= 1 && packet_length <= kMaxPacketLength);
     NOCS_EXPECTS(flit_bytes >= 1);
     NOCS_EXPECTS(link_latency >= 1);
