@@ -194,9 +194,9 @@ class DequeVcBuffer {
   std::deque<noc::Flit> q_;
 };
 
+/// Streams 4-flit bursts through `buf`, an empty buffer of capacity 4.
 template <typename Buffer>
-void run_buffer_benchmark(benchmark::State& state) {
-  Buffer buf(4);
+void run_buffer_benchmark(benchmark::State& state, Buffer& buf) {
   noc::Flit f;
   f.packet = 42;
   std::int64_t items = 0;
@@ -215,12 +215,15 @@ void run_buffer_benchmark(benchmark::State& state) {
 }  // namespace
 
 static void BM_VcBufferRing(benchmark::State& state) {
-  run_buffer_benchmark<noc::VcBuffer>(state);
+  noc::Flit slots[4];
+  noc::VcBuffer buf(slots, 4);
+  run_buffer_benchmark(state, buf);
 }
 BENCHMARK(BM_VcBufferRing);
 
 static void BM_VcBufferDeque(benchmark::State& state) {
-  run_buffer_benchmark<DequeVcBuffer>(state);
+  DequeVcBuffer buf(4);
+  run_buffer_benchmark(state, buf);
 }
 BENCHMARK(BM_VcBufferDeque);
 

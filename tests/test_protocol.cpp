@@ -125,12 +125,14 @@ TEST(MessageClasses, WrongClassVcArrivalDies) {
   // a hand-built network instead: craft via the router's local input by
   // sending with a mismatched class through the NI (the NI would not do
   // this, so drive the router directly).
-  Pipe<Flit> pipe(1);
+  const auto pipe = Pipe<Flit>::make(1);
   const Topology topo = Topology::mesh(p.width, p.height);
-  Router r(5, p, topo, &xy);
-  Pipe<Credit> credit(1);
-  r.connect_input(Port::kWest, &pipe, &credit);
-  pipe.push(0, f);
+  const LineBlock state =
+      new_line_block(Router::storage_bytes(p, topo.num_ports(5)));
+  Router r(5, p, topo, &xy, state.get());
+  const auto credit = Pipe<Credit>::make(1);
+  r.connect_input(Port::kWest, pipe.get(), credit.get());
+  pipe->push(0, f);
   r.note_input(static_cast<int>(Port::kWest));  // no network wakes it
   r.tick(0);
   EXPECT_DEATH(r.tick(1), "precondition");

@@ -29,15 +29,17 @@ class RouterHarness {
   explicit RouterHarness(NodeId id = 5, NetworkParams params = {})
       : params_(params),
         topo_(Topology::mesh(params.width, params.height)),
-        router_(id, params, topo_, &xy_) {
+        state_(new_line_block(
+            Router::storage_bytes(params, topo_.num_ports(id)))),
+        router_(id, params, topo_, &xy_, state_.get()) {
     // Test pipes hold everything a test pushes or the router sends before
     // the test reads it.
     constexpr int kCapacity = 64;
     for (int p = 0; p < kNumPorts; ++p) {
-      in_flits_.emplace_back(std::make_unique<Pipe<Flit>>(1, kCapacity));
-      in_credits_.emplace_back(std::make_unique<Pipe<Credit>>(1, kCapacity));
-      out_flits_.emplace_back(std::make_unique<Pipe<Flit>>(1, kCapacity));
-      out_credits_.emplace_back(std::make_unique<Pipe<Credit>>(1, kCapacity));
+      in_flits_.emplace_back(Pipe<Flit>::make(1, kCapacity));
+      in_credits_.emplace_back(Pipe<Credit>::make(1, kCapacity));
+      out_flits_.emplace_back(Pipe<Flit>::make(1, kCapacity));
+      out_credits_.emplace_back(Pipe<Credit>::make(1, kCapacity));
       router_.connect_input(static_cast<Port>(p), in_flits_.back().get(),
                             in_credits_.back().get());
       router_.connect_output(static_cast<Port>(p), out_flits_.back().get(),
@@ -98,12 +100,13 @@ class RouterHarness {
   NetworkParams params_;
   Topology topo_;
   XyRouting xy_;
+  LineBlock state_;
   Router router_;
   Cycle now_ = 0;
-  std::vector<std::unique_ptr<Pipe<Flit>>> in_flits_;
-  std::vector<std::unique_ptr<Pipe<Credit>>> in_credits_;
-  std::vector<std::unique_ptr<Pipe<Flit>>> out_flits_;
-  std::vector<std::unique_ptr<Pipe<Credit>>> out_credits_;
+  std::vector<Pipe<Flit>::Owner> in_flits_;
+  std::vector<Pipe<Credit>::Owner> in_credits_;
+  std::vector<Pipe<Flit>::Owner> out_flits_;
+  std::vector<Pipe<Credit>::Owner> out_credits_;
   std::array<InputSink, 2 * kNumPorts> sinks_;
 };
 
