@@ -260,6 +260,84 @@ TEST(ParallelTick, MidBurstCheckpointOnSlowLinksRestoresAcrossThreadCounts) {
   std::remove(path.c_str());
 }
 
+// --- credit-starved links ----------------------------------------------------
+//
+// One- and two-flit VC buffers loaded far past saturation keep most output
+// VCs at zero credits, so switch allocation hangs on the cycle each credit
+// comes back, and on links of 1-3 cycles a credit's producer and consumer
+// often sit on different shards.  The pins were recorded when credits
+// travelled upstream in 1-cycle pipes; any change to when a returned
+// credit first counts moves them.
+
+struct StarvedPin {
+  int vc_depth;
+  Cycle cycles;
+  std::uint64_t packets_generated;
+  std::uint64_t packets_ejected;
+  double avg_packet_latency;
+  double avg_network_latency;
+  double accepted_rate;
+  std::uint64_t buffer_writes;
+  std::uint64_t xbar_traversals;
+  std::uint64_t vc_allocs;
+  std::uint64_t sa_arbitrations;
+  std::uint64_t link_flits;
+  std::uint64_t active_cycles;
+  std::uint64_t idle_active_cycles;
+};
+
+noc::SimResults run_starved(int vc_depth, int sim_threads) {
+  noc::NetworkParams params;
+  params.width = 6;
+  params.height = 6;
+  params.vc_depth = vc_depth;
+  const noc::XyRouting xy;
+  noc::Network net(params, &xy,
+                   [](NodeId a, NodeId b) { return 1 + (a * 5 + b) % 3; });
+  net.set_endpoints(params.shape().all_nodes(),
+                    noc::make_traffic("uniform", params.num_nodes()));
+  net.set_seed(5);
+  net.set_sim_threads(sim_threads);
+  noc::SimConfig sim;
+  sim.warmup = 200;
+  sim.measure = 1000;
+  sim.drain_max = 1500;
+  sim.injection_rate = 0.8;
+  return noc::run_simulation(net, sim);
+}
+
+TEST(ParallelTick, CreditStarvedRunsMatchRecordedResults) {
+  constexpr StarvedPin kPins[] = {
+      {1, 2700, 5746, 1806, 1527.5526024363223, 54.756367663344427,
+       0.25308333333333333, 75057, 74955, 15081, 74979, 59900, 97200, 17661},
+      {2, 2700, 5746, 4805, 1006.7508844953161, 44.17086368366283,
+       0.67000000000000004, 151195, 150953, 30291, 151008, 120803, 97200,
+       3358},
+  };
+  for (const StarvedPin& want : kPins) {
+    SCOPED_TRACE("vc_depth=" + std::to_string(want.vc_depth));
+    const noc::SimResults reference = run_starved(want.vc_depth, 1);
+    EXPECT_TRUE(reference.saturated);
+    EXPECT_EQ(reference.cycles, want.cycles);
+    EXPECT_EQ(reference.packets_generated, want.packets_generated);
+    EXPECT_EQ(reference.packets_ejected, want.packets_ejected);
+    EXPECT_EQ(reference.avg_packet_latency, want.avg_packet_latency);
+    EXPECT_EQ(reference.avg_network_latency, want.avg_network_latency);
+    EXPECT_EQ(reference.accepted_rate, want.accepted_rate);
+    EXPECT_EQ(reference.counters.buffer_writes, want.buffer_writes);
+    EXPECT_EQ(reference.counters.xbar_traversals, want.xbar_traversals);
+    EXPECT_EQ(reference.counters.vc_allocs, want.vc_allocs);
+    EXPECT_EQ(reference.counters.sa_arbitrations, want.sa_arbitrations);
+    EXPECT_EQ(reference.counters.link_flits, want.link_flits);
+    EXPECT_EQ(reference.counters.active_cycles, want.active_cycles);
+    EXPECT_EQ(reference.counters.idle_active_cycles, want.idle_active_cycles);
+    for (const int n : {2, 3}) {
+      SCOPED_TRACE("sim_threads=" + std::to_string(n));
+      expect_identical(run_starved(want.vc_depth, n), reference);
+    }
+  }
+}
+
 // --- tracing -----------------------------------------------------------------
 
 TEST(ParallelTick, BitIdenticalWithTracingActive) {
