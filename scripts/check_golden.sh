@@ -17,6 +17,8 @@
 # byte with tests/golden/cli_<name>.<file>, serially and at 3 and 4
 # shards.  Three shards cut the mesh mid-row, so links inside a row cross
 # a shard boundary too, and the byte-identity gate covers their pipes.
+# simulate_stuck freezes dark router 15 from cycle 0, so its leakage pins
+# how a frozen gated router is ticked and counted.
 #
 # Usage: scripts/check_golden.sh <build-dir>
 #
@@ -87,6 +89,7 @@ cli_runs=(
   "simulate_faults|mode=simulate level=8 classes=2 protocol=true faults=true fault_flip_rate=1e-3 metrics=metrics.json report=report.json"
   "sweep_faults|mode=sweep level=8 rates=0.05:0.1:0.45 faults=true report=report.json"
   "topo_ring|mode=topo topology=ring_circulant ring_skip=4 level=8 report=report.json"
+  "simulate_stuck|mode=simulate scheme=noc level=4 faults=true fault_stuck=15 report=report.json"
 )
 for run in "${cli_runs[@]}"; do
   name="${run%%|*}"
