@@ -1,34 +1,33 @@
 // Latched fixed-latency channels connecting routers and network interfaces.
 //
-// All cross-component communication (flits downstream, credits upstream)
-// flows through Pipe<T>.  A value pushed at cycle t becomes visible at
-// t + latency, so the per-cycle evaluation order of routers cannot change
-// simulation results — the property that makes the simulator deterministic
-// and the reason we need no global two-phase update.
+// Flits travel downstream through Pipe<T>.  A value pushed at cycle t
+// becomes visible at t + latency, so the per-cycle evaluation order of
+// routers cannot change simulation results — the property that makes the
+// simulator deterministic.  (Credits travel upstream without a pipe: the
+// network returns them behind its phase barrier, see network.hpp.)
 //
-// That same property makes Pipe the only cross-shard channel of the
+// That same property makes Pipe the cross-shard flit channel of the
 // sharded Network::tick, so a pipe whose ends tick on different shards is
 // a single-producer/single-consumer lock-free ring: the producer owns
 // `pushed_`, the consumer owns `popped_`, and each release-publishes its
-// counter so the other side observes fully-written slots.  Determinism survives the race window on
-// purpose — a value pushed at cycle t is never receivable before t+1
-// (latency >= 1), so whether the consumer's same-cycle loads observe it or
-// not cannot change what pop/ready return this cycle; by the next phase
-// barrier the write is visible everywhere.
+// counter so the other side observes fully-written slots.  Determinism
+// survives the race window on purpose — a value pushed at cycle t is
+// never receivable before t+1 (latency >= 1), so whether the consumer's
+// same-cycle loads observe it or not cannot change what pop/ready return
+// this cycle; by the next phase barrier the write is visible everywhere.
 //
 // The ring never grows: regrowing it under a concurrent consumer would be
 // a data race.  Credit flow control bounds a network pipe's occupancy by
 // the downstream buffering of one port, num_vcs * vc_depth (every flit in
-// a flit pipe holds one of the upstream router's credits, and every value
-// in a credit pipe stands for one freed downstream buffer slot), so the
-// network sizes each ring to exactly that bound, and a push into a full
-// ring is a contract failure: it means credit flow is broken.
+// a pipe holds one of its sender's credits), so the network sizes each
+// ring to exactly that bound, and a push into a full ring is a contract
+// failure: it means credit flow is broken.
 //
 // Layout: the header is 48 bytes and every pipe keeps its ring inline
 // right after it, in one cache-line-aligned block (Pipe::emplace), so
 // the counters and ring slot 0 share the block's first line.  The
 // header's 40 bytes of fields are padded to 48 so that the ring starts
-// 16-byte aligned and no 16-byte credit slot straddles two lines.
+// 16-byte aligned.
 #pragma once
 
 #include <atomic>
@@ -190,6 +189,16 @@ class alignas(16) Pipe {
     if (t != kNoPendingEvent && sink_ != nullptr) sink_->on_push(t);
   }
 
+  /// Calls visit(value) for every pending value, oldest first.  Consumer
+  /// side, or between ticks.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    const std::uint64_t p = pushed_.load(std::memory_order_acquire);
+    for (std::uint64_t i = popped_.load(std::memory_order_relaxed); i != p;
+         ++i)
+      visit(slots_[index(i)].second);
+  }
+
   /// Ready time of the oldest pending value, or kNoPendingEvent when empty
   /// (used by idle NIs to re-arm their next wake-up).
   Cycle next_ready_time() const {
@@ -200,7 +209,7 @@ class alignas(16) Pipe {
 
   /// Checkpoint: in-flight values oldest-first with their absolute ready
   /// times.  The element codec is a callback because Pipe is generic over
-  /// the payload (Flit or Credit).
+  /// the payload.
   template <typename SaveElem>
   void save_state(snapshot::Writer& w, SaveElem&& save_elem) const {
     const std::uint64_t c = popped_.load(std::memory_order_relaxed);

@@ -78,12 +78,7 @@ struct Flit {
 };
 static_assert(sizeof(Flit) == 48);
 
-/// Credit returned upstream when a flit leaves a VC buffer.
-struct Credit {
-  VcId vc = -1;
-};
-
-/// Checkpoint serialization for the two wire types.  Field-by-field rather
+/// Checkpoint serialization for the flit wire type.  Field-by-field rather
 /// than memcpy so the on-disk format is independent of struct padding.
 inline void save(snapshot::Writer& w, const Flit& f) {
   w.u64(f.packet);
@@ -135,12 +130,6 @@ inline void load(snapshot::Reader& r, Flit& f) {
     throw snapshot::SnapshotError("flit kind in checkpoint is out of range");
   f.kind = static_cast<PacketKind>(kind);
   f.ack_for = r.u64();
-}
-
-inline void save(snapshot::Writer& w, const Credit& c) { w.i64(c.vc); }
-
-inline void load(snapshot::Reader& r, Credit& c) {
-  c.vc = static_cast<VcId>(r.i64());
 }
 
 }  // namespace nocs::noc

@@ -64,17 +64,16 @@ Network::Network(const NetworkParams& params, Topology topo,
   }
 
   // Credit flow control bounds any pipe's occupancy by the downstream
-  // buffering of one port (flits or returning credits for at most
-  // num_vcs * vc_depth slots), so every ring is sized to exactly that
-  // bound and never reallocates; Pipe::push fails a contract past it.
+  // buffering of one port (num_vcs * vc_depth flits), so every ring is
+  // sized to exactly that bound and never reallocates; Pipe::push fails a
+  // contract past it.
   const int cap = params_.num_vcs * params_.vc_depth;
   const std::size_t router_bytes = align_up(sizeof(Router), kCacheLine);
   const std::size_t ni_bytes = align_up(sizeof(NetworkInterface), kCacheLine);
   const std::size_t local_flit_bytes = Pipe<Flit>::block_bytes(1, cap);
-  const std::size_t credit_bytes = Pipe<Credit>::block_bytes(1, cap);
 
-  // Pipe k of each kind: link k's pipe for k < num_links, then per node
-  // the injection and ejection pipes (see flit_pipes_).
+  // Pipe k: link k's pipe for k < num_links, then per node the injection
+  // and ejection pipes (see flit_pipes_).
   const auto local_pipe = [num_links](NodeId id, int which) {
     return num_links + 2 * static_cast<std::size_t>(id) +
            static_cast<std::size_t>(which);
@@ -86,21 +85,18 @@ Network::Network(const NetworkParams& params, Topology topo,
   routers_.resize(static_cast<std::size_t>(n));
   nis_.resize(static_cast<std::size_t>(n));
   flit_pipes_.resize(num_links + 2 * static_cast<std::size_t>(n));
-  credit_pipes_.resize(flit_pipes_.size());
   // One wake hook per pipe, naming the consumer's input.
-  sinks_.reserve(2 * flit_pipes_.size());
+  sinks_.reserve(flit_pipes_.size());
   for (NodeId id = 0; id < n; ++id) {
     const auto i = static_cast<std::size_t>(id);
     const int nports = topo_.num_ports(id);
     const std::size_t router_state = Router::storage_bytes(params_, nports);
-    std::size_t bytes = router_bytes + router_state + ni_bytes +
-                        2 * local_flit_bytes + 2 * credit_bytes;
-    for (int p = 1; p < nports; ++p) {
+    std::size_t bytes =
+        router_bytes + router_state + ni_bytes + 2 * local_flit_bytes;
+    for (int p = 1; p < nports; ++p)
       if (const int l = topo_.link_in(id, p); l >= 0)
         bytes += Pipe<Flit>::block_bytes(
             link_lat[static_cast<std::size_t>(l)], cap);
-      if (topo_.link_out(id, p) >= 0) bytes += credit_bytes;
-    }
     node_blocks_[i] = new_line_block(bytes);
     std::byte* at = node_blocks_[i].get();
     const auto take = [&at](std::size_t size) {
@@ -119,34 +115,24 @@ Network::Network(const NetworkParams& params, Topology topo,
           take(Pipe<Flit>::block_bytes(latency, cap)), latency, cap);
       flit_pipes_[k]->set_sink(new_sink(wake_code(id, input)));
     };
-    const auto credit_pipe = [&](std::size_t k, std::uint32_t input) {
-      credit_pipes_[k] = Pipe<Credit>::emplace(take(credit_bytes), 1, cap);
-      credit_pipes_[k]->set_sink(new_sink(wake_code(id, input)));
-    };
     flit_pipe(local_pipe(id, kInject), 1, kLocal);
     for (int p = 1; p < nports; ++p)
       if (const int l = topo_.link_in(id, p); l >= 0)
         flit_pipe(static_cast<std::size_t>(l),
                   link_lat[static_cast<std::size_t>(l)],
                   static_cast<std::uint32_t>(p));
-    credit_pipe(local_pipe(id, kEject), Router::kCreditInput + kLocal);
-    for (int p = 1; p < nports; ++p)
-      if (const int l = topo_.link_out(id, p); l >= 0)
-        credit_pipe(static_cast<std::size_t>(l),
-                    static_cast<std::uint32_t>(Router::kCreditInput + p));
     flit_pipe(local_pipe(id, kEject), 1, kNiInput);
-    credit_pipe(local_pipe(id, kInject), kNiInput);
     NOCS_ENSURES(at == node_blocks_[i].get() + bytes);
   }
 
-  // Inter-router links: link l's flit pipe carries src's flits to dst, its
-  // credit pipe dst's credits back to src.
+  // Inter-router links: link l's pipe carries src's flits to dst, and dst
+  // returns their credits to src's output credits for the link.
   for (std::size_t i = 0; i < num_links; ++i) {
     const TopoLink& l = links[i];
-    routers_[static_cast<std::size_t>(l.src)]->connect_output(
-        l.src_port, flit_pipes_[i], credit_pipes_[i]);
+    Router& src = *routers_[static_cast<std::size_t>(l.src)];
+    src.connect_output(l.src_port, flit_pipes_[i]);
     routers_[static_cast<std::size_t>(l.dst)]->connect_input(
-        l.dst_port, flit_pipes_[i], credit_pipes_[i]);
+        l.dst_port, flit_pipes_[i], src.output_credits(l.src_port));
   }
 
   for (NodeId id = 0; id < n; ++id) {
@@ -163,14 +149,12 @@ Network::Network(const NetworkParams& params, Topology topo,
     ni.set_multicast_table(&mcast_groups_);
     ni.set_mc_counters(&r.raw_counters());
 
-    // Local NI <-> router channels.
+    // Local NI <-> router channels, each returning credits to its sender.
     Pipe<Flit>* inj = flit_pipes_[local_pipe(id, kInject)];
-    Pipe<Credit>* inj_credit = credit_pipes_[local_pipe(id, kInject)];
     Pipe<Flit>* ej = flit_pipes_[local_pipe(id, kEject)];
-    Pipe<Credit>* ej_credit = credit_pipes_[local_pipe(id, kEject)];
-    r.connect_input(Port::kLocal, inj, inj_credit);
-    r.connect_output(Port::kLocal, ej, ej_credit);
-    ni.connect(inj, inj_credit, ej, ej_credit);
+    r.connect_input(Port::kLocal, inj, ni.credits());
+    r.connect_output(Port::kLocal, ej);
+    ni.connect(inj, ej, r.output_credits(kLocal));
   }
 
   // Calendar wheels are sized to cover the farthest-future event a pipe
@@ -185,7 +169,6 @@ Network::Network(const NetworkParams& params, Topology topo,
 Network::~Network() {
   // End every object's lifetime before node_blocks_ releases its block.
   for (auto* p : flit_pipes_) std::destroy_at(p);
-  for (auto* p : credit_pipes_) std::destroy_at(p);
   for (auto* ni : nis_) std::destroy_at(ni);
   for (auto* r : routers_) std::destroy_at(r);
 }
@@ -229,15 +212,12 @@ void Network::rebuild_shards() {
   }
   // No wake survives the rebuild: every router re-arms its non-empty
   // inputs, and learns which of them another shard feeds.
-  std::vector<std::uint64_t> remote(static_cast<std::size_t>(n), 0);
-  for (const TopoLink& l : topo_.links()) {
-    if (shard_of_[static_cast<std::size_t>(l.src)] ==
+  std::vector<std::uint32_t> remote(static_cast<std::size_t>(n), 0);
+  for (const TopoLink& l : topo_.links())
+    if (shard_of_[static_cast<std::size_t>(l.src)] !=
         shard_of_[static_cast<std::size_t>(l.dst)])
-      continue;
-    remote[static_cast<std::size_t>(l.dst)] |= std::uint64_t{1} << l.dst_port;
-    remote[static_cast<std::size_t>(l.src)] |=
-        std::uint64_t{1} << (Router::kCreditInput + l.src_port);
-  }
+      remote[static_cast<std::size_t>(l.dst)] |= std::uint32_t{1}
+                                                  << l.dst_port;
   for (NodeId id = 0; id < n; ++id) {
     Shard& sh = shards_[shard_of_[static_cast<std::size_t>(id)]];
     NetworkInterface& ni = *nis_[static_cast<std::size_t>(id)];
@@ -481,16 +461,18 @@ void Network::tick_phase2(int s) {
 
   if (sh.active == 0) return;
 
-  // Cool hot nodes reporting no work.  A cooling NI re-arms its wake-up at
-  // the earliest pending input event (all pipe latencies are >= 1, so after
-  // this cycle's producers ran every pending event is strictly in the
-  // future; the phase barrier made all cross-shard pushes visible).  A
-  // router first re-checks its remote inputs found empty in phase 1 and
-  // cools only with no input bit set, which by the input-bit invariant
-  // leaves a wake pending for every non-empty input (at the cycle its
-  // head is due, as the wake-driven schedule had it).  Only set bits are
-  // visited, NI before router per node in ascending id order; cooling a
-  // node only touches that node's own bits.
+  // Return the credits freed in phase 1 (see "Credit return rule"; only a
+  // node ticked this cycle owes any, and it is still hot), then cool hot
+  // nodes reporting no work.  A cooling NI re-arms its wake-up at the
+  // head of its ejection pipe (all pipe latencies are >= 1, so after this
+  // cycle's producers ran every pending flit is strictly in the future;
+  // the phase barrier made all cross-shard pushes visible).  A router
+  // first re-checks its remote inputs found empty in phase 1 and cools
+  // only with no input bit set, which by the input-bit invariant leaves a
+  // wake pending for every non-empty input (at the cycle its head is due,
+  // as the wake-driven schedule had it).  Only set bits are visited, NI
+  // before router per node in ascending id order; cooling a node only
+  // touches that node's own bits.
   const auto base = static_cast<std::size_t>(sh.begin);
   for (std::size_t w = 0; w < sh.hot_nis.size(); ++w) {
     std::uint64_t word = sh.hot_nis[w] | sh.hot_routers[w];
@@ -499,14 +481,19 @@ void Network::tick_phase2(int s) {
       word &= word - 1;
       const std::uint64_t m = std::uint64_t{1} << b;
       const std::size_t i = base + w * 64 + static_cast<std::size_t>(b);
-      if ((sh.hot_nis[w] & m) != 0 && !nis_[i]->busy_next_cycle()) {
-        sh.hot_nis[w] &= ~m;
-        --sh.active;
-        schedule_local(sh, wake_code(static_cast<NodeId>(i), kNiInput),
-                       nis_[i]->next_input_event());
+      if ((sh.hot_nis[w] & m) != 0) {
+        NetworkInterface& ni = *nis_[i];
+        ni.return_credits();
+        if (!ni.busy_next_cycle()) {
+          sh.hot_nis[w] &= ~m;
+          --sh.active;
+          schedule_local(sh, wake_code(static_cast<NodeId>(i), kNiInput),
+                         ni.next_input_event());
+        }
       }
       if ((sh.hot_routers[w] & m) != 0) {
         Router& r = *routers_[i];
+        r.return_credits();
         r.recheck_remote_inputs(now_);
         if (!r.busy_next_cycle()) {
           sh.hot_routers[w] &= ~m;
@@ -547,34 +534,29 @@ bool Network::drained_reference() const {
 }
 
 bool Network::input_wakes_armed() const {
-  const auto armed = [this](const auto& pipe, NodeId id, int bit) {
+  const auto armed = [this](const Pipe<Flit>& pipe, NodeId id, int port) {
     if (pipe.empty()) return true;
     const Cycle t = pipe.next_ready_time();
     if (t <= now_ &&
-        routers_[static_cast<std::size_t>(id)]->input_pending(bit))
+        routers_[static_cast<std::size_t>(id)]->input_pending(port))
       return true;
     if (t < now_) return false;  // its wake has fired already
     const auto& bucket =
         shards_[shard_of_[static_cast<std::size_t>(id)]]
             .wheel[static_cast<std::size_t>(t & wheel_mask())];
     return std::find(bucket.begin(), bucket.end(),
-                     wake_code(id, static_cast<std::uint32_t>(bit))) !=
+                     wake_code(id, static_cast<std::uint32_t>(port))) !=
            bucket.end();
   };
   // Pipes are allocated per link in links() order, then per node the
-  // injection, injection-credit, ejection and ejection-credit pipes.
+  // injection and ejection pipes.
   const std::vector<TopoLink>& links = topo_.links();
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    const TopoLink& l = links[i];
-    if (!armed(*flit_pipes_[i], l.dst, l.dst_port) ||
-        !armed(*credit_pipes_[i], l.src, Router::kCreditInput + l.src_port))
+  for (std::size_t i = 0; i < links.size(); ++i)
+    if (!armed(*flit_pipes_[i], links[i].dst, links[i].dst_port))
       return false;
-  }
-  constexpr int kLocal = static_cast<int>(Port::kLocal);
   for (NodeId id = 0; id < num_nodes(); ++id) {
     const std::size_t k = links.size() + 2 * static_cast<std::size_t>(id);
-    if (!armed(*flit_pipes_[k], id, kLocal) ||
-        !armed(*credit_pipes_[k + 1], id, Router::kCreditInput + kLocal))
+    if (!armed(*flit_pipes_[k], id, static_cast<int>(Port::kLocal)))
       return false;
   }
   return true;
@@ -595,6 +577,47 @@ std::int64_t Network::counted_flits() const {
 
 void Network::check_flit_conservation() const {
   NOCS_ENSURES(flits_in_flight() == counted_flits());
+}
+
+void Network::check_credit_conservation() const {
+  const int nv = params_.num_vcs;
+  std::vector<int> in_pipe(static_cast<std::size_t>(nv));
+  // held(vc) = `credits`(vc) + that VC's flits in `pipe` + occupancy(vc)
+  // must be vc_depth for every VC.
+  const auto check = [&](const Pipe<Flit>& pipe, const auto& credits,
+                         const auto& occupancy) {
+    std::fill(in_pipe.begin(), in_pipe.end(), 0);
+    pipe.for_each([&](const Flit& f) {
+      NOCS_ENSURES(f.vc >= 0 && f.vc < nv);
+      ++in_pipe[static_cast<std::size_t>(f.vc)];
+    });
+    for (int vc = 0; vc < nv; ++vc)
+      NOCS_ENSURES(credits(vc) + in_pipe[static_cast<std::size_t>(vc)] +
+                       occupancy(vc) ==
+                   params_.vc_depth);
+  };
+  const std::vector<TopoLink>& links = topo_.links();
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    const Router& src = *routers_[static_cast<std::size_t>(links[i].src)];
+    const Router& dst = *routers_[static_cast<std::size_t>(links[i].dst)];
+    check(
+        *flit_pipes_[i],
+        [&](int vc) { return src.output_credits(links[i].src_port, vc); },
+        [&](int vc) { return dst.buffered_flits(links[i].dst_port, vc); });
+  }
+  constexpr int kLocal = static_cast<int>(Port::kLocal);
+  for (NodeId id = 0; id < num_nodes(); ++id) {
+    const Router& r = *routers_[static_cast<std::size_t>(id)];
+    const NetworkInterface& ni = *nis_[static_cast<std::size_t>(id)];
+    const std::size_t k = links.size() + 2 * static_cast<std::size_t>(id);
+    check(
+        *flit_pipes_[k], [&](int vc) { return ni.credits(vc); },
+        [&](int vc) { return r.buffered_flits(kLocal, vc); });
+    check(
+        *flit_pipes_[k + 1],
+        [&](int vc) { return r.output_credits(kLocal, vc); },
+        [](int) { return 0; });
+  }
 }
 
 RouterCounters Network::total_counters() const {
@@ -654,8 +677,10 @@ void Network::save_state(snapshot::Writer& w) const {
   w.u64(topo_.fingerprint());
   w.i64(static_cast<std::int64_t>(endpoints_.size()));
   for (const NodeId e : endpoints_) w.i64(e);
+  // The credit-channel count: one per flit pipe (see the credit sections
+  // below).
   w.i64(static_cast<std::int64_t>(flit_pipes_.size()));
-  w.i64(static_cast<std::int64_t>(credit_pipes_.size()));
+  w.i64(static_cast<std::int64_t>(flit_pipes_.size()));
 
   w.u64(now_);
   for (const auto& r : routers_) r->save_state(w);
@@ -663,11 +688,16 @@ void Network::save_state(snapshot::Writer& w) const {
   const auto save_flit = [](snapshot::Writer& sw, const Flit& f) {
     save(sw, f);
   };
-  const auto save_credit = [](snapshot::Writer& sw, const Credit& c) {
-    save(sw, c);
-  };
   for (const auto& p : flit_pipes_) p->save_state(w, save_flit);
-  for (const auto& p : credit_pipes_) p->save_state(w, save_credit);
+  // The format keeps one credit-pipe section per flit pipe.  Credits are
+  // returned within the cycle their slots free, so none is ever in
+  // flight between ticks: every section is a latency-1 pipe holding none.
+  for (std::size_t k = 0; k < flit_pipes_.size(); ++k) {
+    w.begin_section("pipe");
+    w.u64(1);
+    w.i64(0);
+    w.end_section();
+  }
   stats_.save_state(w);
   w.end_section();
 }
@@ -701,7 +731,7 @@ void Network::load_state(snapshot::Reader& r) {
           "checkpoint endpoint set disagrees with this network's "
           "configuration");
   if (r.i64() != static_cast<std::int64_t>(flit_pipes_.size()) ||
-      r.i64() != static_cast<std::int64_t>(credit_pipes_.size()))
+      r.i64() != static_cast<std::int64_t>(flit_pipes_.size()))
     throw snapshot::SnapshotError(
         "checkpoint channel count disagrees with this network's topology");
 
@@ -709,11 +739,41 @@ void Network::load_state(snapshot::Reader& r) {
   for (auto& rt : routers_) rt->load_state(r);
   for (auto& ni : nis_) ni->load_state(r);
   const auto load_flit = [](snapshot::Reader& sr, Flit& f) { load(sr, f); };
-  const auto load_credit = [](snapshot::Reader& sr, Credit& c) {
-    load(sr, c);
-  };
   for (auto& p : flit_pipes_) p->load_state(r, load_flit);
-  for (auto& p : credit_pipes_) p->load_state(r, load_credit);
+  // Credit-pipe sections: empty when this code wrote them.  A checkpoint
+  // from a build that sent credits through pipes may hold some; every one
+  // was receivable by now_ (1-cycle pipes), so it folds into the counter
+  // its receiver would have added it to before its next allocation.
+  const std::vector<TopoLink>& links = topo_.links();
+  for (std::size_t k = 0; k < flit_pipes_.size(); ++k) {
+    std::int16_t* counters = nullptr;
+    if (k < links.size()) {
+      counters = routers_[static_cast<std::size_t>(links[k].src)]
+                     ->output_credits(links[k].src_port);
+    } else {
+      const std::size_t id = (k - links.size()) / 2;
+      counters = (k - links.size()) % 2 == 0
+                     ? nis_[id]->credits()  // router -> NI, local input
+                     : routers_[id]->output_credits(
+                           static_cast<int>(Port::kLocal));  // NI -> router
+    }
+    r.begin_section("pipe");
+    if (r.u64() != 1)
+      throw snapshot::SnapshotError(
+          "credit pipe latency in checkpoint is not 1 cycle");
+    const std::int64_t n = r.i64();
+    if (n < 0 || n > params_.num_vcs * params_.vc_depth)
+      throw snapshot::SnapshotError("credit pipe occupancy out of range");
+    for (std::int64_t i = 0; i < n; ++i) {
+      const Cycle ready_at = r.u64();
+      const std::int64_t vc = r.i64();
+      if (ready_at > now_ || vc < 0 || vc >= params_.num_vcs ||
+          counters[vc] >= params_.vc_depth)
+        throw snapshot::SnapshotError("credit in checkpoint is invalid");
+      ++counters[vc];
+    }
+    r.end_section();
+  }
   stats_.load_state(r);
   r.end_section();
 

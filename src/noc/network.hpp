@@ -224,6 +224,14 @@ class Network {
   /// O(pipes * wake entries per bucket); for tests.
   bool input_wakes_armed() const;
 
+  /// Credit conservation law, checked between ticks: for every link and
+  /// VC, the sender's credits plus that VC's flits in the link's pipe plus
+  /// the receiver's input-VC occupancy equal vc_depth; the same for the
+  /// NI -> router injection pair and the router -> NI ejection pair (the
+  /// NI buffers nothing).  Aborts on a violation.  O(links * VCs + flits
+  /// in pipes).
+  void check_credit_conservation() const;
+
   /// Flits between NI injection and NI ejection: the shards' signed flit
   /// balances plus the network-level base.  O(shards).
   std::int64_t flits_in_flight() const;
@@ -259,12 +267,12 @@ class Network {
   // --- active-node fast path + spatial sharding ----------------------------
   //
   // tick() only visits routers/NIs whose hot bit is set.  A node stays hot
-  // while it self-reports work (busy_next_cycle()).  Every pipe push into
-  // an empty queue schedules a wake for the consumer via the pipe's
-  // NodeSink, which names the consumer and, for a router, the input bit
-  // of that pipe (Router::kCreditInput); the wake waits in a calendar
-  // wheel indexed by its ready time masked to the wheel's power-of-two
-  // size.  When it fires it sets the router's input bit and the hot bit.
+  // while it self-reports work (busy_next_cycle()).  Every flit pipe push
+  // into an empty queue schedules a wake for the consumer via the pipe's
+  // NodeSink, which names the consumer and, for a router, the input port
+  // of that pipe; the wake waits in a calendar wheel indexed by its ready
+  // time masked to the wheel's power-of-two size.  When it fires it sets
+  // the router's input bit and the hot bit.
   // A router reads only the inputs whose bit is set and keeps a bit only
   // while its pipe's head is due by the next cycle: it clears the bit of
   // an empty pipe and re-arms a later head's wake (Pipe::rearm).  So the
@@ -272,8 +280,8 @@ class Network {
   // wake pending at its head's ready time, unless its bit is set and the
   // head is due by the next cycle.  A router cooling with no bit set
   // therefore needs no re-arm, and is ticked on the cycles a wake-driven
-  // schedule would tick it.  An NI going cold re-arms at the earliest
-  // pending event on its two input pipes.  Hot nodes are ticked in
+  // schedule would tick it.  An NI going cold re-arms at the head of its
+  // ejection pipe.  Hot nodes are ticked in
   // ascending node id order, preserving the exact stats/counter
   // accumulation order of the tick-everything loop; a shard with no hot
   // bit skips both phases' walks.
@@ -291,13 +299,28 @@ class Network {
   //                         wake to the *producer* shard's outbox instead
   //                         of touching foreign wheels.
   //   phase 2 (cool/re-arm): each shard imports wakes addressed to it from
-  //                         every outbox (fixed shard order), re-checks
-  //                         the router inputs fed from another shard that
-  //                         phase 1 found empty (a push racing that pop is
-  //                         visible only behind the barrier), then cools
-  //                         its own quiescent nodes.  Only owner shards
-  //                         ever write their hot bits, input bits, wheels
-  //                         and flit balances.
+  //                         every outbox (fixed shard order), returns the
+  //                         credits its hot NIs and routers freed in phase
+  //                         1, re-checks the router inputs fed from another
+  //                         shard that phase 1 found empty (a push racing
+  //                         that pop is visible only behind the barrier),
+  //                         then cools its own quiescent nodes.  Only owner
+  //                         shards ever write their hot bits, input bits,
+  //                         wheels and flit balances.
+  //
+  // Credit return rule.  Credits travel in no pipe: in phase 2 a router
+  // adds one credit per buffer slot its switch traversal freed to the
+  // sender's counter (the upstream router's output credits for that link
+  // and VC, or the NI's credits for the local port), and an NI adds the
+  // credits of the flits it ejected to its router's local output credits.
+  // The counter may belong to another shard's node.  That is race-free:
+  // each (router, output port, VC) counter and each NI counter has exactly
+  // one writer in phase 2, the node downstream of it, and nothing else
+  // reads or writes credits in phase 2; phase 1 reads and spends only a
+  // node's own credits, and the barriers order the two.  A credit freed at
+  // t is first read by the sender's allocation at t+1, as one sent through
+  // a 1-cycle pipe was, and its arrival needs no wake: ticking a node with
+  // nothing but a credit to read was a no-op beyond leakage accounting.
   //
   // After the second barrier the caller thread drains every shard's
   // deferred statistics into the master collector in ascending shard
@@ -307,9 +330,9 @@ class Network {
   // observe same-cycle neighbor state; see docs/ARCHITECTURE.md).
 
   /// Wake encoding: node id << kInputBits | input, where input is a
-  /// router input bit (< 64) or kNiInput.
-  static constexpr int kInputBits = 7;
-  static constexpr std::uint32_t kNiInput = 64;
+  /// router input port (< kMaxPorts) or kNiInput.
+  static constexpr int kInputBits = 6;
+  static constexpr std::uint32_t kNiInput = kMaxPorts;
   static std::uint32_t wake_code(NodeId id, std::uint32_t input) {
     return (static_cast<std::uint32_t>(id) << kInputBits) | input;
   }
@@ -397,8 +420,8 @@ class Network {
   /// Node-major state: one cache-line-aligned block per node, allocated
   /// in ascending id order, holding the node's router and the router's
   /// state block, its NI, and every pipe the node consumes (router flit
-  /// inputs by port, router credit inputs by port, then the NI's ejection
-  /// and injection-credit pipes), each pipe with its ring inline.  The
+  /// inputs by port, then the NI's ejection pipe), each pipe with its
+  /// ring inline.  The
   /// vectors below point into the blocks, and ~Network ends those
   /// objects' lifetimes before the blocks are freed.  (A block is a few
   /// KiB, so the allocator reuses freed ones for the next network; one
@@ -408,11 +431,9 @@ class Network {
   std::vector<Router*> routers_;
   std::vector<NetworkInterface*> nis_;
   /// One per topology link in links() order, then per node the injection
-  /// and ejection pipes (flit: injection, ejection; credit: injection
-  /// credits, ejection credits).  Checkpoints walk them in this order,
-  /// which does not depend on where the pipes sit in memory.
+  /// and ejection pipes.  Checkpoints walk them in this order, which does
+  /// not depend on where the pipes sit in memory.
   std::vector<Pipe<Flit>*> flit_pipes_;
-  std::vector<Pipe<Credit>*> credit_pipes_;
 
   std::vector<NodeId> endpoints_;
   std::unique_ptr<TrafficPattern> traffic_;

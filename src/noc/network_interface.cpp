@@ -12,18 +12,18 @@ NetworkInterface::NetworkInterface(NodeId id, const NetworkParams& params,
       params_(params),
       stats_(stats),
       rng_(0x9e3779b9u + static_cast<std::uint64_t>(id)),
-      credits_(static_cast<std::size_t>(params.num_vcs), params.vc_depth) {
+      credits_(static_cast<std::size_t>(params.num_vcs),
+               static_cast<std::int16_t>(params.vc_depth)) {
   NOCS_EXPECTS(stats != nullptr);
+  ejected_vcs_.reserve(
+      static_cast<std::size_t>(params.num_vcs * params.vc_depth));
 }
 
-void NetworkInterface::connect(Pipe<Flit>* to_router,
-                               Pipe<Credit>* credit_from_router,
-                               Pipe<Flit>* from_router,
-                               Pipe<Credit>* credit_to_router) {
+void NetworkInterface::connect(Pipe<Flit>* to_router, Pipe<Flit>* from_router,
+                               std::int16_t* router_credits) {
   to_router_ = to_router;
-  credit_from_router_ = credit_from_router;
   from_router_ = from_router;
-  credit_to_router_ = credit_to_router;
+  router_credits_ = router_credits;
 }
 
 void NetworkInterface::set_endpoint(int logical_id,
@@ -271,15 +271,6 @@ void NetworkInterface::check_timeouts(Cycle now) {
 }
 
 void NetworkInterface::tick(Cycle now) {
-  // Credits freed by the router's local input port.
-  if (credit_from_router_ != nullptr) {
-    while (credit_from_router_->ready(now)) {
-      const Credit c = credit_from_router_->pop(now);
-      ++credits_[static_cast<std::size_t>(c.vc)];
-      NOCS_ENSURES(credits_[static_cast<std::size_t>(c.vc)] <=
-                   params_.vc_depth);
-    }
-  }
   eject(now);
   if (protection_) check_timeouts(now);
   // The agent runs after ejection (a request delivered this cycle can
@@ -296,8 +287,10 @@ void NetworkInterface::eject(Cycle now) {
     const Flit f = from_router_->pop(now);
     NOCS_EXPECTS(f.dst == id_);
     --*flit_balance_;
-    // The ejection buffer drains instantly; return the credit right away.
-    credit_to_router_->push(now, Credit{f.vc});
+    // The ejection buffer drains instantly; the credit goes back this
+    // cycle (return_credits).
+    NOCS_ENSURES(ejected_vcs_.size() < ejected_vcs_.capacity());
+    ejected_vcs_.push_back(f.vc);
     ++total_ejected_flits_;
     if (f.kind == PacketKind::kMcast) {
       // Tree segment: record, forward the remaining subranges, deliver.
@@ -484,6 +477,7 @@ NetworkInterface::PendingPacket NetworkInterface::load_pending(
 }
 
 void NetworkInterface::save_state(snapshot::Writer& w) const {
+  NOCS_EXPECTS(ejected_vcs_.empty());  // credits are owed only mid-cycle
   w.begin_section("ni");
   for (const std::uint64_t s : rng_.state()) w.u64(s);
 
@@ -491,7 +485,7 @@ void NetworkInterface::save_state(snapshot::Writer& w) const {
   for (const PendingPacket& p : source_queue_) save_pending(w, p);
 
   w.i64(static_cast<std::int64_t>(credits_.size()));
-  for (const int c : credits_) w.i64(c);
+  for (const std::int16_t c : credits_) w.i64(c);
 
   w.b(sending_);
   save_pending(w, current_);
@@ -544,7 +538,13 @@ void NetworkInterface::load_state(snapshot::Reader& r) {
   if (num_credits != static_cast<std::int64_t>(credits_.size()))
     throw snapshot::SnapshotError(
         "NI credit vector size in checkpoint disagrees with num_vcs");
-  for (int& c : credits_) c = static_cast<int>(r.i64());
+  for (std::int16_t& c : credits_) {
+    const std::int64_t v = r.i64();
+    if (v < 0 || v > params_.vc_depth)
+      throw snapshot::SnapshotError(
+          "NI credit count in checkpoint is out of range");
+    c = static_cast<std::int16_t>(v);
+  }
 
   sending_ = r.b();
   current_ = load_pending(r);

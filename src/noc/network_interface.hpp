@@ -3,10 +3,12 @@
 // arriving packets.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -45,9 +47,28 @@ class NetworkInterface {
     flit_balance_ = balance;
   }
 
-  /// Wires the four local channels between this NI and its router.
-  void connect(Pipe<Flit>* to_router, Pipe<Credit>* credit_from_router,
-               Pipe<Flit>* from_router, Pipe<Credit>* credit_to_router);
+  /// Wires the two local channels between this NI and its router, and
+  /// `router_credits`, the router's per-VC credit counters for its local
+  /// output, which ejected flits return their credits to.
+  void connect(Pipe<Flit>* to_router, Pipe<Flit>* from_router,
+               std::int16_t* router_credits);
+
+  /// Per-VC credits for the router's local input port: the router returns
+  /// here the credit of each slot an injected flit frees.
+  std::int16_t* credits() { return credits_.data(); }
+  int credits(VcId vc) const { return credits_[static_cast<std::size_t>(vc)]; }
+
+  /// Returns the credits of the flits this cycle's tick ejected to the
+  /// router's counters.  Called behind the phase barrier, like
+  /// Router::return_credits.
+  void return_credits() {
+    for (const VcId vc : ejected_vcs_) {
+      std::int16_t& c = router_credits_[vc];
+      ++c;
+      NOCS_ENSURES(c <= params_.vc_depth);
+    }
+    ejected_vcs_.clear();
+  }
 
   /// Marks this NI as an active traffic endpoint with the given logical id
   /// and endpoint table (logical id -> physical node).  Inactive NIs only
@@ -166,19 +187,11 @@ class NetworkInterface {
     return !idle();
   }
 
-  /// Ready time of the earliest pending flit/credit from the router, or
+  /// Ready time of the earliest pending flit from the router, or
   /// kNoPendingEvent.
   Cycle next_input_event() const {
-    Cycle earliest = kNoPendingEvent;
-    if (from_router_ != nullptr) {
-      const Cycle t = from_router_->next_ready_time();
-      if (t < earliest) earliest = t;
-    }
-    if (credit_from_router_ != nullptr) {
-      const Cycle t = credit_from_router_->next_ready_time();
-      if (t < earliest) earliest = t;
-    }
-    return earliest;
+    return from_router_ != nullptr ? from_router_->next_ready_time()
+                                   : kNoPendingEvent;
   }
 
   /// Callback invoked when new work appears outside tick() (direct
@@ -260,9 +273,8 @@ class NetworkInterface {
   std::int64_t* flit_balance_ = nullptr;
 
   Pipe<Flit>* to_router_ = nullptr;
-  Pipe<Credit>* credit_from_router_ = nullptr;
   Pipe<Flit>* from_router_ = nullptr;
-  Pipe<Credit>* credit_to_router_ = nullptr;
+  std::int16_t* router_credits_ = nullptr;
 
   int logical_id_ = -1;
   const std::vector<NodeId>* endpoints_ = nullptr;
@@ -271,7 +283,10 @@ class NetworkInterface {
   Rng rng_;
 
   std::deque<PendingPacket> source_queue_;
-  std::vector<int> credits_;  // per-VC credits for the router's local port
+  std::vector<std::int16_t> credits_;  // per-VC, the router's local port
+  /// VCs of the flits this tick ejected, owed to router_credits_ (room for
+  /// an ejection pipe's worth, so pushes never reallocate).
+  std::vector<VcId> ejected_vcs_;
 
   bool sending_ = false;
   PendingPacket current_{};

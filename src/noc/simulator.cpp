@@ -219,9 +219,11 @@ SimResults run_simulation(Network& net, const SimConfig& cfg,
                         static_cast<double>(net.now() - len),
                         static_cast<double>(len));
       net.stats().set_measuring(phase == 0);
-      // Flit conservation is checked at every phase boundary (and after
-      // the drain below) in every build: it is O(buffers), once per phase.
+      // Flit and credit conservation are checked at every phase boundary
+      // (and after the drain below) in every build: each is O(buffers),
+      // once per phase.
       net.check_flit_conservation();
+      net.check_credit_conservation();
       done_in_phase -= len;
       ++phase;
     }
@@ -262,6 +264,7 @@ SimResults run_simulation(Network& net, const SimConfig& cfg,
                       static_cast<double>(drain_start),
                       static_cast<double>(net.now() - drain_start));
     net.check_flit_conservation();
+    net.check_credit_conservation();
   }
 
   SimResults r;

@@ -159,22 +159,23 @@ TEST(Pipe, FifoOrderAndReadyTimesHoldAcrossFillDrainCycles) {
 
 TEST(Pipe, EmplacedPipeKeepsItsRingInline) {
   // The network builds each pipe in a cache-line-aligned block: a 48-byte
-  // header, then the ring.  Slot 0 of a credit pipe shares the header's
-  // line, and a flit in slot 0 ends within the block's second line.
-  static_assert(sizeof(Pipe<Credit>) == 48);
-  const std::size_t credit_bytes = Pipe<Credit>::block_bytes(1, 16);
-  EXPECT_EQ(credit_bytes % kCacheLine, 0u);
-  EXPECT_EQ(credit_bytes, align_up(48 + 16 * sizeof(Pipe<Credit>::Slot),
-                                   kCacheLine));
-  LineBlock block = new_line_block(credit_bytes);
-  Pipe<Credit>* credits = Pipe<Credit>::emplace(block.get(), 1, 16);
-  EXPECT_EQ(credits->capacity(), 16u);
-  credits->push(0, Credit{3});
-  const auto* head = reinterpret_cast<const std::byte*>(&credits->front(1));
+  // header, then the ring.  A 16-byte slot 0 shares the header's line,
+  // and a flit in slot 0 ends within the block's second line.
+  static_assert(sizeof(Pipe<int>) == 48);
+  static_assert(sizeof(Pipe<int>::Slot) == 16);
+  const std::size_t int_bytes = Pipe<int>::block_bytes(1, 16);
+  EXPECT_EQ(int_bytes % kCacheLine, 0u);
+  EXPECT_EQ(int_bytes,
+            align_up(48 + 16 * sizeof(Pipe<int>::Slot), kCacheLine));
+  LineBlock block = new_line_block(int_bytes);
+  Pipe<int>* ints = Pipe<int>::emplace(block.get(), 1, 16);
+  EXPECT_EQ(ints->capacity(), 16u);
+  ints->push(0, 3);
+  const auto* head = reinterpret_cast<const std::byte*>(&ints->front(1));
   EXPECT_GE(head, block.get() + 48);
-  EXPECT_LT(head + sizeof(Credit), block.get() + kCacheLine);
-  EXPECT_EQ(credits->pop(1).vc, 3);
-  std::destroy_at(credits);
+  EXPECT_LT(head + sizeof(int), block.get() + kCacheLine);
+  EXPECT_EQ(ints->pop(1), 3);
+  std::destroy_at(ints);
 
   const std::size_t flit_bytes = Pipe<Flit>::block_bytes(1, 16);
   LineBlock flit_block = new_line_block(flit_bytes);

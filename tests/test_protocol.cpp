@@ -130,8 +130,8 @@ TEST(MessageClasses, WrongClassVcArrivalDies) {
   const LineBlock state =
       new_line_block(Router::storage_bytes(p, topo.num_ports(5)));
   Router r(5, p, topo, &xy, state.get());
-  const auto credit = Pipe<Credit>::make(1);
-  r.connect_input(Port::kWest, pipe.get(), credit.get());
+  std::int16_t upstream_credits[4] = {};
+  r.connect_input(Port::kWest, pipe.get(), upstream_credits);
   pipe->push(0, f);
   r.note_input(static_cast<int>(Port::kWest));  // no network wakes it
   r.tick(0);

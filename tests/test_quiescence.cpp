@@ -1,11 +1,11 @@
 // Tests for the network's quiescence fast paths: the flit balance behind
-// Network::drained(), the flit conservation law, the per-port input bits,
-// and the hot-set bitsets.  Every scenario ticks cycle by cycle and
-// asserts, at each cycle boundary, that drained() agrees with the
-// reference scan, that conservation holds, that every non-empty router
-// input has its bit or a pending wake, and that hot_routers() equals a
-// per-node count — serially, sharded, across a mid-run sim_threads switch,
-// and across a mid-transfer restore.
+// Network::drained(), the flit and credit conservation laws, the per-port
+// input bits, and the hot-set bitsets.  Every scenario ticks cycle by
+// cycle and asserts, at each cycle boundary, that drained() agrees with
+// the reference scan, that both conservation laws hold, that every
+// non-empty router input has its bit or a pending wake, and that
+// hot_routers() equals a per-node count — serially, sharded, across a
+// mid-run sim_threads switch, and across a mid-transfer restore.
 //
 // These run under the `parallel` ctest label so the ThreadSanitizer CI job
 // covers the cross-barrier balances.
@@ -37,6 +37,7 @@ namespace {
            << "drained() disagrees with the reference scan at cycle "
            << net.now();
   net.check_flit_conservation();
+  net.check_credit_conservation();
   if (!net.input_wakes_armed())
     return ::testing::AssertionFailure()
            << "a non-empty router input has neither its bit nor a wake at "

@@ -23,7 +23,8 @@ struct InputSink final : WakeSink {
   void on_push(Cycle) override { router->note_input(bit); }
 };
 
-/// Harness wiring one router's local input and all outputs to test pipes.
+/// Harness wiring one router's inputs and outputs to test pipes, and each
+/// input's returned credits to a per-VC upstream counter starting at 0.
 class RouterHarness {
  public:
   explicit RouterHarness(NodeId id = 5, NetworkParams params = {})
@@ -37,19 +38,15 @@ class RouterHarness {
     constexpr int kCapacity = 64;
     for (int p = 0; p < kNumPorts; ++p) {
       in_flits_.emplace_back(Pipe<Flit>::make(1, kCapacity));
-      in_credits_.emplace_back(Pipe<Credit>::make(1, kCapacity));
+      upstream_credits_.emplace_back(
+          static_cast<std::size_t>(params.num_vcs), std::int16_t{0});
       out_flits_.emplace_back(Pipe<Flit>::make(1, kCapacity));
-      out_credits_.emplace_back(Pipe<Credit>::make(1, kCapacity));
       router_.connect_input(static_cast<Port>(p), in_flits_.back().get(),
-                            in_credits_.back().get());
-      router_.connect_output(static_cast<Port>(p), out_flits_.back().get(),
-                             out_credits_.back().get());
-      sinks_[2 * p].router = &router_;
-      sinks_[2 * p].bit = p;
-      sinks_[2 * p + 1].router = &router_;
-      sinks_[2 * p + 1].bit = Router::kCreditInput + p;
-      in_flits_.back()->set_sink(&sinks_[2 * p]);
-      out_credits_.back()->set_sink(&sinks_[2 * p + 1]);
+                            upstream_credits_.back().data());
+      router_.connect_output(static_cast<Port>(p), out_flits_.back().get());
+      sinks_[p].router = &router_;
+      sinks_[p].bit = p;
+      in_flits_.back()->set_sink(&sinks_[p]);
     }
   }
   RouterHarness(const RouterHarness&) = delete;
@@ -60,7 +57,13 @@ class RouterHarness {
     in_flits_[static_cast<std::size_t>(port)]->push(now_, f);
   }
 
-  void tick() { router_.tick(now_++); }
+  /// One cycle: the router's tick, then the credit return the network
+  /// runs behind its phase barrier.
+  void tick() {
+    tick_without_credit_return();
+    router_.return_credits();
+  }
+  void tick_without_credit_return() { router_.tick(now_++); }
 
   /// Ticks until `port`'s output pipe has a flit or `budget` cycles pass.
   bool tick_until_output(Port port, int budget) {
@@ -76,8 +79,10 @@ class RouterHarness {
     return out_flits_[static_cast<std::size_t>(port)]->pop(now_);
   }
 
-  bool credit_returned(Port port) {
-    return in_credits_[static_cast<std::size_t>(port)]->ready(now_);
+  /// Credits the router has returned for input `port`'s VC `vc`.
+  int credits_returned(Port port, VcId vc) const {
+    return upstream_credits_[static_cast<std::size_t>(port)]
+                            [static_cast<std::size_t>(vc)];
   }
 
   Cycle now() const { return now_; }
@@ -104,10 +109,9 @@ class RouterHarness {
   Router router_;
   Cycle now_ = 0;
   std::vector<Pipe<Flit>::Owner> in_flits_;
-  std::vector<Pipe<Credit>::Owner> in_credits_;
+  std::vector<std::vector<std::int16_t>> upstream_credits_;
   std::vector<Pipe<Flit>::Owner> out_flits_;
-  std::vector<Pipe<Credit>::Owner> out_credits_;
-  std::array<InputSink, 2 * kNumPorts> sinks_;
+  std::array<InputSink, kNumPorts> sinks_;
 };
 
 TEST(Router, FiveStagePipelineLatency) {
@@ -158,11 +162,21 @@ TEST(Router, RoutesEachDirectionAndLocal) {
 
 TEST(Router, CreditReturnedWhenFlitLeavesBuffer) {
   RouterHarness h;
-  h.inject(Port::kLocal, h.make_flit(7, 0));
-  ASSERT_TRUE(h.tick_until_output(Port::kEast, 20));
-  // ST at cycle 5 sends the credit upstream (1-cycle credit pipe): ready
-  // at cycle 6, which is `now` after tick_until_output stops.
-  EXPECT_TRUE(h.credit_returned(Port::kLocal));
+  h.inject(Port::kLocal, h.make_flit(7, 2));
+  // BW at cycle 1, RC 2, VA 3, SA 4: nothing has left the buffer yet.
+  for (int i = 0; i < 5; ++i) h.tick();
+  EXPECT_EQ(h.credits_returned(Port::kLocal, 2), 0);
+  // ST at cycle 5 frees the slot, but its credit reaches the upstream
+  // counter only with the return behind the phase barrier, so the sender
+  // can first spend it at cycle 6.
+  h.tick_without_credit_return();
+  EXPECT_EQ(h.credits_returned(Port::kLocal, 2), 0);
+  h.router().return_credits();
+  EXPECT_EQ(h.credits_returned(Port::kLocal, 2), 1);
+  EXPECT_EQ(h.credits_returned(Port::kLocal, 0), 0);
+  // Returned once: a later cycle frees nothing more.
+  h.tick();
+  EXPECT_EQ(h.credits_returned(Port::kLocal, 2), 1);
 }
 
 TEST(Router, WormholeKeepsPacketContiguousOnVc) {
