@@ -726,6 +726,54 @@ TEST(SnapshotResume, MismatchedNetworkRejected) {
   std::remove(path.c_str());
 }
 
+// tests/data/credit_pipes_3x3_cut250.nocsnap was written at cycle 250 of
+// run_pre_pipe_checkpoint_config() by a build that sent credits upstream
+// through 1-cycle pipes, so its credit-pipe sections hold 11 credits in
+// flight; this build writes them empty and folds such entries into the
+// receivers' counters on load.
+noc::SimResults run_pre_pipe_checkpoint_config(
+    const noc::CheckpointConfig& ckpt) {
+  noc::NetworkParams p;
+  p.width = 3;
+  p.height = 3;
+  p.vc_depth = 2;
+  const noc::XyRouting xy;
+  noc::Network net(p, &xy);
+  net.set_endpoints(p.shape().all_nodes(), noc::make_traffic("uniform", 9));
+  net.set_seed(3);
+  noc::SimConfig sim;
+  sim.warmup = 100;
+  sim.measure = 300;
+  sim.drain_max = 3000;
+  sim.injection_rate = 0.35;
+  return noc::run_simulation(net, sim, ckpt);
+}
+
+TEST(SnapshotResume, CreditPipeCheckpointFromAnOlderBuildResumesExactly) {
+  const std::string legacy =
+      std::string(NOCS_TEST_DATA_DIR) + "/credit_pipes_3x3_cut250.nocsnap";
+  const std::string fresh = tmp_path("credit_fold_fresh.nocsnap");
+  noc::CheckpointConfig stop;
+  stop.save_path = fresh;
+  stop.stop_at = 250;
+  ASSERT_TRUE(run_pre_pipe_checkpoint_config(stop).interrupted);
+  // The legacy file carries 11 credit entries (16 bytes each) that this
+  // build's checkpoint at the same cycle does not.
+  EXPECT_EQ(snapshot::load_file(legacy).remaining(),
+            snapshot::load_file(fresh).remaining() + 11 * 16);
+
+  const noc::SimResults reference = run_pre_pipe_checkpoint_config({});
+  for (const std::string& path : {legacy, fresh}) {
+    SCOPED_TRACE(path);
+    noc::CheckpointConfig resume;
+    resume.restore_path = path;
+    const noc::SimResults resumed = run_pre_pipe_checkpoint_config(resume);
+    EXPECT_FALSE(resumed.interrupted);
+    expect_identical(resumed, reference);
+  }
+  std::remove(fresh.c_str());
+}
+
 TEST(SnapshotResume, MissingExtraComponentRejected) {
   // A checkpoint taken with a fault injector cannot be restored without
   // one (the extras section would be left unread).
