@@ -1,6 +1,8 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -42,13 +44,28 @@ int default_sim_thread_count() {
 
 namespace {
 
-/// One no-op/pause iteration of a spin-wait loop.
-inline void spin_pause() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::this_thread::yield();
-#endif
+using Clock = std::chrono::steady_clock;
+
+/// The one wait of BarrierTeam: returns the first value of `word` that
+/// satisfies `done`.  Spins for `budget_ticks` steady-clock ticks, then
+/// parks in atomic::wait (a futex).  The spin yields rather than pauses:
+/// with more runnable threads than cores, a pausing spinner holds the
+/// core a team member with work is waiting for (8 shards on 4 cores ran
+/// 32x32 ticks 7x slower), while a yield on an otherwise idle core
+/// returns at once.  Whoever stores a value that may end the wait must
+/// notify `word`.
+template <class T, class Done>
+T await(const std::atomic<T>& word, Done done,
+        const std::atomic<Clock::rep>& budget_ticks) {
+  const Clock::time_point deadline =
+      Clock::now() +
+      Clock::duration(budget_ticks.load(std::memory_order_relaxed));
+  T v = word.load(std::memory_order_acquire);
+  for (; !done(v); v = word.load(std::memory_order_acquire)) {
+    if (Clock::now() < deadline) std::this_thread::yield();
+    else word.wait(v, std::memory_order_acquire);
+  }
+  return v;
 }
 
 }  // namespace
@@ -57,64 +74,35 @@ struct BarrierTeam::Impl {
   // Phase hand-off: run() writes `body`, then release-publishes a new
   // epoch; a worker acquire-loads the epoch, so the body pointer (and all
   // state the caller prepared before run()) is visible when it executes.
-  std::atomic<std::uint64_t> epoch{0};
+  // Shutdown is one more epoch with `stopping` set.
+  std::atomic<std::uint32_t> epoch{0};
   std::atomic<int> remaining{0};
-  std::atomic<bool> stopping{false};
+  bool stopping = false;
   const std::function<void(int)>* body = nullptr;
+  std::vector<std::exception_ptr> errors;  // one slot per shard
 
-  // Slow path: workers park here when no phase arrives within the spin
-  // budget (network idle between simulations).
-  std::mutex mu;
-  std::condition_variable cv;
-
-  std::mutex error_mu;
-  std::exception_ptr first_error;
+  // Spin budget of every wait: 8x the longer of the caller's last two
+  // body(0) times, enough for the normal imbalance between shards on
+  // dedicated cores.  Only busy time feeds it; a budget fed by waits would
+  // grow with the contention it causes.
+  std::atomic<Clock::rep> spin_ticks{0};
+  Clock::duration last_body{0};
 
   std::vector<std::thread> workers;
 
-  // Spin budget before parking: phases arrive back-to-back mid-simulation,
-  // so the fast path almost never parks; ~10^4 pause iterations is a few
-  // microseconds — far shorter than one wake-from-cv latency.  On a host
-  // with fewer cores than team members spinning steals the timeslice from
-  // the thread actually doing the work, so the budget drops to ~zero and
-  // waiters yield instead of pausing.
-  int spin_limit = 20000;
-  bool oversubscribed = false;
-
-  void wait_pause() const {
-    if (oversubscribed) std::this_thread::yield();
-    else spin_pause();
-  }
-
-  void record_error() {
-    std::lock_guard<std::mutex> lock(error_mu);
-    if (!first_error) first_error = std::current_exception();
-  }
-
   void worker_loop(int shard) {
-    std::uint64_t seen = 0;
+    std::uint32_t seen = 0;
     for (;;) {
-      int spins = 0;
-      while (epoch.load(std::memory_order_acquire) == seen) {
-        if (stopping.load(std::memory_order_acquire)) return;
-        if (++spins >= spin_limit) {
-          std::unique_lock<std::mutex> lock(mu);
-          cv.wait(lock, [&] {
-            return epoch.load(std::memory_order_acquire) != seen ||
-                   stopping.load(std::memory_order_acquire);
-          });
-          spins = 0;
-          continue;
-        }
-        wait_pause();
-      }
-      seen = epoch.load(std::memory_order_acquire);
+      seen = await(epoch, [&](std::uint32_t e) { return e != seen; },
+                   spin_ticks);
+      if (stopping) return;
       try {
         (*body)(shard);
       } catch (...) {
-        record_error();
+        errors[static_cast<std::size_t>(shard)] = std::current_exception();
       }
-      remaining.fetch_sub(1, std::memory_order_acq_rel);
+      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        remaining.notify_one();
     }
   }
 };
@@ -122,25 +110,16 @@ struct BarrierTeam::Impl {
 BarrierTeam::BarrierTeam(int num_shards)
     : impl_(new Impl), num_shards_(num_shards) {
   NOCS_EXPECTS(num_shards >= 1);
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw >= 1 && static_cast<int>(hw) < num_shards) {
-    impl_->oversubscribed = true;
-    impl_->spin_limit = 1;
-  }
+  impl_->errors.resize(static_cast<std::size_t>(num_shards));
   impl_->workers.reserve(static_cast<std::size_t>(num_shards - 1));
   for (int s = 1; s < num_shards; ++s)
     impl_->workers.emplace_back([impl = impl_, s] { impl->worker_loop(s); });
 }
 
 BarrierTeam::~BarrierTeam() {
-  impl_->stopping.store(true, std::memory_order_release);
-  {
-    // Empty critical section: a worker between its parked-predicate check
-    // and the actual sleep holds `mu`, so taking it here guarantees the
-    // notify below lands after the worker is really waiting.
-    std::lock_guard<std::mutex> lock(impl_->mu);
-  }
-  impl_->cv.notify_all();
+  impl_->stopping = true;
+  impl_->epoch.fetch_add(1, std::memory_order_release);
+  impl_->epoch.notify_all();
   for (std::thread& w : impl_->workers) w.join();
   delete impl_;
 }
@@ -151,27 +130,30 @@ void BarrierTeam::run(const std::function<void(int)>& body) {
     body(0);
     return;
   }
-  impl_->body = &body;
-  impl_->remaining.store(num_shards_ - 1, std::memory_order_relaxed);
-  impl_->epoch.fetch_add(1, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-  }
-  impl_->cv.notify_all();
+  Impl& im = *impl_;
+  im.body = &body;
+  im.remaining.store(num_shards_ - 1, std::memory_order_relaxed);
+  im.epoch.fetch_add(1, std::memory_order_release);
+  im.epoch.notify_all();
 
+  const Clock::time_point start = Clock::now();
   try {
     body(0);  // shard 0 runs inline on the calling thread
   } catch (...) {
-    impl_->record_error();
+    im.errors[0] = std::current_exception();
   }
-  while (impl_->remaining.load(std::memory_order_acquire) != 0)
-    impl_->wait_pause();
+  const Clock::duration took = Clock::now() - start;
+  im.spin_ticks.store((8 * std::max(took, im.last_body)).count(),
+                      std::memory_order_relaxed);
+  im.last_body = took;
+  await(im.remaining, [](int r) { return r == 0; }, im.spin_ticks);
 
-  if (impl_->first_error) {
-    std::exception_ptr err;
-    std::swap(err, impl_->first_error);
-    std::rethrow_exception(err);
+  std::exception_ptr first;
+  for (std::exception_ptr& e : im.errors) {
+    if (!first) first = e;
+    e = nullptr;
   }
+  if (first) std::rethrow_exception(first);
 }
 
 struct ThreadPool::Impl {

@@ -70,10 +70,10 @@ int default_sim_thread_count();
 /// barrier).  Two run() calls therefore never overlap, which is the
 /// synchronization the two-phase tick relies on.
 ///
-/// Workers spin briefly waiting for the next phase (phases are issued
-/// back-to-back while a simulation runs, so the wait is sub-microsecond)
-/// and park on a condition variable when idle longer, so an inactive
-/// network does not burn cores.  The first exception thrown by any body is
+/// Each wait, a worker's for the next phase and the caller's for the
+/// barrier, spins for 8x the caller's recent shard-0 body time and then
+/// parks in std::atomic::wait, so idle or outnumbered waiters give their
+/// cores back.  The first exception (lowest shard) thrown by any body is
 /// rethrown from run() after the barrier.
 class BarrierTeam {
  public:

@@ -172,6 +172,143 @@ TEST(DefaultSimThreadCount, EnvironmentAppliesOffPoolWorkersOnly) {
   ASSERT_EQ(::unsetenv("NOCS_SIM_THREADS"), 0);
 }
 
+// --- BarrierTeam ------------------------------------------------------------
+
+/// Runs `fn` and ends the process with a failure if it has not returned
+/// within `limit`.  A lost wake-up leaves a barrier parked for good and
+/// cannot be unwound, so this turns it into a failing suite, not a hang.
+void within(std::chrono::seconds limit, const std::function<void()>& fn) {
+  std::atomic<bool> done{false};
+  std::thread watchdog([&] {
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    while (!done.load(std::memory_order_acquire)) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        std::fprintf(stderr, "BarrierTeam hung for %llds: lost wake-up?\n",
+                     static_cast<long long>(limit.count()));
+        std::_Exit(1);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+  try {
+    fn();
+  } catch (...) {
+    done.store(true, std::memory_order_release);
+    watchdog.join();
+    throw;
+  }
+  done.store(true, std::memory_order_release);
+  watchdog.join();
+}
+
+/// Runs `phases` barrier phases on `team` and checks after each that every
+/// shard ran exactly once, shard 0 on the calling thread and every other
+/// shard always on the same worker.  Each shard writes only its own plain
+/// slots, so under TSan this also checks that the barrier orders them
+/// before the caller's reads.
+void expect_every_shard_once(BarrierTeam& team, int phases) {
+  const auto S = static_cast<std::size_t>(team.size());
+  std::vector<int> runs(S, 0);
+  std::vector<std::thread::id> ran_on(S);
+  for (int phase = 0; phase < phases; ++phase) {
+    team.run([&](int s) {
+      ++runs[static_cast<std::size_t>(s)];
+      const std::thread::id me = std::this_thread::get_id();
+      auto& first = ran_on[static_cast<std::size_t>(s)];
+      if (first == std::thread::id()) first = me;
+      else if (first != me) runs[static_cast<std::size_t>(s)] = -1;
+    });
+    for (std::size_t s = 0; s < S; ++s)
+      ASSERT_EQ(runs[s], phase + 1) << "shard " << s << ", phase " << phase;
+  }
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+}
+
+TEST(BarrierTeam, EveryShardRunsExactlyOncePerPhase) {
+  within(std::chrono::seconds(60), [] {
+    for (const int shards : {1, 2, 4}) {
+      BarrierTeam team(shards);
+      EXPECT_EQ(team.size(), shards);
+      expect_every_shard_once(team, 2000);
+    }
+  });
+}
+
+TEST(BarrierTeam, RethrowsTheLowestShardsExceptionAfterTheBarrier) {
+  within(std::chrono::seconds(60), [] {
+    BarrierTeam team(3);
+    std::vector<int> runs(3, 0);
+    auto throwing = [&](std::vector<int> throwers) {
+      return [&runs, throwers](int s) {
+        ++runs[static_cast<std::size_t>(s)];
+        if (std::find(throwers.begin(), throwers.end(), s) != throwers.end())
+          throw std::runtime_error("shard " + std::to_string(s));
+      };
+    };
+    auto message_of = [&](const std::function<void(int)>& body) {
+      try {
+        team.run(body);
+      } catch (const std::runtime_error& e) {
+        return std::string(e.what());
+      }
+      return std::string("no exception");
+    };
+    EXPECT_EQ(message_of(throwing({0})), "shard 0");
+    EXPECT_EQ(runs, (std::vector<int>{1, 1, 1}));  // nobody skipped
+    EXPECT_EQ(message_of(throwing({2})), "shard 2");
+    EXPECT_EQ(message_of(throwing({2, 1})), "shard 1");
+    EXPECT_EQ(runs, (std::vector<int>{3, 3, 3}));
+    // A rethrown error is consumed: the next phase runs clean.
+    EXPECT_EQ(message_of(throwing({})), "no exception");
+    EXPECT_EQ(runs, (std::vector<int>{4, 4, 4}));
+    expect_every_shard_once(team, 100);
+  });
+}
+
+TEST(BarrierTeam, PhaseAfterAnIdleGapRunsEveryShard) {
+  // 20 ms without a phase is far past any spin budget the short phases
+  // below measure, so every worker has parked when the next phase comes;
+  // the phase must wake all of them.
+  within(std::chrono::seconds(60), [] {
+    BarrierTeam team(4);
+    for (int gap = 0; gap < 5; ++gap) {
+      expect_every_shard_once(team, 50);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    // The caller parks too: a worker that sleeps past the budget must
+    // still release the barrier.
+    std::vector<int> runs(4, 0);
+    team.run([&](int s) {
+      if (s == 3) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ++runs[static_cast<std::size_t>(s)];
+    });
+    EXPECT_EQ(runs, (std::vector<int>{1, 1, 1, 1}));
+  });
+}
+
+TEST(BarrierTeam, DestructionWhileWorkersAreParkedReturns) {
+  within(std::chrono::seconds(60), [] {
+    {
+      BarrierTeam never_ran(4);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    BarrierTeam team(4);
+    expect_every_shard_once(team, 10);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  });
+}
+
+TEST(BarrierTeam, TeamLargerThanTheHostCompletesItsPhases) {
+  // More shards than cores: every wait must give its core up, or the
+  // shard that still has work cannot run.
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const int shards = static_cast<int>(std::min(hw, 14u)) + 2;
+  within(std::chrono::seconds(120), [&] {
+    BarrierTeam team(shards);
+    expect_every_shard_once(team, 10000);
+  });
+}
+
 // --- deterministic per-task seeds ----------------------------------------
 
 TEST(TaskSeed, IndexesTheSplitMixStream) {
