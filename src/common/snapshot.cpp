@@ -63,6 +63,15 @@ void Reader::need(std::size_t n) const {
                         " left");
 }
 
+std::int64_t Reader::i64_in(std::int64_t lo, std::int64_t hi,
+                           const char* owner, const char* field) {
+  const std::int64_t v = i64();
+  if (v < lo || v > hi)
+    throw SnapshotError(std::string(owner) + " " + field +
+                        " in checkpoint is out of range");
+  return v;
+}
+
 std::uint8_t Reader::u8() {
   need(1);
   return buf_[pos_++];

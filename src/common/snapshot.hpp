@@ -83,6 +83,10 @@ class Reader {
   std::uint32_t u32();
   std::uint64_t u64();
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+  /// i64() of a field that must lie in [lo, hi]; otherwise throws
+  /// "<owner> <field> in checkpoint is out of range".
+  std::int64_t i64_in(std::int64_t lo, std::int64_t hi, const char* owner,
+                      const char* field);
   bool b() { return u8() != 0; }
   double f64();
   std::string str();

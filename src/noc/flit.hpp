@@ -98,37 +98,32 @@ inline void save(snapshot::Writer& w, const Flit& f) {
   w.u64(f.ack_for);
 }
 
-/// Reads one 64-bit field of a narrowed Flit member, rejecting values
-/// outside [lo, hi].
-inline std::int64_t load_ranged(snapshot::Reader& r, std::int64_t lo,
-                                std::int64_t hi, const char* field) {
-  const std::int64_t v = r.i64();
-  if (v < lo || v > hi)
-    throw snapshot::SnapshotError(std::string("flit ") + field +
-                                  " in checkpoint is out of range");
-  return v;
+/// Reads a PacketKind byte, rejecting one past the last kind.
+inline PacketKind load_kind(snapshot::Reader& r, const char* owner) {
+  const std::uint8_t kind = r.u8();
+  if (kind > static_cast<std::uint8_t>(PacketKind::kMcast))
+    throw snapshot::SnapshotError(std::string(owner) +
+                                  " kind in checkpoint is out of range");
+  return static_cast<PacketKind>(kind);
 }
 
 inline void load(snapshot::Reader& r, Flit& f) {
   f.packet = r.u64();
   f.index = static_cast<std::int16_t>(
-      load_ranged(r, 0, kMaxPacketLength - 1, "index"));
+      r.i64_in(0, kMaxPacketLength - 1, "flit", "index"));
   f.is_head = r.b();
   f.is_tail = r.b();
   f.src = static_cast<NodeId>(r.i64());
   f.dst = static_cast<NodeId>(r.i64());
-  f.vc = static_cast<std::int8_t>(load_ranged(r, -1, kMaxVcs - 1, "vc"));
+  f.vc = static_cast<std::int8_t>(r.i64_in(-1, kMaxVcs - 1, "flit", "vc"));
   f.msg_class =
-      static_cast<std::int8_t>(load_ranged(r, 0, kMaxVcs - 1, "msg_class"));
+      static_cast<std::int8_t>(r.i64_in(0, kMaxVcs - 1, "flit", "msg_class"));
   f.created = r.u64();
   f.injected = r.u64();
-  f.hops = static_cast<std::int16_t>(load_ranged(r, 0, kMaxHops, "hops"));
+  f.hops = static_cast<std::int16_t>(r.i64_in(0, kMaxHops, "flit", "hops"));
   f.measured = r.b();
   f.corrupted = r.b();
-  const std::uint8_t kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(PacketKind::kMcast))
-    throw snapshot::SnapshotError("flit kind in checkpoint is out of range");
-  f.kind = static_cast<PacketKind>(kind);
+  f.kind = load_kind(r, "flit");
   f.ack_for = r.u64();
 }
 

@@ -463,15 +463,19 @@ void NetworkInterface::save_pending(snapshot::Writer& w,
 }
 
 NetworkInterface::PendingPacket NetworkInterface::load_pending(
-    snapshot::Reader& r) {
+    snapshot::Reader& r, int min_length) const {
+  constexpr const char* kOwner = "pending packet";
   PendingPacket p{};
   p.id = r.u64();
-  p.dst = static_cast<NodeId>(r.i64());
+  p.dst =
+      static_cast<NodeId>(r.i64_in(0, params_.num_nodes() - 1, kOwner, "dst"));
   p.created = r.u64();
   p.measured = r.b();
-  p.msg_class = static_cast<int>(r.i64());
-  p.length = static_cast<int>(r.i64());
-  p.kind = static_cast<PacketKind>(r.u8());
+  p.msg_class = static_cast<int>(
+      r.i64_in(0, params_.num_classes - 1, kOwner, "msg_class"));
+  p.length = static_cast<int>(
+      r.i64_in(min_length, kMaxPacketLength, kOwner, "length"));
+  p.kind = load_kind(r, kOwner);
   p.ack_for = r.u64();
   return p;
 }
@@ -532,7 +536,7 @@ void NetworkInterface::load_state(snapshot::Reader& r) {
   source_queue_.clear();
   const auto queued = r.i64();
   for (std::int64_t i = 0; i < queued; ++i)
-    source_queue_.push_back(load_pending(r));
+    source_queue_.push_back(load_pending(r, 1));
 
   const auto num_credits = r.i64();
   if (num_credits != static_cast<std::int64_t>(credits_.size()))
@@ -547,7 +551,7 @@ void NetworkInterface::load_state(snapshot::Reader& r) {
   }
 
   sending_ = r.b();
-  current_ = load_pending(r);
+  current_ = load_pending(r, sending_ ? 1 : 0);  // never sent: length 0
   flits_sent_ = static_cast<int>(r.i64());
   current_vc_ = static_cast<VcId>(r.i64());
   head_injected_ = r.u64();
@@ -558,7 +562,7 @@ void NetworkInterface::load_state(snapshot::Reader& r) {
   for (std::int64_t i = 0; i < num_unacked; ++i) {
     const PacketId pid = r.u64();
     Unacked u{};
-    u.pkt = load_pending(r);
+    u.pkt = load_pending(r, 1);
     u.deadline = r.u64();
     u.retries = static_cast<int>(r.i64());
     unacked_.emplace(pid, u);

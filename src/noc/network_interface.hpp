@@ -243,7 +243,8 @@ class NetworkInterface {
   };
 
   static void save_pending(snapshot::Writer& w, const PendingPacket& p);
-  static PendingPacket load_pending(snapshot::Reader& r);
+  /// Rejects a kind, class, length or destination this network cannot hold.
+  PendingPacket load_pending(snapshot::Reader& r, int min_length) const;
 
   /// Packs/unpacks the multicast tree descriptor carried in Flit::ack_for:
   /// group id (24 bits) | subrange lo (20 bits) | subrange hi (20 bits).

@@ -654,11 +654,7 @@ void Router::load_state(snapshot::Reader& r) {
   // rather than truncated.
   const auto ranged = [&r](std::int64_t lo, std::int64_t hi,
                            const char* field) {
-    const std::int64_t v = r.i64();
-    if (v < lo || v > hi)
-      throw snapshot::SnapshotError(std::string("router ") + field +
-                                    " in checkpoint is out of range");
-    return v;
+    return r.i64_in(lo, hi, "router", field);
   };
   const int nv = params_.num_vcs;
   const int slots = num_slots();

@@ -16,6 +16,7 @@
 #include "common/snapshot.hpp"
 #include "common/stats.hpp"
 #include "fault/fault_injector.hpp"
+#include "noc/network_interface.hpp"
 #include "noc/parallel_sweep.hpp"
 #include "noc/router.hpp"
 #include "noc/routing.hpp"
@@ -388,6 +389,115 @@ TEST_F(RouterLoadRange, InputOutVcMustFit) {
   rec.in_out_vc = 200;  // past int8
   EXPECT_THROW(load(rec), snapshot::SnapshotError);
   rec.in_out_vc = 4;  // fits int8, names no VC
+  EXPECT_THROW(load(rec), snapshot::SnapshotError);
+}
+
+// An NI checkpoint stores each pending packet's kind as a byte and its
+// class, length and destination at 64 bits.  `NiRecord` lays out one NI's
+// section as NetworkInterface::save_state does, with one queued packet
+// open to override and an idle, never-sending current_ (all zeros).
+struct NiRecord {
+  std::uint8_t kind = 0;
+  std::int64_t msg_class = 1;
+  std::int64_t length = 5;
+  std::int64_t dst = 3;
+
+  std::vector<std::uint8_t> bytes(const noc::NetworkParams& p) const {
+    snapshot::Writer w;
+    w.begin_section("ni");
+    for (int i = 0; i < 4; ++i) w.u64(i + 1);  // rng state
+    w.i64(1);                                  // source queue
+    pending(w, 7, dst, msg_class, length, kind);
+    w.i64(p.num_vcs);
+    for (int v = 0; v < p.num_vcs; ++v) w.i64(p.vc_depth);
+    w.b(false);                     // sending
+    pending(w, 0, 0, 0, 0, 0);      // current_ of an NI that never sent
+    w.i64(0);                       // flits_sent
+    w.i64(-1);                      // current_vc
+    w.u64(0);                       // head_injected
+    w.i64(0);                       // vc_rr
+    w.i64(0);                       // unacked
+    w.u64(0);                       // next_deadline
+    w.i64(0);                       // rx state
+    w.i64(0);                       // delivered
+    for (int i = 0; i < 3; ++i) w.u64(0);  // generated, ejected, next id
+    w.end_section();
+    return w.bytes();
+  }
+
+  static void pending(snapshot::Writer& w, std::uint64_t id, std::int64_t dst,
+                      std::int64_t msg_class, std::int64_t length,
+                      std::uint8_t kind) {
+    w.u64(id);
+    w.i64(dst);
+    w.u64(0);  // created
+    w.b(false);
+    w.i64(msg_class);
+    w.i64(length);
+    w.u8(kind);
+    w.u64(0);  // ack_for
+  }
+};
+
+class NiLoadRange : public ::testing::Test {
+ protected:
+  NiLoadRange() : ni_(0, params(), &stats_) {}
+
+  static noc::NetworkParams params() {
+    noc::NetworkParams p;
+    p.width = 2;
+    p.height = 2;
+    p.num_classes = 2;
+    return p;
+  }
+
+  void load(const NiRecord& rec) {
+    snapshot::Reader r(rec.bytes(params()));
+    ni_.load_state(r);
+  }
+
+  noc::StatsCollector stats_;
+  noc::NetworkInterface ni_;
+};
+
+TEST_F(NiLoadRange, ValidRecordLoads) {
+  EXPECT_NO_THROW(load(NiRecord{}));
+  EXPECT_EQ(ni_.source_queue_depth(), 1u);
+  NiRecord edge;
+  edge.kind = static_cast<std::uint8_t>(noc::PacketKind::kMcast);
+  edge.msg_class = 0;
+  edge.length = noc::kMaxPacketLength;
+  edge.dst = 0;
+  EXPECT_NO_THROW(load(edge));
+}
+
+TEST_F(NiLoadRange, KindMustBeKnown) {
+  NiRecord rec;
+  rec.kind = static_cast<std::uint8_t>(noc::PacketKind::kMcast) + 1;
+  EXPECT_THROW(load(rec), snapshot::SnapshotError);
+}
+
+TEST_F(NiLoadRange, ClassMustFit) {
+  NiRecord rec;
+  rec.msg_class = 2;  // num_classes
+  EXPECT_THROW(load(rec), snapshot::SnapshotError);
+  rec.msg_class = -1;
+  EXPECT_THROW(load(rec), snapshot::SnapshotError);
+}
+
+TEST_F(NiLoadRange, LengthMustFit) {
+  NiRecord rec;
+  rec.length = 0;  // only an idle current_ may hold length 0
+  EXPECT_THROW(load(rec), snapshot::SnapshotError);
+  rec.length = noc::kMaxPacketLength + 1;
+  EXPECT_THROW(load(rec), snapshot::SnapshotError);
+}
+
+TEST_F(NiLoadRange, DestinationMustBeANode) {
+  NiRecord rec;
+  rec.dst = 4;  // num_nodes
+  EXPECT_THROW(load(rec), snapshot::SnapshotError);
+  rec.dst = -1;
   EXPECT_THROW(load(rec), snapshot::SnapshotError);
 }
 
