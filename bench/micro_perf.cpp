@@ -20,8 +20,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
+#include <string>
 #include <thread>
 
 #include "bench_util.hpp"
@@ -200,7 +200,7 @@ class DequeVcBuffer {
 template <typename Buffer>
 void run_buffer_benchmark(benchmark::State& state, Buffer& buf) {
   noc::Flit f;
-  f.packet = 42;
+  f.record = 42;
   std::int64_t items = 0;
   for (auto _ : state) {
     // One wormhole burst: fill the VC, then drain it.
@@ -469,16 +469,23 @@ void emit_bench_json() {
 }  // namespace
 
 // The BENCH_noc.json suite takes about a minute and overwrites
-// ./BENCH_noc.json, so a filter naming cases times only those cases; the
-// suite runs without a filter, or with one that selects no case ('^$').
+// ./BENCH_noc.json, so a filter naming cases times only those cases and
+// --benchmark_list_tests only lists them; the suite runs without a
+// filter, or with one that selects no case ('^$').
 int main(int argc, char** argv) {
-  const bool filtered = std::any_of(argv + 1, argv + argc, [](const char* a) {
-    return std::strncmp(a, "--benchmark_filter", 18) == 0;
-  });
+  const auto given = [&](const char* flag) {
+    return std::any_of(argv + 1, argv + argc, [flag](const char* a) {
+      const std::string arg = a;
+      return arg.rfind(flag, 0) == 0 && !arg.ends_with("=false") &&
+             !arg.ends_with("=0");
+    });
+  };
+  const bool filtered = given("--benchmark_filter");
+  const bool listing = given("--benchmark_list_tests");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   const std::size_t ran = benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!filtered || ran == 0) emit_bench_json();
+  if (!listing && (!filtered || ran == 0)) emit_bench_json();
   return 0;
 }

@@ -235,8 +235,7 @@ int mode_sweep(const Config& cfg) {
   // checkpoint= names a task manifest: each finished point is recorded
   // immediately, and a re-run with the same arguments replays completed
   // points instead of re-simulating them.
-  snapshot::TaskManifest manifest(
-      checkpoint, noc::sweep_fingerprint(scenario.rates(), scenario.seed()));
+  snapshot::TaskManifest manifest(checkpoint, scenario.fingerprint());
   // One independent network per point, seeded per task: results are
   // identical for any threads= value (threads=1 is the plain serial loop).
   // threads= parallelizes across points, sim_threads= shards each point's

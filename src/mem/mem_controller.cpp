@@ -39,7 +39,8 @@ MemController::MemController(NodeId node, const MemParams& params,
   NOCS_EXPECTS(ni != nullptr && ni->id() == node);
 }
 
-void MemController::on_packet(Cycle now, const noc::Flit& tail) {
+void MemController::on_packet(Cycle now, const noc::Flit& tail,
+                              const noc::PacketRecord& packet) {
   // Only plain class-0 data packets are memory requests; replies,
   // multicast segments, and other virtual networks pass through to the
   // node's ordinary ejection path untouched.
@@ -48,7 +49,7 @@ void MemController::on_packet(Cycle now, const noc::Flit& tail) {
     return;
   const int length = tail.index + 1;
   Request req;
-  req.src = tail.src;
+  req.src = packet.src;
   req.write = length > 1;
   req.data_flits = req.write ? length : params_.reply_length;
   req.arrived = now;

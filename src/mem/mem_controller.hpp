@@ -53,7 +53,8 @@ class MemController final : public noc::LocalAgent {
                 noc::NetworkInterface* ni);
 
   // --- LocalAgent -----------------------------------------------------------
-  void on_packet(Cycle now, const noc::Flit& tail) override;
+  void on_packet(Cycle now, const noc::Flit& tail,
+                 const noc::PacketRecord& packet) override;
   void tick(Cycle now) override;
   bool busy_next_cycle() const override {
     return serving_ || !queue_.empty();

@@ -8,7 +8,9 @@
 // in ports * vcs heap allocations.
 //
 // The buffer is 16 bytes: the storage pointer and three int16 indices.
-// Its ring rewinds: when the last flit leaves, the head returns to slot
+// A slot is one 16-byte Flit (the packet's bookkeeping stays in its
+// PacketRecord), so a VC of depth 4 fills one cache line.  Its ring
+// rewinds: when the last flit leaves, the head returns to slot
 // 0, so a VC that carries one packet at a time keeps reusing the same
 // first slots instead of walking the whole ring.  The
 // ring phase is not observable (checkpoints store flits oldest-first), so
@@ -19,6 +21,7 @@
 
 #include "common/assert.hpp"
 #include "noc/flit.hpp"
+#include "noc/packet_record.hpp"
 
 namespace nocs::noc {
 
@@ -64,17 +67,24 @@ class VcBuffer {
     return f;
   }
 
-  /// Checkpoint: buffered flits oldest-first.  The ring phase (head index)
-  /// is not part of the observable state, so load_state rebuilds the queue
-  /// from slot 0 — contents and order are what must round-trip.
-  void save_state(snapshot::Writer& w) const {
+  /// Calls visit(flit) for every buffered flit, oldest first.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for (int i = 0; i < count_; ++i) visit(slots_[wrap(head_ + i)]);
+  }
+
+  /// Checkpoint: buffered flits oldest-first, each with its packet's
+  /// record fields.  The ring phase (head index) is not part of the
+  /// observable state, so load_state rebuilds the queue from slot 0 —
+  /// contents and order are what must round-trip.
+  void save_state(snapshot::Writer& w, const PacketRecords& records) const {
     w.begin_section("vc_buffer");
     w.i64(count_);
-    for (int i = 0; i < count_; ++i) save(w, slots_[wrap(head_ + i)]);
+    for_each([&](const Flit& f) { records.save(w, f); });
     w.end_section();
   }
 
-  void load_state(snapshot::Reader& r) {
+  void load_state(snapshot::Reader& r, RecordRestore& restore) {
     r.begin_section("vc_buffer");
     const std::int64_t n = r.i64();
     if (n < 0 || n > capacity_)
@@ -82,7 +92,7 @@ class VcBuffer {
           "vc buffer occupancy in checkpoint exceeds configured capacity");
     head_ = 0;
     count_ = static_cast<std::int16_t>(n);
-    for (int i = 0; i < count_; ++i) load(r, slots_[i]);
+    for (int i = 0; i < count_; ++i) restore.load(r, slots_[i]);
     r.end_section();
   }
 

@@ -27,7 +27,8 @@
 // right after it, in one cache-line-aligned block (Pipe::emplace), so
 // the counters and ring slot 0 share the block's first line.  The
 // header's 40 bytes of fields are padded to 48 so that the ring starts
-// 16-byte aligned.
+// 16-byte aligned.  A flit slot is 24 bytes (the ready cycle and a
+// 16-byte Flit), so a Table-1 flit pipe of 16 slots is a 448-byte block.
 #pragma once
 
 #include <atomic>

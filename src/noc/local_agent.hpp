@@ -20,10 +20,12 @@ class LocalAgent {
  public:
   virtual ~LocalAgent() = default;
 
-  /// Delivery of one complete packet: called with the tail flit of every
-  /// packet this NI ejects (data and multicast alike; ACK/NACK control
-  /// packets are not delivered).  The agent filters by msg_class/kind.
-  virtual void on_packet(Cycle now, const Flit& tail) = 0;
+  /// Delivery of one complete packet: called with the tail flit and the
+  /// record of every packet this NI ejects (data and multicast alike;
+  /// ACK/NACK control packets are not delivered).  The record is released
+  /// when the call returns.  The agent filters by msg_class/kind.
+  virtual void on_packet(Cycle now, const Flit& tail,
+                         const PacketRecord& packet) = 0;
 
   /// Advances the agent one cycle (service queues, emit replies).
   virtual void tick(Cycle now) = 0;

@@ -218,11 +218,18 @@ void Network::rebuild_shards() {
         shard_of_[static_cast<std::size_t>(l.dst)])
       remote[static_cast<std::size_t>(l.dst)] |= std::uint32_t{1}
                                                   << l.dst_port;
+  // Each shard's NIs start at most one packet each per cycle.
+  std::vector<std::size_t> wants;
+  for (const Shard& sh : shards_)
+    wants.push_back(static_cast<std::size_t>(sh.end - sh.begin));
+  records_.set_pools(wants);
   for (NodeId id = 0; id < n; ++id) {
-    Shard& sh = shards_[shard_of_[static_cast<std::size_t>(id)]];
+    const std::uint32_t s = shard_of_[static_cast<std::size_t>(id)];
+    Shard& sh = shards_[s];
     NetworkInterface& ni = *nis_[static_cast<std::size_t>(id)];
     ni.set_stats(S > 1 ? &sh.stats : &stats_);
     ni.set_flit_balance(&sh.flit_balance);
+    ni.set_records(&records_, &records_.pool(s));
     routers_[static_cast<std::size_t>(id)]->reset_inputs(
         remote[static_cast<std::size_t>(id)]);
   }
@@ -415,6 +422,7 @@ void Network::tick() {
     for (Shard& sh : shards_) sh.stats.drain_deferred();
     for (Shard& sh : shards_) sh.outbox.clear();
   }
+  records_.refill();
   ++now_;
 }
 
@@ -579,6 +587,16 @@ void Network::check_flit_conservation() const {
   NOCS_ENSURES(flits_in_flight() == counted_flits());
 }
 
+void Network::check_packet_records() const {
+  std::vector<RecordRef> held;
+  const auto hold = [&held](const Flit& f) { held.push_back(f.record); };
+  for (const auto& r : routers_) r->for_each_buffered(hold);
+  for (const auto& p : flit_pipes_) p->for_each(hold);
+  for (const auto& ni : nis_)
+    if (const auto ref = ni->injecting_record()) held.push_back(*ref);
+  records_.check_live(held);
+}
+
 void Network::check_credit_conservation() const {
   const int nv = params_.num_vcs;
   std::vector<int> in_pipe(static_cast<std::size_t>(nv));
@@ -683,10 +701,10 @@ void Network::save_state(snapshot::Writer& w) const {
   w.i64(static_cast<std::int64_t>(flit_pipes_.size()));
 
   w.u64(now_);
-  for (const auto& r : routers_) r->save_state(w);
+  for (const auto& r : routers_) r->save_state(w, records_);
   for (const auto& ni : nis_) ni->save_state(w);
-  const auto save_flit = [](snapshot::Writer& sw, const Flit& f) {
-    save(sw, f);
+  const auto save_flit = [this](snapshot::Writer& sw, const Flit& f) {
+    records_.save(sw, f);
   };
   for (const auto& p : flit_pipes_) p->save_state(w, save_flit);
   // The format keeps one credit-pipe section per flit pipe.  Credits are
@@ -735,11 +753,17 @@ void Network::load_state(snapshot::Reader& r) {
     throw snapshot::SnapshotError(
         "checkpoint channel count disagrees with this network's topology");
 
+  // The checkpoint keeps every flit's packet fields; the records are
+  // rebuilt from them (see RecordRestore).
+  RecordRestore restore(records_);
   now_ = r.u64();
-  for (auto& rt : routers_) rt->load_state(r);
+  for (auto& rt : routers_) rt->load_state(r, restore);
   for (auto& ni : nis_) ni->load_state(r);
-  const auto load_flit = [](snapshot::Reader& sr, Flit& f) { load(sr, f); };
+  const auto load_flit = [&restore](snapshot::Reader& sr, Flit& f) {
+    restore.load(sr, f);
+  };
   for (auto& p : flit_pipes_) p->load_state(r, load_flit);
+  for (auto& ni : nis_) ni->restore_record(restore);
   // Credit-pipe sections: empty when this code wrote them.  A checkpoint
   // from a build that sent credits through pipes may hold some; every one
   // was receivable by now_ (1-cycle pipes), so it folds into the counter
@@ -786,6 +810,7 @@ void Network::load_state(snapshot::Reader& r) {
   // different sim_threads than the checkpoint was written with exact.
   // The flit balance is not serialized: it is re-derived from the
   // restored buffers and pipes, so the snapshot format is unchanged.
+  // rebuild_shards also hands the free records back to the shards' pools.
   rebuild_shards();
   flit_base_ = counted_flits();
 }

@@ -12,6 +12,7 @@
 
 #include "common/parallel.hpp"
 #include "noc/network_interface.hpp"
+#include "noc/packet_record.hpp"
 #include "noc/params.hpp"
 #include "noc/router.hpp"
 #include "noc/routing.hpp"
@@ -240,6 +241,12 @@ class Network {
   /// flits counted in router input buffers plus flit-pipe occupancy.
   void check_flit_conservation() const;
 
+  /// Packet record conservation law: aborts unless the live records are
+  /// exactly the packets with a flit in a router buffer or flit pipe plus
+  /// those an NI is mid-way through injecting, with no record released
+  /// twice.  O(records + flits).
+  void check_packet_records() const;
+
   /// Sum of all router counters (for power estimation).
   RouterCounters total_counters() const;
 
@@ -307,6 +314,11 @@ class Network {
   //                         then cools its own quiescent nodes.  Only owner
   //                         shards ever write their hot bits, input bits,
   //                         wheels and flit balances.
+  //
+  // Packet records follow the same ownership: an NI acquires and releases
+  // them only through its shard's pool, and after phase 2 the caller
+  // thread refills every pool (PacketRecords::refill), serially and also
+  // when serial, so no phase sees record storage grow.
   //
   // Credit return rule.  Credits travel in no pipe: in phase 2 a router
   // adds one credit per buffer slot its switch traversal freed to the
@@ -450,6 +462,8 @@ class Network {
   /// Flits in flight not accounted in any shard's balance: folded in when
   /// the shards are rebuilt, re-derived from the buffers on load_state.
   std::int64_t flit_base_ = 0;
+  /// Every flit's packet bookkeeping, one pool per shard.
+  PacketRecords records_;
 
   StatsCollector stats_;
 };

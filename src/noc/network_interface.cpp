@@ -185,20 +185,21 @@ void NetworkInterface::send_mcast_range(Cycle now, int group, int lo, int hi,
   if (wake_cb_) wake_cb_();
 }
 
-void NetworkInterface::handle_mcast(Cycle now, const Flit& f) {
+void NetworkInterface::handle_mcast(Cycle now, const Flit& f,
+                                    const PacketRecord& rec) {
   // Delivery statistics mirror the plain data path; `created` is
   // propagated through the tree, so packet latency measures source ->
   // member end to end (hops are per-segment).
   if (f.measured) {
     stats_->on_flit_ejected();
     if (f.is_tail)
-      stats_->on_packet_ejected(static_cast<double>(now - f.created),
-                                static_cast<double>(now - f.injected), f.hops,
-                                f.msg_class);
+      stats_->on_packet_ejected(static_cast<double>(now - rec.created),
+                                static_cast<double>(now - rec.injected),
+                                f.hops, f.msg_class);
   }
   if (!f.is_tail) return;
   int group = 0, lo = 0, hi = 0;
-  unpack_mcast(f.ack_for, &group, &lo, &hi);
+  unpack_mcast(rec.ack_for, &group, &lo, &hi);
   NOCS_EXPECTS(mcast_groups_ != nullptr &&
                group < static_cast<int>(mcast_groups_->size()));
   const std::vector<NodeId>& members =
@@ -206,11 +207,11 @@ void NetworkInterface::handle_mcast(Cycle now, const Flit& f) {
   const int mid = lo + (hi - lo) / 2;
   NOCS_EXPECTS(members[static_cast<std::size_t>(mid)] == id_);
   const int length = f.index + 1;
-  send_mcast_range(now, group, lo, mid - 1, f.created, f.measured,
+  send_mcast_range(now, group, lo, mid - 1, rec.created, f.measured,
                    f.msg_class, length, /*relay=*/true);
-  send_mcast_range(now, group, mid + 1, hi, f.created, f.measured,
+  send_mcast_range(now, group, mid + 1, hi, rec.created, f.measured,
                    f.msg_class, length, /*relay=*/true);
-  if (agent_ != nullptr) agent_->on_packet(now, f);
+  if (agent_ != nullptr) agent_->on_packet(now, f, rec);
 }
 
 Cycle NetworkInterface::backoff(int retries) const {
@@ -292,53 +293,58 @@ void NetworkInterface::eject(Cycle now) {
     NOCS_ENSURES(ejected_vcs_.size() < ejected_vcs_.capacity());
     ejected_vcs_.push_back(f.vc);
     ++total_ejected_flits_;
-    if (f.kind == PacketKind::kMcast) {
-      // Tree segment: record, forward the remaining subranges, deliver.
-      handle_mcast(now, f);
-      continue;
-    }
-    if (protection_) {
-      eject_protected(now, f);
-      continue;
-    }
-    if (f.measured) {
-      stats_->on_flit_ejected();
-      if (f.is_tail) {
-        stats_->on_packet_ejected(
-            static_cast<double>(now - f.created),
-            static_cast<double>(now - f.injected), f.hops, f.msg_class);
-      }
-    }
-    // Node-local agent delivery (memory controllers consume class-0
-    // requests here and enqueue replies from their tick).
-    if (agent_ != nullptr && f.is_tail) agent_->on_packet(now, f);
-    // Protocol mode: a completed request triggers a data reply on the
-    // response class — the dependence that makes class partitioning
-    // necessary for protocol-deadlock freedom.
-    if (request_reply_ && f.is_tail && f.msg_class == 0)
-      send_packet(now, f.src, /*msg_class=*/1, reply_length_);
+    const PacketRecord& rec = (*records_)[f.record];
+    if (f.kind == PacketKind::kMcast)
+      handle_mcast(now, f, rec);  // record, forward the subranges, deliver
+    else if (protection_)
+      eject_protected(now, f, rec);
+    else
+      eject_plain(now, f, rec);
+    // Every path above is done with the packet once its tail is through.
+    if (f.is_tail) pool_->release(f.record);
   }
 }
 
-void NetworkInterface::eject_protected(Cycle now, const Flit& f) {
+void NetworkInterface::eject_plain(Cycle now, const Flit& f,
+                                   const PacketRecord& rec) {
+  if (f.measured) {
+    stats_->on_flit_ejected();
+    if (f.is_tail) {
+      stats_->on_packet_ejected(static_cast<double>(now - rec.created),
+                                static_cast<double>(now - rec.injected),
+                                f.hops, f.msg_class);
+    }
+  }
+  // Node-local agent delivery (memory controllers consume class-0
+  // requests here and enqueue replies from their tick).
+  if (agent_ != nullptr && f.is_tail) agent_->on_packet(now, f, rec);
+  // Protocol mode: a completed request triggers a data reply on the
+  // response class — the dependence that makes class partitioning
+  // necessary for protocol-deadlock freedom.
+  if (request_reply_ && f.is_tail && f.msg_class == 0)
+    send_packet(now, rec.src, /*msg_class=*/1, reply_length_);
+}
+
+void NetworkInterface::eject_protected(Cycle now, const Flit& f,
+                                       const PacketRecord& rec) {
   if (f.kind != PacketKind::kData) {
     // Single-flit control packet.  A corrupted one is ignored — the data
     // sender's timeout covers a lost ACK/NACK.
     if (f.corrupted) return;
     if (f.kind == PacketKind::kAck) {
-      unacked_.erase(f.ack_for);
+      unacked_.erase(rec.ack_for);
     } else {
-      const auto it = unacked_.find(f.ack_for);
+      const auto it = unacked_.find(rec.ack_for);
       if (it != unacked_.end()) queue_retransmit(now, it->second);
     }
     return;
   }
-  RxPacket& rx = rx_state_[f.packet];
+  RxPacket& rx = rx_state_[rec.packet];
   rx.corrupted |= f.corrupted;
   if (f.measured) ++rx.measured_flits;
   if (!f.is_tail) return;
   const RxPacket done = rx;
-  rx_state_.erase(f.packet);
+  rx_state_.erase(rec.packet);
   if (done.corrupted) {
     // Checksum failure over the whole packet: discard and request a
     // retransmission straight away instead of waiting out the timeout.
@@ -346,13 +352,13 @@ void NetworkInterface::eject_protected(Cycle now, const Flit& f) {
     if (trace::enabled())
       trace::instant("packet_corrupted", "ni", trace::kSimPid, id_,
                      static_cast<double>(now));
-    send_control(now, f.src, PacketKind::kNack, f.packet, f.msg_class);
+    send_control(now, rec.src, PacketKind::kNack, rec.packet, f.msg_class);
     return;
   }
   // Acknowledge every clean copy — a duplicate means the previous ACK was
   // lost or overtaken by the sender's timeout, so it must be re-sent.
-  send_control(now, f.src, PacketKind::kAck, f.packet, f.msg_class);
-  if (!delivered_.insert(f.packet).second) {
+  send_control(now, rec.src, PacketKind::kAck, rec.packet, f.msg_class);
+  if (!delivered_.insert(rec.packet).second) {
     ++stats_->resilience().duplicates;
     return;
   }
@@ -360,12 +366,12 @@ void NetworkInterface::eject_protected(Cycle now, const Flit& f) {
   // corrupted/duplicate copies never inflate the measured statistics.
   if (done.measured_flits > 0) {
     for (int i = 0; i < done.measured_flits; ++i) stats_->on_flit_ejected();
-    stats_->on_packet_ejected(static_cast<double>(now - f.created),
-                              static_cast<double>(now - f.injected), f.hops,
+    stats_->on_packet_ejected(static_cast<double>(now - rec.created),
+                              static_cast<double>(now - rec.injected), f.hops,
                               f.msg_class);
   }
   if (request_reply_ && f.msg_class == 0)
-    send_packet(now, f.src, /*msg_class=*/1, reply_length_);
+    send_packet(now, rec.src, /*msg_class=*/1, reply_length_);
 }
 
 void NetworkInterface::generate(Cycle now) {
@@ -421,24 +427,24 @@ void NetworkInterface::inject(Cycle now) {
     flits_sent_ = 0;
     current_vc_ = chosen;
     head_injected_ = now;
+    // Every flit of the packet carries only this record's ref.
+    current_ref_ = pool_->acquire();
+    (*records_)[current_ref_] = {current_.id, current_.created, now,
+                                 current_.ack_for, id_};
   }
 
   if (credits_[static_cast<std::size_t>(current_vc_)] <= 0) return;
 
   Flit f;
-  f.packet = current_.id;
+  f.record = current_ref_;
   f.index = static_cast<std::int16_t>(flits_sent_);
   f.is_head = flits_sent_ == 0;
   f.is_tail = flits_sent_ == current_.length - 1;
-  f.src = id_;
   f.dst = current_.dst;
   f.vc = static_cast<std::int8_t>(current_vc_);
   f.msg_class = static_cast<std::int8_t>(current_.msg_class);
-  f.created = current_.created;
-  f.injected = head_injected_;  // every flit carries the head's entry time
   f.measured = current_.measured;
   f.kind = current_.kind;
-  f.ack_for = current_.ack_for;
 
   --credits_[static_cast<std::size_t>(current_vc_)];
   to_router_->push(now, f);
@@ -448,6 +454,12 @@ void NetworkInterface::inject(Cycle now) {
     sending_ = false;
     current_vc_ = -1;
   }
+}
+
+void NetworkInterface::restore_record(RecordRestore& restore) {
+  if (!sending_) return;
+  current_ref_ = restore.ref_for(
+      {current_.id, current_.created, head_injected_, current_.ack_for, id_});
 }
 
 void NetworkInterface::save_pending(snapshot::Writer& w,

@@ -7,6 +7,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "noc/fault_hooks.hpp"
 #include "noc/flit.hpp"
 #include "noc/local_agent.hpp"
+#include "noc/packet_record.hpp"
 #include "noc/params.hpp"
 #include "noc/stats_collector.hpp"
 #include "noc/traffic.hpp"
@@ -46,6 +48,26 @@ class NetworkInterface {
     NOCS_EXPECTS(balance != nullptr);
     flit_balance_ = balance;
   }
+
+  /// Points the NI at the network's record store and its shard's pool:
+  /// it acquires a record from the pool when it starts injecting a packet
+  /// and releases each ejected packet's record into it after the tail.
+  /// Safe between ticks only.
+  void set_records(PacketRecords* records, PacketRecords::Pool* pool) {
+    NOCS_EXPECTS(records != nullptr && pool != nullptr);
+    records_ = records;
+    pool_ = pool;
+  }
+
+  /// The record of the packet this NI is mid-way through injecting.
+  std::optional<RecordRef> injecting_record() const {
+    return sending_ ? std::optional<RecordRef>(current_ref_) : std::nullopt;
+  }
+
+  /// After load_state and the network's flits: reattaches a mid-packet
+  /// injection to its record, rebuilding it from the packet when none of
+  /// its flits is still in the network.
+  void restore_record(RecordRestore& restore);
 
   /// Wires the two local channels between this NI and its router, and
   /// `router_credits`, the router's per-VC credit counters for its local
@@ -107,7 +129,7 @@ class NetworkInterface {
   // --- node-local agent (memory controllers etc.) ---------------------------
 
   /// Attaches a node-local agent: every ejected data/multicast tail is
-  /// delivered through agent->on_packet(), the agent is ticked between
+  /// delivered through agent->on_packet() with its packet's record, the agent is ticked between
   /// ejection and injection each cycle, and its pending work keeps this
   /// NI hot and un-drained.  Pass nullptr to detach.  Incompatible with
   /// end-to-end protection mode (the agent would observe retransmitted
@@ -256,10 +278,11 @@ class NetworkInterface {
   /// copies (charged to mc_counters_).
   void send_mcast_range(Cycle now, int group, int lo, int hi, Cycle created,
                         bool measured, int msg_class, int length, bool relay);
-  void handle_mcast(Cycle now, const Flit& f);
+  void handle_mcast(Cycle now, const Flit& f, const PacketRecord& rec);
 
   void eject(Cycle now);
-  void eject_protected(Cycle now, const Flit& f);
+  void eject_plain(Cycle now, const Flit& f, const PacketRecord& rec);
+  void eject_protected(Cycle now, const Flit& f, const PacketRecord& rec);
   void generate(Cycle now);
   void inject(Cycle now);
   void check_timeouts(Cycle now);
@@ -272,6 +295,8 @@ class NetworkInterface {
   NetworkParams params_;
   StatsCollector* stats_;
   std::int64_t* flit_balance_ = nullptr;
+  PacketRecords* records_ = nullptr;
+  PacketRecords::Pool* pool_ = nullptr;
 
   Pipe<Flit>* to_router_ = nullptr;
   Pipe<Flit>* from_router_ = nullptr;
@@ -291,6 +316,7 @@ class NetworkInterface {
 
   bool sending_ = false;
   PendingPacket current_{};
+  RecordRef current_ref_ = 0;  ///< current_'s record while sending_
   int flits_sent_ = 0;
   VcId current_vc_ = -1;
   Cycle head_injected_ = 0;

@@ -37,16 +37,4 @@ std::vector<json::Value> run_resumable(
   return results;
 }
 
-std::string sweep_fingerprint(const std::vector<double>& rates,
-                              std::uint64_t base_seed) {
-  // "sweep-point": each task records a whole report point.
-  std::string fp = "sweep-point:n=" + std::to_string(rates.size()) +
-                   ";seed=" + std::to_string(base_seed) + ";rates=";
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    if (i != 0) fp += ',';
-    fp += json::format_number(rates[i]);
-  }
-  return fp;
-}
-
 }  // namespace nocs::noc

@@ -41,12 +41,4 @@ std::vector<json::Value> run_resumable(
     const std::atomic<bool>* stop,
     const std::function<json::Value(std::size_t)>& fn);
 
-/// Canonical manifest fingerprint for an injection sweep whose tasks
-/// record one report point each (SimResults plus its injection_rate): task
-/// count, base seed, and every rate, formatted bit-exactly.  Reusing a
-/// manifest whose fingerprint differs (rates, seed, count, or payload
-/// changed) starts fresh.
-std::string sweep_fingerprint(const std::vector<double>& rates,
-                              std::uint64_t base_seed);
-
 }  // namespace nocs::noc

@@ -605,7 +605,8 @@ void load_counters(snapshot::Reader& r, RouterCounters& c) {
 
 }  // namespace
 
-void Router::save_state(snapshot::Writer& w) const {
+void Router::save_state(snapshot::Writer& w,
+                        const PacketRecords& records) const {
   // Credits are returned in the cycle their slots free, so none is owed
   // between ticks.
   NOCS_EXPECTS(num_freed_ == 0);
@@ -617,7 +618,7 @@ void Router::save_state(snapshot::Writer& w) const {
 
   for (int s = 0; s < num_slots(); ++s) {
     const InputVc& ivc = input_vcs_[s];
-    ivc.buf.save_state(w);
+    ivc.buf.save_state(w, records);
     w.u8(static_cast<std::uint8_t>(ivc.stage));
     w.u8(static_cast<std::uint8_t>(ivc.out_port));
     w.i64(ivc.out_vc);
@@ -648,7 +649,7 @@ void Router::save_state(snapshot::Writer& w) const {
   w.end_section();
 }
 
-void Router::load_state(snapshot::Reader& r) {
+void Router::load_state(snapshot::Reader& r, RecordRestore& restore) {
   // Every field is stored at 64 bits; the narrowed in-memory fields take
   // only values a running router can hold, so anything else is rejected
   // rather than truncated.
@@ -670,7 +671,7 @@ void Router::load_state(snapshot::Reader& r) {
 
   for (int s = 0; s < slots; ++s) {
     InputVc& ivc = input_vcs_[s];
-    ivc.buf.load_state(r);
+    ivc.buf.load_state(r, restore);
     // Stage and output port index the mask blocks: reject bytes that would
     // point outside them.
     const std::uint8_t stage = r.u8();

@@ -245,8 +245,16 @@ class Router {
   // in-flight switch grants, arbitration pointers, power-gating FSM, and
   // counters.  Configuration (id, params, routing, wiring, gating mode) is
   // reconstructed by the caller before load_state.
-  void save_state(snapshot::Writer& w) const;
-  void load_state(snapshot::Reader& r);
+  // Buffered flits are written with their packets' records and rebuilt
+  // through `restore` on load.
+  void save_state(snapshot::Writer& w, const PacketRecords& records) const;
+  void load_state(snapshot::Reader& r, RecordRestore& restore);
+
+  /// Calls visit(flit) for every buffered flit.
+  template <typename Visit>
+  void for_each_buffered(Visit&& visit) const {
+    for (int s = 0; s < num_slots(); ++s) input_vcs_[s].buf.for_each(visit);
+  }
 
  private:
   // Compact per-VC and per-port state (the static_asserts pin the sizes).

@@ -219,11 +219,12 @@ SimResults run_simulation(Network& net, const SimConfig& cfg,
                         static_cast<double>(net.now() - len),
                         static_cast<double>(len));
       net.stats().set_measuring(phase == 0);
-      // Flit and credit conservation are checked at every phase boundary
-      // (and after the drain below) in every build: each is O(buffers),
-      // once per phase.
+      // Flit, credit and packet-record conservation are checked at every
+      // phase boundary (and after the drain below) in every build: each is
+      // O(buffers), once per phase.
       net.check_flit_conservation();
       net.check_credit_conservation();
+      net.check_packet_records();
       done_in_phase -= len;
       ++phase;
     }
@@ -265,6 +266,7 @@ SimResults run_simulation(Network& net, const SimConfig& cfg,
                       static_cast<double>(net.now() - drain_start));
     net.check_flit_conservation();
     net.check_credit_conservation();
+    net.check_packet_records();
   }
 
   SimResults r;

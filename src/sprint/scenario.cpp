@@ -5,6 +5,7 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "common/snapshot.hpp"
 #include "noc/traffic.hpp"
 
 namespace nocs::sprint {
@@ -134,6 +135,65 @@ Scenario Scenario::from_config(const std::string& kind, const Config& cfg) {
 
 std::size_t Scenario::task_count() const {
   return kind_ == Kind::kSweep ? rates_.size() : 1;
+}
+
+std::string Scenario::fingerprint() const {
+  std::string text = kind_name();
+  const auto add = [&text](const char* key, const std::string& value) {
+    text += ';';
+    text += key;
+    text += '=';
+    text += value;
+  };
+  const auto num = [](double v) { return json::format_number(v); };
+  const noc::NetworkParams& p = params_;
+  for (const auto& [key, value] :
+       {std::pair{"width", p.width}, {"height", p.height},
+        {"vcs", p.num_vcs}, {"vc_depth", p.vc_depth},
+        {"packet_length", p.packet_length}, {"flit_bytes", p.flit_bytes},
+        {"link_latency", p.link_latency},
+        {"wakeup_latency", p.wakeup_latency},
+        {"gate_idle", p.gate_idle_threshold},
+        {"pipeline", p.pipeline_stages}, {"classes", p.num_classes}})
+    add(key, std::to_string(value));
+  if (topology_) add("topology", std::to_string(topology_->fingerprint()));
+  add("scheme", scheme_ == NetworkScheme::kFull ? "full" : "noc");
+  add("level", std::to_string(level_));
+  add("traffic", traffic_);
+  add("seed", std::to_string(seed_));
+  add("protocol", request_reply_ ? "1" : "0");
+  add("warmup", std::to_string(sim_.warmup));
+  add("measure", std::to_string(sim_.measure));
+  add("drain_max", std::to_string(sim_.drain_max));
+  add("injection", num(sim_.injection_rate));
+  add("watchdog", std::to_string(sim_.watchdog_cycles));
+  const fault::FaultParams& f = faults_;
+  add("faults", f.enabled ? "1" : "0");
+  if (f.enabled) {
+    add("fault_seed", std::to_string(f.seed));
+    add("flip", num(f.flip_rate));
+    add("drop", num(f.drop_rate));
+    add("link_down", num(f.link_down_rate));
+    add("link_down_cycles", std::to_string(f.link_down_cycles));
+    add("wake_fail", num(f.wake_fail_prob));
+    add("wake_retry", std::to_string(f.wake_retry));
+    add("wake_max_retries", std::to_string(f.wake_max_retries));
+    std::string stuck;
+    for (const NodeId id : f.stuck) stuck += std::to_string(id) + ',';
+    add("stuck", stuck);
+    add("stuck_from", std::to_string(f.stuck_from));
+    add("ack_timeout", std::to_string(f.ack_timeout));
+    add("max_backoff", std::to_string(f.max_backoff));
+  }
+  std::string rates;
+  for (const double r : rates_) rates += num(r) + ',';
+  add("rates", rates);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(snapshot::fnv1a(
+                    reinterpret_cast<const std::uint8_t*>(text.data()),
+                    text.size())));
+  return std::string("scenario:") + hex;
 }
 
 const char* Scenario::kind_name() const {

@@ -63,6 +63,13 @@ class Scenario {
 
   /// Sweep: one task per rate; otherwise 1.
   std::size_t task_count() const;
+
+  /// Digest of every value that can change this scenario's results, read
+  /// after parsing, so defaults are filled in and equal values hash
+  /// equally however they were spelled.  Keys that never change results
+  /// (sim_threads, trace_sample) are left out.  Names the `mode=sweep`
+  /// task manifest.
+  std::string fingerprint() const;
   /// The sweep's rates (empty for the single-run kinds).
   const std::vector<double>& rates() const { return rates_; }
   std::uint64_t seed() const { return seed_; }

@@ -117,7 +117,6 @@ TEST(MessageClasses, WrongClassVcArrivalDies) {
   Flit f;
   f.is_head = true;
   f.is_tail = true;
-  f.src = 0;
   f.dst = 15;
   f.vc = 0;          // class 0 VC...
   f.msg_class = 1;   // ...carrying a class 1 packet

@@ -38,6 +38,7 @@ namespace {
            << net.now();
   net.check_flit_conservation();
   net.check_credit_conservation();
+  net.check_packet_records();
   if (!net.input_wakes_armed())
     return ::testing::AssertionFailure()
            << "a non-empty router input has neither its bit nor a wake at "
@@ -245,6 +246,41 @@ TEST(Quiescence, StuckRouterWithRetransmissions) {
     EXPECT_GT(net.stats().resilience().retransmissions, 0u);
     EXPECT_GT(net.flits_in_flight(), 0);
     EXPECT_FALSE(net.drained());
+  }
+}
+
+TEST(Quiescence, CorruptedControlPacketsReleaseTheirRecords) {
+  // A link-flip storm under end-to-end protection: corrupted data packets
+  // draw NACKs, corrupted ACK/NACKs are dropped at ejection, and every
+  // copy's packet record must still be released at its tail.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
+    fault::FaultParams fp;
+    fp.enabled = true;
+    fp.seed = 5;
+    fp.flip_rate = 0.02;
+    fp.ack_timeout = 64;
+    fp.max_backoff = 512;
+    noc::NetworkParams p;
+    noc::XyRouting xy;
+    noc::Network net(p, &xy);
+    net.set_endpoints(p.shape().all_nodes(),
+                      noc::make_traffic("uniform", p.num_nodes()));
+    net.set_seed(6);
+    fault::FaultInjector injector(p.shape(), fp);
+    const noc::ProtectionParams prot = fp.protection();
+    net.enable_resilience(&injector, &prot);
+    net.set_sim_threads(threads);
+    net.set_injection_rate(0.1);
+    ASSERT_NO_FATAL_FAILURE(tick_checked(net, 1000));
+    net.set_injection_rate(0.0);
+    for (int i = 0; i < 20000 && !net.drained(); ++i) {
+      net.tick();
+      ASSERT_TRUE(invariants_hold(net));
+    }
+    EXPECT_GT(net.stats().resilience().corrupted_packets, 0u);
+    EXPECT_GT(net.stats().resilience().retransmissions, 0u);
+    EXPECT_TRUE(net.drained());
   }
 }
 

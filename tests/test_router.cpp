@@ -91,11 +91,9 @@ class RouterHarness {
   Flit make_flit(NodeId dst, VcId vc, bool head = true, bool tail = true,
                  int index = 0) {
     Flit f;
-    f.packet = 1;
     f.index = index;
     f.is_head = head;
     f.is_tail = tail;
-    f.src = 0;
     f.dst = dst;
     f.vc = vc;
     return f;

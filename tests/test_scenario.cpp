@@ -4,12 +4,15 @@
 // of each kind, and the report shape its tasks aggregate into.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/snapshot.hpp"
+#include "noc/parallel_sweep.hpp"
 #include "sprint/scenario.hpp"
 
 namespace nocs::sprint {
@@ -170,6 +173,87 @@ TEST(Scenario, StoppedTaskReturnsNullAndKeepsItsRun) {
   EXPECT_EQ(run.results.cycles, 300u);
   EXPECT_NE(run.injector, nullptr);
   EXPECT_NE(run.bundle.network, nullptr);
+}
+
+using KeyValues = std::vector<std::pair<std::string, std::string>>;
+
+TEST(ScenarioFingerprint, EveryResultKeyChangesIt) {
+  const KeyValues base = {{"faults", "true"}, {"classes", "2"}};
+  const std::string fp = parse("simulate", base).fingerprint();
+  for (const auto& [key, value] : KeyValues{
+           {"classes", "4"},
+           {"pipeline", "3"},
+           {"level", "8"},
+           {"traffic", "transpose"},
+           {"seed", "2"},
+           {"scheme", "full"},
+           {"protocol", "true"},
+           {"warmup", "1000"},
+           {"measure", "5000"},
+           {"injection", "0.2"},
+           {"watchdog", "1000"},
+           {"faults", "false"},
+           {"fault_seed", "2"},
+           {"fault_flip_rate", "1e-3"},
+           {"fault_drop_rate", "1e-3"},
+           {"fault_link_down_rate", "1e-4"},
+           {"fault_link_down_cycles", "50"},
+           {"fault_wake_fail_prob", "0.1"},
+           {"fault_wake_retry", "10"},
+           {"fault_wake_max_retries", "3"},
+           {"fault_stuck", "5"},
+           {"fault_stuck_from", "100"},
+           {"fault_ack_timeout", "128"},
+           {"fault_max_backoff", "2048"}}) {
+    KeyValues kv = base;
+    kv.emplace_back(key, value);
+    EXPECT_NE(parse("simulate", kv).fingerprint(), fp) << key << "=" << value;
+  }
+  EXPECT_NE(parse("sweep", {{"rates", "0.1:0.1:0.3"}}).fingerprint(),
+            parse("sweep", {{"rates", "0.1:0.1:0.2"}}).fingerprint());
+  EXPECT_NE(parse("sweep", {}).fingerprint(), parse("simulate", {}).fingerprint());
+  const std::string ring =
+      parse("topo", {{"topology", "ring_circulant"}}).fingerprint();
+  EXPECT_NE(parse("topo", {{"topology", "ring_circulant"}, {"ring_skip", "3"}})
+                .fingerprint(),
+            ring);
+  EXPECT_NE(parse("topo", {{"topology", "mesh"}}).fingerprint(), ring);
+  EXPECT_NE(parse("topo", {{"width", "8"}}).fingerprint(),
+            parse("topo", {}).fingerprint());
+}
+
+TEST(ScenarioFingerprint, DefaultsAndRunEnvironmentKeysDoNotChangeIt) {
+  const std::string fp = parse("simulate", {}).fingerprint();
+  EXPECT_EQ(parse("simulate", {{"level", "4"},
+                               {"injection", "0.10"},
+                               {"sim_threads", "3"},
+                               {"fault_seed", "9"}})  // faults are off
+                .fingerprint(),
+            fp);
+  EXPECT_EQ(parse("sweep", {{"rates", "0.05:0.05:0.5"}}).fingerprint(),
+            parse("sweep", {}).fingerprint());
+}
+
+TEST(ScenarioFingerprint, SweepManifestNeverReplaysAnotherLevel) {
+  // A level-8 sweep's manifest reused for a level-4 sweep: the level-4
+  // run must compute its own points, not print the level-8 table.
+  const std::string path = ::testing::TempDir() + "level_manifest.json";
+  std::remove(path.c_str());
+  const auto run = [&path](const std::string& level) {
+    const Scenario s =
+        parse("sweep", {{"level", level}, {"rates", "0.05:0.1:0.15"}});
+    snapshot::TaskManifest manifest(path, s.fingerprint());
+    const std::vector<json::Value> points = noc::run_resumable(
+        s.task_count(), 1, &manifest, nullptr,
+        [&s](std::size_t i) { return s.run_task(i, {}); });
+    return s.aggregate(points).dump();
+  };
+  const std::string level8 = run("8");
+  const std::string level4 = run("4");
+  std::remove(path.c_str());
+  EXPECT_NE(level4, level8);
+  EXPECT_EQ(level4, run("4"));  // a fresh level-4 run
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <functional>
 #include <memory>
 #include <string>
@@ -203,7 +205,6 @@ TEST(SnapshotComponents, RngStateRoundTrips) {
 
 TEST(SnapshotComponents, FlitRoundTripsAndRejectsOutOfRangeFields) {
   noc::Flit f;
-  f.packet = 77;
   f.index = noc::kMaxPacketLength - 1;
   f.hops = noc::kMaxHops;
   f.vc = noc::kMaxVcs - 1;
@@ -211,12 +212,13 @@ TEST(SnapshotComponents, FlitRoundTripsAndRejectsOutOfRangeFields) {
   f.is_tail = true;
   f.corrupted = true;
   f.kind = noc::PacketKind::kNack;
-  f.ack_for = 9;
+  const noc::PacketRecord rec{77, 5, 6, 9, 2};
   snapshot::Writer w;
-  noc::save(w, f);
+  noc::save(w, f, rec);
   snapshot::Reader r(w.bytes());
   noc::Flit back;
-  noc::load(r, back);
+  noc::PacketRecord back_rec;
+  noc::load(r, back, back_rec);
   EXPECT_EQ(back.index, f.index);
   EXPECT_EQ(back.hops, f.hops);
   EXPECT_EQ(back.vc, f.vc);
@@ -225,7 +227,11 @@ TEST(SnapshotComponents, FlitRoundTripsAndRejectsOutOfRangeFields) {
   EXPECT_TRUE(back.is_tail);
   EXPECT_TRUE(back.corrupted);
   EXPECT_EQ(back.kind, noc::PacketKind::kNack);
-  EXPECT_EQ(back.ack_for, 9u);
+  EXPECT_EQ(back_rec.packet, 77u);
+  EXPECT_EQ(back_rec.created, 5u);
+  EXPECT_EQ(back_rec.injected, 6u);
+  EXPECT_EQ(back_rec.ack_for, 9u);
+  EXPECT_EQ(back_rec.src, 2);
 
   // The codec stores every field at 64 bits; a value the narrowed field
   // cannot hold must not be truncated silently.  `record` lays one flit
@@ -253,7 +259,8 @@ TEST(SnapshotComponents, FlitRoundTripsAndRejectsOutOfRangeFields) {
   const auto load_record = [](std::vector<std::uint8_t> bytes) {
     snapshot::Reader rr(std::move(bytes));
     noc::Flit out;
-    noc::load(rr, out);
+    noc::PacketRecord out_rec;
+    noc::load(rr, out, out_rec);
   };
   EXPECT_NO_THROW(load_record(record(0, 0, 0, 0)));
   EXPECT_THROW(load_record(record(-1, 0, 0, 0)), snapshot::SnapshotError);
@@ -264,6 +271,34 @@ TEST(SnapshotComponents, FlitRoundTripsAndRejectsOutOfRangeFields) {
   EXPECT_THROW(load_record(record(0, 0, -1, 0)), snapshot::SnapshotError);
   EXPECT_THROW(load_record(record(0, 0, 0, noc::kMaxHops + 1)),
                snapshot::SnapshotError);
+}
+
+// A checkpoint stores every flit with its packet's fields; a restore
+// makes one record per (src, injection cycle) and refuses flits of one
+// key that disagree on the packet.
+TEST(SnapshotComponents, RestoreGroupsFlitsIntoRecordsByInjection) {
+  noc::PacketRecords records;
+  records.set_pools({2});
+  const noc::PacketRecord head{77, 5, 6, 0, 2};
+  noc::RecordRestore restore(records);
+  const noc::RecordRef a = restore.ref_for(head);
+  EXPECT_EQ(restore.ref_for(head), a);  // a body flit of the same packet
+  noc::PacketRecord other = head;
+  other.injected = 7;  // the next packet from the same source
+  const noc::RecordRef b = restore.ref_for(other);
+  EXPECT_NE(b, a);
+  EXPECT_EQ(records[a].injected, 6u);
+  EXPECT_EQ(records[b].injected, 7u);
+  records.check_live({a, b});
+
+  for (const auto disagree :
+       {+[](noc::PacketRecord& p) { p.packet += 1; },
+        +[](noc::PacketRecord& p) { p.created += 1; },
+        +[](noc::PacketRecord& p) { p.ack_for += 1; }}) {
+    noc::PacketRecord bad = head;
+    disagree(bad);
+    EXPECT_THROW(restore.ref_for(bad), snapshot::SnapshotError);
+  }
 }
 
 // A router checkpoint stores every field at 64 bits; the narrowed
@@ -331,7 +366,10 @@ class RouterLoadRange : public ::testing::Test {
 
   void load(const RouterRecord& rec) {
     snapshot::Reader r(rec.bytes(router_.num_ports(), params()));
-    router_.load_state(r);
+    noc::PacketRecords records;
+    records.set_pools({1});
+    noc::RecordRestore restore(records);
+    router_.load_state(r, restore);
   }
 
   noc::XyRouting xy_;
@@ -884,6 +922,134 @@ TEST(SnapshotResume, CreditPipeCheckpointFromAnOlderBuildResumesExactly) {
   std::remove(fresh.c_str());
 }
 
+/// A 4x4 XY mesh under uniform 0.12 background traffic where, every 17
+/// cycles before cycle 700, one node (stepping by 5) sends a 4-flit tree
+/// multicast to all 16 nodes, so relays re-inject copies mid-run.
+struct McastRelayRig {
+  noc::NetworkParams params = [] {
+    noc::NetworkParams p;
+    p.width = 4;
+    p.height = 4;
+    return p;
+  }();
+  noc::XyRouting xy;
+  noc::Network net{params, &xy};
+  noc::SimConfig sim;
+
+  explicit McastRelayRig(int threads) {
+    net.set_endpoints(params.shape().all_nodes(),
+                      noc::make_traffic("uniform", 16));
+    net.set_seed(11);
+    const int group = net.add_multicast_group(params.shape().all_nodes());
+    net.set_multicast(true);
+    net.set_pre_tick_hook([this, group](Cycle now) {
+      if (now % 17 == 0 && now < 700)
+        net.ni(static_cast<NodeId>((now / 17) * 5 % 16))
+            .send_multicast(now, group, 0, 4);
+    });
+    net.set_sim_threads(threads);
+    sim.warmup = 100;
+    sim.measure = 400;
+    sim.drain_max = 5000;
+    sim.injection_rate = 0.12;
+  }
+  noc::SimResults run(const noc::CheckpointConfig& ckpt) {
+    return noc::run_simulation(net, sim, ckpt);
+  }
+};
+
+/// A 4x4 XY mesh under uniform 0.15 with storm_params() faults and
+/// end-to-end protection, so retransmissions are in flight mid-run.
+struct ProtectedRig {
+  noc::NetworkParams params = [] {
+    noc::NetworkParams p;
+    p.width = 4;
+    p.height = 4;
+    return p;
+  }();
+  noc::XyRouting xy;
+  noc::Network net{params, &xy};
+  fault::FaultInjector injector{params.shape(), storm_params()};
+  noc::SimConfig sim;
+
+  explicit ProtectedRig(int threads) {
+    net.set_endpoints(params.shape().all_nodes(),
+                      noc::make_traffic("uniform", 16));
+    net.set_seed(13);
+    const noc::ProtectionParams prot = storm_params().protection();
+    net.enable_resilience(&injector, &prot);
+    net.set_sim_threads(threads);
+    sim.warmup = 200;
+    sim.measure = 800;
+    sim.drain_max = 20000;
+    sim.injection_rate = 0.15;
+    sim.watchdog_cycles = 50000;
+  }
+  noc::SimResults run(noc::CheckpointConfig ckpt) {
+    ckpt.extras.emplace_back("fault", &injector);
+    return noc::run_simulation(net, sim, ckpt);
+  }
+};
+
+// The two files below were written by the build whose flits still carried
+// every packet field (packet, created, injected, ack_for, src), cut mid-run
+// with multicast relays and protection retransmissions in flight.  This
+// build writes the same bytes at the same cycle, rebuilds the records from
+// the flits on load, and finishes on that build's uninterrupted numbers,
+// pinned below.
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+template <typename Rig>
+void expect_older_checkpoint_resumes(const std::string& file, Cycle cut,
+                                     const std::function<void(
+                                         const noc::SimResults&)>& pins) {
+  const std::string legacy = std::string(NOCS_TEST_DATA_DIR) + "/" + file;
+  const std::string fresh = tmp_path("fresh_" + file);
+  noc::CheckpointConfig stop;
+  stop.save_path = fresh;
+  stop.stop_at = cut;
+  ASSERT_TRUE(Rig(1).run(stop).interrupted);
+  EXPECT_EQ(read_bytes(fresh), read_bytes(legacy));
+  std::remove(fresh.c_str());
+
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE(file + " sim_threads=" + std::to_string(threads));
+    const noc::SimResults reference = Rig(threads).run({});
+    pins(reference);
+    noc::CheckpointConfig resume;
+    resume.restore_path = legacy;
+    Rig rig(threads);
+    const noc::SimResults resumed = rig.run(resume);
+    EXPECT_FALSE(resumed.interrupted);
+    expect_identical(resumed, reference);
+  }
+}
+
+TEST(SnapshotResume, MulticastRelayCheckpointFromAnOlderBuildResumesExactly) {
+  expect_older_checkpoint_resumes<McastRelayRig>(
+      "mcast_relays_4x4_cut200.nocsnap", 200, [](const noc::SimResults& r) {
+        EXPECT_EQ(r.cycles, 500u);
+        EXPECT_EQ(r.packets_ejected, 451u);
+        EXPECT_EQ(r.avg_packet_latency, 57.086474501108633);
+        EXPECT_EQ(r.counters.buffer_writes, 8183u);
+        EXPECT_EQ(r.counters.mc_replications, 347u);
+      });
+}
+
+TEST(SnapshotResume, ProtectedCheckpointFromAnOlderBuildResumesExactly) {
+  expect_older_checkpoint_resumes<ProtectedRig>(
+      "protected_4x4_cut600.nocsnap", 600, [](const noc::SimResults& r) {
+        EXPECT_EQ(r.cycles, 1102u);
+        EXPECT_EQ(r.packets_ejected, 394u);
+        EXPECT_EQ(r.avg_packet_latency, 35.134517766497481);
+        EXPECT_EQ(r.counters.buffer_writes, 13043u);
+        EXPECT_EQ(r.resilience.retransmissions, 59u);
+      });
+}
+
 TEST(SnapshotResume, MissingExtraComponentRejected) {
   // A checkpoint taken with a fault injector cannot be restored without
   // one (the extras section would be left unread).
@@ -905,6 +1071,14 @@ TEST(SnapshotResume, MissingExtraComponentRejected) {
 }
 
 // --- resumable sweeps --------------------------------------------------------
+
+/// Manifest fingerprint of a tiny_body() sweep: its rates and seed.
+std::string tiny_fingerprint(const std::vector<double>& rates,
+                             std::uint64_t seed) {
+  std::string fp = "tiny-sweep:seed=" + std::to_string(seed) + ";rates=";
+  for (const double r : rates) fp += json::format_number(r) + ',';
+  return fp;
+}
 
 /// Task body of a tiny level-4 sweep: point i at rates[i], seeded
 /// task_seed(seed, i), recorded as a report point.
@@ -945,7 +1119,7 @@ TEST(SweepResume, ManifestRecordsAndReplays) {
   std::remove(path.c_str());
   const std::vector<double> rates = {0.05, 0.1, 0.15};
   const std::uint64_t seed = 21;
-  const std::string fp = noc::sweep_fingerprint(rates, seed);
+  const std::string fp = tiny_fingerprint(rates, seed);
   const auto plain = plain_sweep(rates, seed);
 
   {
@@ -977,7 +1151,7 @@ TEST(SweepResume, PartialManifestRunsOnlyMissingTasks) {
   std::remove(path.c_str());
   const std::vector<double> rates = {0.05, 0.1, 0.15, 0.2};
   const std::uint64_t seed = 22;
-  const std::string fp = noc::sweep_fingerprint(rates, seed);
+  const std::string fp = tiny_fingerprint(rates, seed);
 
   // Simulate an interrupted sweep: only tasks 0 and 2 completed.
   {
@@ -1008,13 +1182,6 @@ TEST(SweepResume, FingerprintMismatchStartsFresh) {
   EXPECT_EQ(manifest.completed_count(), 0u);
   EXPECT_FALSE(manifest.completed(0));
   std::remove(path.c_str());
-}
-
-TEST(SweepResume, FingerprintNamesThePointPayload) {
-  // Manifests written when a task recorded bare SimResults carried a
-  // "sweep:" fingerprint; they must start fresh, never replay as points.
-  const std::string fp = noc::sweep_fingerprint({0.05, 0.1}, 7);
-  EXPECT_EQ(fp, "sweep-point:n=2;seed=7;rates=0.05,0.1");
 }
 
 TEST(SweepResume, DisabledManifestIsThePlainSweep) {
@@ -1136,7 +1303,7 @@ TEST(ManifestRecovery, TruncatedManifestRecoversCompletePrefix) {
   std::remove(path.c_str());
   const std::vector<double> rates = {0.05, 0.1, 0.15};
   const std::uint64_t seed = 33;
-  const std::string fp = noc::sweep_fingerprint(rates, seed);
+  const std::string fp = tiny_fingerprint(rates, seed);
   {
     snapshot::TaskManifest manifest(path, fp);
     noc::run_resumable(rates.size(), 1, &manifest, nullptr,
@@ -1180,7 +1347,7 @@ TEST(ManifestRecovery, GarbageManifestStartsFreshInsteadOfAborting) {
   std::fputs("{\"magic\": \"nocs-sweep-manifest\", \"ver", f);
   std::fclose(f);
   const std::vector<double> rates = {0.05, 0.1};
-  snapshot::TaskManifest manifest(path, noc::sweep_fingerprint(rates, 34));
+  snapshot::TaskManifest manifest(path, tiny_fingerprint(rates, 34));
   EXPECT_EQ(manifest.completed_count(), 0u);
   int calls = 0;
   noc::run_resumable(rates.size(), 1, &manifest, nullptr,
@@ -1195,7 +1362,7 @@ TEST(ManifestRecovery, PrefixOfOtherFingerprintIsNotSalvaged) {
   const std::vector<double> rates = {0.05, 0.1};
   {
     snapshot::TaskManifest manifest(path,
-                                    noc::sweep_fingerprint(rates, 35));
+                                    tiny_fingerprint(rates, 35));
     noc::run_resumable(rates.size(), 1, &manifest, nullptr,
                        tiny_body(rates, 35));
   }
@@ -1212,7 +1379,7 @@ TEST(ManifestRecovery, PrefixOfOtherFingerprintIsNotSalvaged) {
   ASSERT_NE(f, nullptr);
   std::fwrite(text.data(), 1, text.size() - 4, f);
   std::fclose(f);
-  snapshot::TaskManifest manifest(path, noc::sweep_fingerprint(rates, 36));
+  snapshot::TaskManifest manifest(path, tiny_fingerprint(rates, 36));
   EXPECT_EQ(manifest.completed_count(), 0u);
   std::remove(path.c_str());
 }
