@@ -475,13 +475,12 @@ void emit_bench_json() {
 int main(int argc, char** argv) {
   const auto given = [&](const char* flag) {
     return std::any_of(argv + 1, argv + argc, [flag](const char* a) {
-      const std::string arg = a;
-      return arg.rfind(flag, 0) == 0 && !arg.ends_with("=false") &&
-             !arg.ends_with("=0");
+      return std::string(a).starts_with(flag);
     });
   };
   const bool filtered = given("--benchmark_filter");
-  const bool listing = given("--benchmark_list_tests");
+  const bool listing = given("--benchmark_list_tests") &&
+                       !given("--benchmark_list_tests=false");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   const std::size_t ran = benchmark::RunSpecifiedBenchmarks();

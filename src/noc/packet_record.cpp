@@ -4,12 +4,6 @@
 
 namespace nocs::noc {
 
-std::size_t PacketRecords::live() const {
-  std::size_t free = 0;
-  for (const Pool& p : pools_) free += p.free_.size();
-  return capacity() - free;
-}
-
 void PacketRecords::set_pools(const std::vector<std::size_t>& wants) {
   NOCS_EXPECTS(!wants.empty());
   std::vector<RecordRef> spare;

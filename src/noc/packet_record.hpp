@@ -55,12 +55,6 @@ class PacketRecords {
     return chunks_[ref >> kChunkBits][ref & (kChunk - 1)];
   }
 
-  /// Records allocated (live or free).
-  std::size_t capacity() const { return chunks_.size() * kChunk; }
-
-  /// Records handed out and not yet released.
-  std::size_t live() const;
-
   /// Replaces the pools with one per entry of `wants` (the most refs that
   /// pool's NIs may take in one cycle) and refills them from every free
   /// ref.  Invalidates Pool references.
@@ -86,6 +80,8 @@ class PacketRecords {
   static constexpr int kChunkBits = 8;
   static constexpr std::size_t kChunk = std::size_t{1} << kChunkBits;
 
+  /// Records allocated (live or free).
+  std::size_t capacity() const { return chunks_.size() * kChunk; }
   /// Appends a chunk and gives its refs to `pool`.
   void grow(Pool& pool);
   /// Frees every record into pool 0 (load_state rebuilds the pools).
