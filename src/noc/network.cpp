@@ -218,7 +218,8 @@ void Network::rebuild_shards() {
         shard_of_[static_cast<std::size_t>(l.dst)])
       remote[static_cast<std::size_t>(l.dst)] |= std::uint32_t{1}
                                                   << l.dst_port;
-  // Each shard's NIs start at most one packet each per cycle.
+  // An NI starts at most one packet per cycle, so a shard's pool needs
+  // its node count of free records at the start of each cycle.
   std::vector<std::size_t> wants;
   for (const Shard& sh : shards_)
     wants.push_back(static_cast<std::size_t>(sh.end - sh.begin));

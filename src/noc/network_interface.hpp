@@ -129,9 +129,9 @@ class NetworkInterface {
   // --- node-local agent (memory controllers etc.) ---------------------------
 
   /// Attaches a node-local agent: every ejected data/multicast tail is
-  /// delivered through agent->on_packet() with its packet's record, the agent is ticked between
-  /// ejection and injection each cycle, and its pending work keeps this
-  /// NI hot and un-drained.  Pass nullptr to detach.  Incompatible with
+  /// delivered with its packet's record through agent->on_packet(), the
+  /// agent is ticked between ejection and injection each cycle, and its
+  /// pending work keeps this NI hot and un-drained.  Pass nullptr to detach.  Incompatible with
   /// end-to-end protection mode (the agent would observe retransmitted
   /// duplicates).
   void set_agent(LocalAgent* agent) {
