@@ -295,7 +295,7 @@ void NetworkInterface::eject(Cycle now) {
     ++total_ejected_flits_;
     const PacketRecord& rec = (*records_)[f.record];
     if (f.kind == PacketKind::kMcast)
-      handle_mcast(now, f, rec);  // record, forward the subranges, deliver
+      handle_mcast(now, f, rec);  // stats, forward the subranges, deliver
     else if (protection_)
       eject_protected(now, f, rec);
     else
