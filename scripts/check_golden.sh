@@ -1,14 +1,19 @@
 #!/usr/bin/env bash
-# Golden stdout gate: the figure benches whose output pins the simulator's
+# Golden stdout gate: every figure and ablation bench except micro_perf,
+# and every example except the CLI, the serve client and topo_lint (whose
+# CLI runs are pinned below and whose topologies scripts/
+# check_topo_examples.sh lints), must print exactly the committed bytes
+# in tests/golden/<name>.txt.  Between them they pin the simulator's
 # mesh, sprint and topology paths, the 3-stage router pipeline
 # (ablation_pipeline), the 2-class VC partition (ablation_protocol),
-# dynamic gating with wake-on-arrival (ablation_gating), and multicast
-# plus request/reply DRAM traffic (fig13_membound) must print exactly the
-# committed bytes in tests/golden/, both serially and with every
+# dynamic gating with wake-on-arrival (ablation_gating), multicast plus
+# request/reply DRAM traffic (fig13_membound), the cosimulation (fig09,
+# fig10), the fault injector (fault_storm) and the analytic power,
+# thermal, area and scheduling models.  Each runs serially and with every
 # simulation sharded across four threads (NOCS_SIM_THREADS=4; threads=1
-# keeps the sweep pool inline so the shards really run).  Results are
-# bit-identical for any shard count by contract, so one golden file
-# serves both runs.
+# keeps a bench's sweep pool inline so the shards really run; benches
+# without a pool ignore it).  Results are bit-identical for any shard
+# count by contract, so one golden file serves both runs.
 #
 # The CLI's batch modes (simulate, sweep, topo) are pinned the same way:
 # each run executes inside a fresh scratch directory with fixed relative
@@ -49,10 +54,23 @@ check() {
   fi
 }
 
-for bench in fig09_net_latency fig11_synthetic fig14_topology_sprint \
-             ablation_topology ablation_pipeline ablation_protocol \
-             ablation_gating fig13_membound; do
-  bin="${BUILD}/bench/${bench}"
+# <dir>/<name> under the build tree; the golden is tests/golden/<name>.txt.
+stdout_runs=(
+  bench/fig01_sprint_phases bench/fig02_router_power bench/fig03_chip_power
+  bench/fig04_parsec_scaling bench/fig07_exec_time bench/fig08_core_power
+  bench/fig09_net_latency bench/fig10_net_power bench/fig11_synthetic
+  bench/fig12_thermal bench/fig13_membound bench/fig14_topology_sprint
+  bench/sprint_duration bench/cdor_area
+  bench/ablation_dim_sprint bench/ablation_floorplan bench/ablation_gating
+  bench/ablation_llc bench/ablation_meshscale bench/ablation_pipeline
+  bench/ablation_protocol bench/ablation_rotation bench/ablation_topology
+  bench/ablation_wires
+  examples/quickstart examples/traffic_sweep examples/fault_storm
+  examples/online_adaptation examples/thermal_explorer examples/bursty_server
+)
+for run in "${stdout_runs[@]}"; do
+  bench="${run#*/}"
+  bin="${BUILD}/${run}"
   check "${bench}" serial "${bin}"
   check "${bench}" "NOCS_SIM_THREADS=4 threads=1" \
     NOCS_SIM_THREADS=4 "${bin}" threads=1
