@@ -13,8 +13,8 @@
 #include "noc/simulator.hpp"
 #include "power/noc_power.hpp"
 #include "sprint/cdor.hpp"
-#include "sprint/network_builder.hpp"
 #include "sprint/power_gating.hpp"
+#include "sprint/scenario.hpp"
 #include "sprint/topology.hpp"
 
 using namespace nocs;
@@ -87,12 +87,16 @@ int main(int argc, char** argv) {
 
   // (iii) NoC-sprinting: static dark-region gating.
   {
-    auto b = make_noc_sprinting_network(net, level, "uniform", seed);
-    const noc::SimResults r = noc::run_simulation(*b.network, sim);
-    const auto est = power::estimate_noc_power(*b.network, r.cycles);
-    const auto c = b.network->total_counters();
+    DesignPoint point;
+    point.params = net;
+    point.level = level;
+    point.seed = seed;
+    point.sim = sim;
+    const TaskRun run = run_point(point);
+    const noc::SimResults& r = run.results;
+    const auto c = run.bundle.network->total_counters();
     t.add_row({"static dark-region", Table::fmt(r.avg_packet_latency, 2),
-               Table::fmt(est.total() * 1e3, 2),
+               Table::fmt(run.power.total() * 1e3, 2),
                Table::pct(static_cast<double>(c.gated_cycles) /
                           (static_cast<double>(r.cycles) * net.num_nodes())),
                Table::fmt(static_cast<long long>(c.wake_events))});

@@ -8,8 +8,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "noc/simulator.hpp"
-#include "sprint/network_builder.hpp"
+#include "sprint/scenario.hpp"
 
 using namespace nocs;
 using namespace nocs::sprint;
@@ -21,24 +20,23 @@ int main(int argc, char** argv) {
                 "latency and the sprint latency cut",
                 bench::network_params(cfg));
 
-  const std::uint64_t seed = cfg.get_int("seed", 41);
-  noc::SimConfig sim;
-  sim.warmup = 1000;
-  sim.measure = 6000;
-  sim.injection_rate = cfg.get_double("injection", 0.1);
+  DesignPoint point;
+  point.seed = cfg.get_int("seed", 41);
+  point.sim.warmup = 1000;
+  point.sim.measure = 6000;
+  point.sim.injection_rate = cfg.get_double("injection", 0.1);
 
   Table t({"pipeline", "level", "noc lat (cyc)", "full lat (cyc)",
            "lat cut"});
   for (int stages : {5, 3}) {
     for (int level : {4, 8}) {
-      noc::NetworkParams params = bench::network_params(cfg);
-      params.pipeline_stages = stages;
-      auto nb = make_noc_sprinting_network(params, level, "uniform", seed);
-      const double noc_lat =
-          run_simulation(*nb.network, sim).avg_packet_latency;
-      auto fb = make_full_sprinting_network(params, level, "uniform", seed);
-      const double full_lat =
-          run_simulation(*fb.network, sim).avg_packet_latency;
+      point.params = bench::network_params(cfg);
+      point.params.pipeline_stages = stages;
+      point.level = level;
+      point.scheme = NetworkScheme::kNoc;
+      const double noc_lat = run_point(point).results.avg_packet_latency;
+      point.scheme = NetworkScheme::kFull;
+      const double full_lat = run_point(point).results.avg_packet_latency;
       t.add_row({stages == 5 ? "5-stage (paper)" : "3-stage lookahead",
                  Table::fmt(static_cast<long long>(level)),
                  Table::fmt(noc_lat, 2), Table::fmt(full_lat, 2),

@@ -7,15 +7,14 @@
 // pairwise Manhattan distance of the active set and with simulated
 // latency at a fixed load.
 //
-// The simulated path runs through the topology-agnostic core: the mesh is
-// built as a noc::Topology and the network through make_sprinting_network,
-// which on a mesh routes with the paper's CDOR.
+// The simulated path is the shared design-point run (sprint::run_point):
+// the network comes from make_sprinting_network, which on a mesh routes
+// with the paper's CDOR.
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "noc/simulator.hpp"
 #include "noc/topology.hpp"
-#include "sprint/network_builder.hpp"
+#include "sprint/scenario.hpp"
 #include "sprint/topology.hpp"
 
 using namespace nocs;
@@ -26,13 +25,13 @@ namespace {
 // Hamming-ordered prefixes are not guaranteed to satisfy CDOR's staircase
 // property, so the latency comparison uses plain region geometry: zero-load
 // latency is dominated by hop distance.
-double sim_latency_euclidean(const noc::NetworkParams& params,
-                             const noc::Topology& topo, int level) {
-  auto b = make_sprinting_network(params, topo, NetworkScheme::kNoc, level,
-                                  "uniform", 3);
-  noc::SimConfig sim;
-  sim.injection_rate = 0.1;
-  return noc::run_simulation(*b.network, sim).avg_packet_latency;
+double sim_latency_euclidean(const noc::NetworkParams& params, int level) {
+  DesignPoint point;
+  point.params = params;
+  point.level = level;
+  point.seed = 3;
+  point.sim.injection_rate = 0.1;
+  return run_point(point).results.avg_packet_latency;
 }
 
 }  // namespace
@@ -69,7 +68,7 @@ int main(int argc, char** argv) {
     t.add_row({Table::fmt(static_cast<long long>(k)), Table::fmt(de, 3),
                Table::fmt(dh, 3),
                de < dh - 1e-9 ? "yes" : (de > dh + 1e-9 ? "no" : "tie"),
-               Table::fmt(sim_latency_euclidean(net, topo, k), 2)});
+               Table::fmt(sim_latency_euclidean(net, k), 2)});
   }
   t.print();
 

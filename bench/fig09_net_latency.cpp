@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   json::Value rows = json::Value::array();
   for (std::size_t i = 0; i < suite.size(); ++i) {
     const WorkloadParams& w = suite[i];
-    const bench::ParsecNetResult& r = results[i];
+    const sprint::CosimResult& r = results[i];
     const double red = 1.0 - r.noc_latency / r.full_latency;
     reductions.push_back(red);
     t.add_row({w.name, Table::fmt(w.injection_rate, 2),

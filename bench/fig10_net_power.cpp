@@ -40,17 +40,17 @@ int main(int argc, char** argv) {
   json::Value rows = json::Value::array();
   for (std::size_t i = 0; i < suite.size(); ++i) {
     const WorkloadParams& w = suite[i];
-    const bench::ParsecNetResult& r = results[i];
-    const double save = 1.0 - r.noc_power / r.full_power;
+    const sprint::CosimResult& r = results[i];
+    const double save = 1.0 - r.noc_noc_power / r.full_noc_power;
     savings.push_back(save);
     t.add_row({w.name, Table::fmt(static_cast<long long>(r.level)),
-               Table::fmt(r.full_power * 1e3, 2),
-               Table::fmt(r.noc_power * 1e3, 2), Table::pct(save)});
+               Table::fmt(r.full_noc_power * 1e3, 2),
+               Table::fmt(r.noc_noc_power * 1e3, 2), Table::pct(save)});
     json::Value row = json::Value::object();
     row.set("benchmark", w.name);
     row.set("level", r.level);
-    row.set("full_power_w", r.full_power);
-    row.set("noc_power_w", r.noc_power);
+    row.set("full_power_w", r.full_noc_power);
+    row.set("noc_power_w", r.noc_noc_power);
     row.set("saving", save);
     rows.push_back(std::move(row));
   }

@@ -14,9 +14,7 @@
 #include "common/snapshot.hpp"
 #include "common/stats.hpp"
 #include "noc/parallel_sweep.hpp"
-#include "noc/simulator.hpp"
-#include "power/noc_power.hpp"
-#include "sprint/network_builder.hpp"
+#include "sprint/scenario.hpp"
 
 using namespace nocs;
 
@@ -58,10 +56,11 @@ int main(int argc, char** argv) {
   const std::size_t tasks_per_rate = 1 + static_cast<std::size_t>(samples);
   const std::size_t tasks_per_level = rates.size() * tasks_per_rate;
 
-  noc::SimConfig sim;
-  sim.warmup = 2000;
-  sim.measure = 8000;
-  sim.drain_max = 40000;
+  sprint::DesignPoint point;
+  point.params = net;
+  point.sim.warmup = 2000;
+  point.sim.measure = 8000;
+  point.sim.drain_max = 40000;
 
   // Every (level, rate, mapping) simulation is an independent task,
   // numbered level-major / rate-major / mapping-minor: mapping 0 is the
@@ -73,20 +72,17 @@ int main(int argc, char** argv) {
   const std::vector<json::Value> runs = noc::run_resumable(
       levels.size() * tasks_per_level, threads, &manifest, nullptr,
       [&](std::size_t t) {
-        const int level = levels[t / tasks_per_level];
         const std::size_t mapping = t % tasks_per_rate;
-        noc::SimConfig point_sim = sim;
-        point_sim.injection_rate = rates[t % tasks_per_level / tasks_per_rate];
-        auto b = mapping == 0
-                     ? sprint::make_noc_sprinting_network(net, level,
-                                                          "uniform", seed)
-                     : sprint::make_full_sprinting_network(
-                           net, level, "uniform", seed + mapping - 1);
-        const noc::SimResults r = noc::run_simulation(*b.network, point_sim);
+        sprint::DesignPoint p = point;
+        p.level = levels[t / tasks_per_level];
+        p.sim.injection_rate = rates[t % tasks_per_level / tasks_per_rate];
+        if (mapping > 0) p.scheme = sprint::NetworkScheme::kFull;
+        p.seed = mapping == 0 ? seed : seed + mapping - 1;
+        const sprint::TaskRun r = sprint::run_point(p);
         json::Value o = json::Value::object();
-        o.set("lat", r.avg_packet_latency);
-        o.set("pow", power::estimate_noc_power(*b.network, r.cycles).total());
-        o.set("sat", r.saturated);
+        o.set("lat", r.results.avg_packet_latency);
+        o.set("pow", r.power.total());
+        o.set("sat", r.results.saturated);
         return o;
       });
 

@@ -19,10 +19,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "noc/simulator.hpp"
 #include "noc/topology.hpp"
-#include "power/noc_power.hpp"
-#include "sprint/network_builder.hpp"
+#include "power/router_power.hpp"
+#include "sprint/scenario.hpp"
 
 using namespace nocs;
 
@@ -52,11 +51,12 @@ int main(int argc, char** argv) {
   const int n = mesh_net.num_nodes();
   const std::uint64_t seed = cfg.get_int("seed", 7);
   const int ring_skip = static_cast<int>(cfg.get_int("ring_skip", 4));
-  noc::SimConfig sim;
-  sim.warmup = 2000;
-  sim.measure = 8000;
-  sim.drain_max = 40000;
-  sim.injection_rate = cfg.get_double("injection_rate", 0.10);
+  sprint::DesignPoint point;
+  point.seed = seed;
+  point.sim.warmup = 2000;
+  point.sim.measure = 8000;
+  point.sim.drain_max = 40000;
+  point.sim.injection_rate = cfg.get_double("injection_rate", 0.10);
 
   std::vector<int> levels;
   for (int l : {2, 4, 8, 16})
@@ -97,24 +97,24 @@ int main(int argc, char** argv) {
     std::vector<RunResult> rows;
     for (int level : levels) {
       for (const std::string& traffic : traffics) {
-        auto b = sprint::make_sprinting_network(
-            tc.params, tc.topo, sprint::NetworkScheme::kNoc, level, traffic,
-            seed);
-        const noc::DeadlockCheckResult deadlock =
-            sprint::require_deadlock_free(b, level);
+        sprint::DesignPoint p = point;
+        p.params = tc.params;
+        p.topology = tc.topo;
+        p.level = level;
+        p.traffic = traffic;
+        const sprint::TaskRun t = sprint::run_point(p);
         ++deadlock_total;
-        if (deadlock.ok) ++deadlock_passes;
-        const noc::SimResults r = noc::run_simulation(*b.network, sim);
+        if (t.deadlock.ok) ++deadlock_passes;
         RunResult row;
         row.level = level;
         row.traffic = traffic;
-        row.latency = r.avg_packet_latency;
-        row.saturated = r.saturated;
-        row.power_w = power::estimate_noc_power(*b.network, r.cycles).total();
-        row.energy_j =
-            row.power_w * static_cast<double>(r.cycles) / rp.op.frequency;
-        row.deadlock_channels = deadlock.channels_used;
-        row.deadlock_deps = deadlock.dependencies;
+        row.latency = t.results.avg_packet_latency;
+        row.saturated = t.results.saturated;
+        row.power_w = t.power.total();
+        row.energy_j = row.power_w * static_cast<double>(t.results.cycles) /
+                       rp.op.frequency;
+        row.deadlock_channels = t.deadlock.channels_used;
+        row.deadlock_deps = t.deadlock.dependencies;
         rows.push_back(std::move(row));
       }
     }
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
   doc.set("config", bench::to_json(mesh_net));
   doc.set("seed", static_cast<std::uint64_t>(seed));
   doc.set("ring_skip", ring_skip);
-  doc.set("injection_rate", sim.injection_rate);
+  doc.set("injection_rate", point.sim.injection_rate);
   doc.set("topologies", std::move(topo_docs));
   bench::maybe_write_report(cfg, std::move(doc));
 

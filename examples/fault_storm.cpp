@@ -5,13 +5,10 @@
 //
 // Build & run:  cmake --build build --target fault_storm && ./build/examples/fault_storm
 #include <cstdio>
-#include <memory>
 #include <string>
 
 #include "common/table.hpp"
-#include "fault/fault_injector.hpp"
-#include "noc/simulator.hpp"
-#include "sprint/network_builder.hpp"
+#include "sprint/scenario.hpp"
 #include "sprint/topology.hpp"
 
 using namespace nocs;
@@ -30,30 +27,22 @@ int main() {
   Table t({"flip_rate", "drop_rate", "latency", "p99", "accepted", "retx",
            "corrupt", "reroutes", "delivered", "hung"});
   for (const double s : {0.0, 1e-5, 1e-4, 1e-3, 5e-3}) {
-    sprint::NetworkBundle b =
-        sprint::make_noc_sprinting_network(params, level, "uniform", 1);
-    fault::FaultParams fp;
+    sprint::DesignPoint point;
+    point.params = params;
+    point.level = level;
+    point.sim.warmup = 1000;
+    point.sim.measure = 5000;
+    point.sim.injection_rate = 0.1;
+    fault::FaultParams& fp = point.faults;
     fp.enabled = s > 0.0;
     fp.seed = 42;
     fp.flip_rate = s;
     fp.drop_rate = s;
     fp.link_down_rate = s / 10.0;
     fp.link_down_cycles = 50;
+    if (fp.enabled) point.sim.watchdog_cycles = 20000;
 
-    noc::SimConfig sim;
-    sim.warmup = 1000;
-    sim.measure = 5000;
-    sim.injection_rate = 0.1;
-
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (fp.enabled) {
-      injector = std::make_unique<fault::FaultInjector>(params.shape(), fp);
-      const noc::ProtectionParams prot = fp.protection();
-      b.network->enable_resilience(injector.get(), &prot);
-      sim.watchdog_cycles = 20000;
-    }
-
-    const noc::SimResults r = run_simulation(*b.network, sim);
+    const noc::SimResults r = sprint::run_point(point).results;
     const bool lossless = r.packets_ejected >= r.packets_generated;
     t.add_row({Table::fmt(fp.flip_rate, 5), Table::fmt(fp.drop_rate, 5),
                Table::fmt(r.avg_packet_latency, 2),

@@ -11,42 +11,35 @@
 
 #include "common/config.hpp"
 #include "common/table.hpp"
-#include "noc/simulator.hpp"
-#include "power/noc_power.hpp"
-#include "sprint/network_builder.hpp"
+#include "sprint/scenario.hpp"
 
 using namespace nocs;
 
 int main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
-  const double injection = cfg.get_double("injection", 0.15);
-  const std::uint64_t seed = cfg.get_int("seed", 3);
+  sprint::DesignPoint point;  // Table 1 network
+  point.seed = cfg.get_int("seed", 3);
+  point.sim.warmup = 1000;
+  point.sim.measure = 6000;
+  point.sim.injection_rate = cfg.get_double("injection", 0.15);
 
-  noc::NetworkParams params;  // Table 1 defaults
-
-  noc::SimConfig sim;
-  sim.warmup = 1000;
-  sim.measure = 6000;
-  sim.injection_rate = injection;
-
-  std::printf("offered load %.2f flits/cycle/endpoint\n\n", injection);
+  std::printf("offered load %.2f flits/cycle/endpoint\n\n",
+              point.sim.injection_rate);
 
   Table t({"traffic", "level", "noc lat", "full lat", "lat cut", "noc mW",
            "full mW", "power cut"});
   for (const char* traffic :
        {"uniform", "neighbor", "transpose", "bitcomp", "hotspot"}) {
     for (int level : {4, 8, 16}) {
-      auto nb = sprint::make_noc_sprinting_network(params, level, traffic,
-                                                   seed);
-      const noc::SimResults rn = run_simulation(*nb.network, sim);
-      const Watts pn =
-          power::estimate_noc_power(*nb.network, rn.cycles).total();
-
-      auto fb = sprint::make_full_sprinting_network(params, level, traffic,
-                                                    seed);
-      const noc::SimResults rf = run_simulation(*fb.network, sim);
-      const Watts pf =
-          power::estimate_noc_power(*fb.network, rf.cycles).total();
+      point.traffic = traffic;
+      point.level = level;
+      point.scheme = sprint::NetworkScheme::kNoc;
+      const sprint::TaskRun n = sprint::run_point(point);
+      point.scheme = sprint::NetworkScheme::kFull;
+      const sprint::TaskRun f = sprint::run_point(point);
+      const noc::SimResults& rn = n.results;
+      const noc::SimResults& rf = f.results;
+      const Watts pn = n.power.total(), pf = f.power.total();
 
       t.add_row({traffic, Table::fmt(static_cast<long long>(level)),
                  rn.saturated ? "sat" : Table::fmt(rn.avg_packet_latency, 1),

@@ -283,9 +283,4 @@ void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& body,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void run_tasks(const std::vector<std::function<void()>>& tasks,
-               int num_threads) {
-  ParallelFor(tasks.size(), [&](std::size_t i) { tasks[i](); }, num_threads);
-}
-
 }  // namespace nocs

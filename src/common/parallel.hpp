@@ -3,18 +3,17 @@
 //
 // The simulator itself stays single-threaded and deterministic; parallelism
 // lives one level up, where every task builds its own independent Network.
-// ParallelFor/run_tasks therefore require task bodies that share no mutable
-// state except their own output slot.  Worker count defaults to the
-// hardware concurrency and can be overridden with the NOCS_THREADS
-// environment variable (benches also accept a threads=N config key that is
-// passed through explicitly).
+// ParallelFor therefore requires task bodies that share no mutable state
+// except their own output slot.  Worker count defaults to the hardware
+// concurrency and can be overridden with the NOCS_THREADS environment
+// variable (benches also accept a threads=N config key that is passed
+// through explicitly).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <vector>
 
 namespace nocs {
 
@@ -131,9 +130,5 @@ class ThreadPool {
 /// thrown by any body is rethrown after all indices finish or are skipped.
 void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& body,
                  int num_threads = 0);
-
-/// Runs every closure in `tasks` across up to `num_threads` workers.
-void run_tasks(const std::vector<std::function<void()>>& tasks,
-               int num_threads = 0);
 
 }  // namespace nocs

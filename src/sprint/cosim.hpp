@@ -13,7 +13,6 @@
 #include "common/json.hpp"
 #include "noc/params.hpp"
 #include "noc/simulator.hpp"
-#include "power/noc_power.hpp"
 
 namespace nocs::sprint {
 
@@ -43,7 +42,6 @@ struct CosimConfig {
   Cycle warmup = 2000;
   Cycle measure = 10000;
   std::uint64_t seed = 7;
-  double link_length_mm = power::kLinkLengthMm;  ///< uniform link length
 
   /// Workers for the two independent network simulations (<= 0 selects
   /// the default thread count, 1 forces serial).  Results are identical
@@ -58,7 +56,11 @@ CosimResult cosimulate(const noc::NetworkParams& params,
                        const CosimConfig& cfg = {});
 
 /// Serializes one co-simulation's results as a JSON object (the per-
-/// benchmark payload of the fig09/fig10 `report=` run reports).
+/// benchmark payload of the fig09/fig10 task manifests).
 json::Value to_json(const CosimResult& r);
+
+/// Inverse of to_json (doubles round-trip bit-exactly); throws
+/// std::invalid_argument when a field is missing.
+CosimResult cosim_result_from_json(const json::Value& v);
 
 }  // namespace nocs::sprint

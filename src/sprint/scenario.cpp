@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -56,85 +57,87 @@ std::vector<double> parse_rates(const std::string& spec) {
   return rates;
 }
 
+Scenario::Scenario(DesignPoint point, std::vector<double> rates)
+    : point_(std::move(point)), rates_(std::move(rates)) {
+  NOCS_EXPECTS(!sweep() || !point_.topology);
+}
+
 Scenario Scenario::from_config(const std::string& kind, const Config& cfg) {
-  Scenario s;
-  if (kind == "simulate") s.kind_ = Kind::kSimulate;
-  else if (kind == "sweep") s.kind_ = Kind::kSweep;
-  else if (kind == "topo") s.kind_ = Kind::kTopo;
-  else
+  if (kind != "simulate" && kind != "sweep" && kind != "topo")
     throw std::invalid_argument("unknown scenario kind '" + kind +
                                 "' (simulate | sweep | topo)");
-
-  s.params_ = network_params(cfg);
-  if (s.kind_ == Kind::kTopo) {
+  DesignPoint p;
+  p.params = network_params(cfg);
+  if (kind == "topo") {
     // topology= picks a generator (docs/TOPOLOGY.md); topology=file loads
     // the documented text format from topo_file=.
     const std::string topo = cfg.get_string("topology", "mesh");
     const int width = static_cast<int>(cfg.get_int("width", 4));
     const int height = static_cast<int>(cfg.get_int("height", 4));
     const int ring_skip = static_cast<int>(cfg.get_int("ring_skip", 4));
-    s.topology_ =
+    p.topology =
         topo == "file"
             ? noc::Topology::from_file(cfg.get_string("topo_file", ""))
             : noc::Topology::make(topo, width, height, ring_skip);
-    if (s.topology_->is_mesh()) {
-      s.params_.width = s.topology_->mesh_shape().width();
-      s.params_.height = s.topology_->mesh_shape().height();
+    if (p.topology->is_mesh()) {
+      p.params.width = p.topology->mesh_shape().width();
+      p.params.height = p.topology->mesh_shape().height();
     } else {
       // Only num_nodes() matters off the mesh; keep validate() happy.
-      s.params_.width = s.topology_->num_nodes();
-      s.params_.height = 1;
+      p.params.width = p.topology->num_nodes();
+      p.params.height = 1;
     }
-    s.params_.validate();
+    p.params.validate();
   }
-  const int num_nodes = s.params_.num_nodes();
+  const int num_nodes = p.params.num_nodes();
 
-  s.level_ = static_cast<int>(cfg.get_int("level", 4));
-  require(s.level_ >= 2 && s.level_ <= num_nodes,
+  p.level = static_cast<int>(cfg.get_int("level", 4));
+  require(p.level >= 2 && p.level <= num_nodes,
           "level must be in [2, " + std::to_string(num_nodes) + "]");
-  if (s.kind_ == Kind::kSweep)
-    s.rates_ = parse_rates(cfg.get_string("rates", "0.05:0.05:0.5"));
-  s.traffic_ = cfg.get_string("traffic", "uniform");
-  (void)noc::make_traffic(s.traffic_, s.level_);  // throws on a bad name
-  s.seed_ = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+  std::vector<double> rates;
+  if (kind == "sweep")
+    rates = parse_rates(cfg.get_string("rates", "0.05:0.05:0.5"));
+  p.traffic = cfg.get_string("traffic", "uniform");
+  (void)noc::make_traffic(p.traffic, p.level);  // throws on a bad name
+  p.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
 
-  if (s.kind_ == Kind::kSimulate) {
+  if (kind == "simulate") {
     const std::string scheme = cfg.get_string("scheme", "noc");
     require(scheme == "noc" || scheme == "full", "scheme must be noc or full");
-    if (scheme == "full") s.scheme_ = NetworkScheme::kFull;
-    s.request_reply_ =
-        cfg.get_bool("protocol", false) && s.params_.num_classes >= 2;
+    if (scheme == "full") p.scheme = NetworkScheme::kFull;
+    p.request_reply =
+        cfg.get_bool("protocol", false) && p.params.num_classes >= 2;
   }
-  if (s.kind_ != Kind::kTopo)
-    s.sim_threads_ = static_cast<int>(cfg.get_int("sim_threads", 0));
+  if (kind != "topo")
+    p.sim_threads = static_cast<int>(cfg.get_int("sim_threads", 0));
 
-  if (s.kind_ == Kind::kSweep) {
-    s.sim_.warmup = 1000;
-    s.sim_.measure = 6000;
+  if (kind == "sweep") {
+    p.sim.warmup = 1000;
+    p.sim.measure = 6000;
   } else {
     const long long warmup = cfg.get_int("warmup", 2000);
     const long long measure = cfg.get_int("measure", 10000);
     require(warmup >= 0 && measure >= 1,
             "warmup must be >= 0 and measure >= 1");
-    s.sim_.warmup = static_cast<Cycle>(warmup);
-    s.sim_.measure = static_cast<Cycle>(measure);
-    s.sim_.injection_rate = cfg.get_double("injection", 0.1);
-    require(s.sim_.injection_rate >= 0.0, "injection must be >= 0");
+    p.sim.warmup = static_cast<Cycle>(warmup);
+    p.sim.measure = static_cast<Cycle>(measure);
+    p.sim.injection_rate = cfg.get_double("injection", 0.1);
+    require(p.sim.injection_rate >= 0.0, "injection must be >= 0");
   }
 
-  if (s.kind_ != Kind::kTopo) {
-    s.faults_ = fault::FaultParams::from_config(cfg);
-    for (NodeId id : s.faults_.stuck)
+  if (kind != "topo") {
+    p.faults = fault::FaultParams::from_config(cfg);
+    for (NodeId id : p.faults.stuck)
       require(id >= 0 && id < num_nodes,
               "fault_stuck node " + std::to_string(id) + " is off the mesh");
     const auto watchdog = static_cast<Cycle>(cfg.get_int("watchdog", 50000));
-    if (s.faults_.enabled) s.sim_.watchdog_cycles = watchdog;
+    if (p.faults.enabled) p.sim.watchdog_cycles = watchdog;
   }
-  return s;
+  return Scenario(std::move(p), std::move(rates));
 }
 
 std::size_t Scenario::task_count() const {
-  return kind_ == Kind::kSweep ? rates_.size() : 1;
+  return sweep() ? rates_.size() : 1;
 }
 
 std::string Scenario::fingerprint() const {
@@ -146,7 +149,7 @@ std::string Scenario::fingerprint() const {
     text += value;
   };
   const auto num = [](double v) { return json::format_number(v); };
-  const noc::NetworkParams& p = params_;
+  const noc::NetworkParams& p = point_.params;
   for (const auto& [key, value] :
        {std::pair{"width", p.width}, {"height", p.height},
         {"vcs", p.num_vcs}, {"vc_depth", p.vc_depth},
@@ -156,18 +159,20 @@ std::string Scenario::fingerprint() const {
         {"gate_idle", p.gate_idle_threshold},
         {"pipeline", p.pipeline_stages}, {"classes", p.num_classes}})
     add(key, std::to_string(value));
-  if (topology_) add("topology", std::to_string(topology_->fingerprint()));
-  add("scheme", scheme_ == NetworkScheme::kFull ? "full" : "noc");
-  add("level", std::to_string(level_));
-  add("traffic", traffic_);
-  add("seed", std::to_string(seed_));
-  add("protocol", request_reply_ ? "1" : "0");
-  add("warmup", std::to_string(sim_.warmup));
-  add("measure", std::to_string(sim_.measure));
-  add("drain_max", std::to_string(sim_.drain_max));
-  add("injection", num(sim_.injection_rate));
-  add("watchdog", std::to_string(sim_.watchdog_cycles));
-  const fault::FaultParams& f = faults_;
+  if (point_.topology)
+    add("topology", std::to_string(point_.topology->fingerprint()));
+  add("scheme", point_.scheme == NetworkScheme::kFull ? "full" : "noc");
+  add("level", std::to_string(point_.level));
+  add("traffic", point_.traffic);
+  add("seed", std::to_string(point_.seed));
+  add("protocol", point_.request_reply ? "1" : "0");
+  const noc::SimConfig& sim = point_.sim;
+  add("warmup", std::to_string(sim.warmup));
+  add("measure", std::to_string(sim.measure));
+  add("drain_max", std::to_string(sim.drain_max));
+  add("injection", num(sim.injection_rate));
+  add("watchdog", std::to_string(sim.watchdog_cycles));
+  const fault::FaultParams& f = point_.faults;
   add("faults", f.enabled ? "1" : "0");
   if (f.enabled) {
     add("fault_seed", std::to_string(f.seed));
@@ -197,82 +202,82 @@ std::string Scenario::fingerprint() const {
 }
 
 const char* Scenario::kind_name() const {
-  switch (kind_) {
-    case Kind::kSweep: return "sweep";
-    case Kind::kTopo: return "topo";
-    default: return "simulate";
+  if (sweep()) return "sweep";
+  return point_.topology ? "topo" : "simulate";
+}
+
+TaskRun run_point(const DesignPoint& point,
+                  const noc::CheckpointConfig& ckpt) {
+  TaskRun t;
+  const noc::NetworkParams& params = point.params;
+  t.bundle = make_sprinting_network(
+      params,
+      point.topology ? *point.topology
+                     : noc::Topology::mesh(params.width, params.height),
+      point.scheme, point.level, point.traffic, point.seed);
+  // Only a named graph may be one the user wrote; certify it before the
+  // first tick.
+  if (point.topology) t.deadlock = require_deadlock_free(t.bundle, point.level);
+  noc::Network& net = *t.bundle.network;
+  if (point.request_reply) net.set_request_reply(1, 5);
+  net.set_sim_threads(point.sim_threads);
+
+  // The fault injector's RNG streams are simulation state: they ride
+  // along in every checkpoint as an extra snapshot component.
+  noc::CheckpointConfig task_ckpt = ckpt;
+  if (point.faults.enabled) {
+    t.injector = std::make_unique<fault::FaultInjector>(params.shape(),
+                                                        point.faults);
+    const noc::ProtectionParams prot = point.faults.protection();
+    net.enable_resilience(t.injector.get(), &prot);
+    task_ckpt.extras.emplace_back("fault", t.injector.get());
   }
+
+  t.results = noc::run_simulation(net, point.sim, task_ckpt);
+  if (!t.results.interrupted)
+    t.power = power::estimate_noc_power(net, t.results.cycles);
+  return t;
+}
+
+DesignPoint Scenario::point(std::size_t i) const {
+  NOCS_EXPECTS(i < task_count());
+  DesignPoint p = point_;
+  if (sweep()) {
+    p.sim.injection_rate = rates_[i];
+    p.seed = task_seed(point_.seed, i);
+  }
+  return p;
 }
 
 json::Value Scenario::run_task(std::size_t i,
                                const noc::CheckpointConfig& ckpt,
                                TaskRun* run) const {
-  NOCS_EXPECTS(i < task_count());
-  TaskRun local;
-  TaskRun& t = run != nullptr ? *run : local;
-  noc::SimConfig sim = sim_;
-  // A sweep point runs on its own network seeded per task, so the points
-  // are identical for any worker count and completion order.
-  std::uint64_t seed = seed_;
-  if (kind_ == Kind::kSweep) {
-    sim.injection_rate = rates_[i];
-    seed = task_seed(seed_, i);
-  }
-
-  t.bundle = make_sprinting_network(
-      params_,
-      topology_ ? *topology_
-                : noc::Topology::mesh(params_.width, params_.height),
-      scheme_, level_, traffic_, seed);
-  // Only the topo kind accepts graphs the user wrote; certify it before
-  // the first tick.
-  noc::DeadlockCheckResult deadlock;
-  if (kind_ == Kind::kTopo) deadlock = require_deadlock_free(t.bundle, level_);
-  noc::Network& net = *t.bundle.network;
-  if (request_reply_) net.set_request_reply(1, 5);
-  // Shards tick() across threads; results are bit-identical for any value
-  // (0 defers to NOCS_SIM_THREADS, else serial).
-  net.set_sim_threads(sim_threads_);
-
-  // The fault injector's RNG streams are simulation state: they ride
-  // along in every checkpoint as an extra snapshot component.
-  noc::CheckpointConfig task_ckpt = ckpt;
-  if (faults_.enabled) {
-    t.injector = std::make_unique<fault::FaultInjector>(params_.shape(),
-                                                        faults_);
-    const noc::ProtectionParams prot = faults_.protection();
-    net.enable_resilience(t.injector.get(), &prot);
-    task_ckpt.extras.emplace_back("fault", t.injector.get());
-  }
-
-  t.results = noc::run_simulation(net, sim, task_ckpt);
-  if (t.results.interrupted) return json::Value();
-  t.power = power::estimate_noc_power(net, t.results.cycles);
-
-  json::Value doc = noc::to_json(t.results);
-  switch (kind_) {
-    case Kind::kSimulate:
-      doc.set("scheme", scheme_ == NetworkScheme::kFull ? "full" : "noc");
-      doc.set("level", level_);
-      doc.set("traffic", traffic_);
-      doc.set("injection_rate", sim.injection_rate);
-      doc.set("seed", seed_);
+  const DesignPoint p = point(i);
+  TaskRun t = run_point(p, ckpt);
+  json::Value doc;
+  if (!t.results.interrupted) {
+    doc = noc::to_json(t.results);
+    if (sweep()) {
+      doc.set("injection_rate", p.sim.injection_rate);
+    } else if (p.topology) {
+      doc.set("topology", p.topology->kind());
+      doc.set("level", p.level);
+      doc.set("traffic", p.traffic);
+      doc.set("injection_rate", p.sim.injection_rate);
+      doc.set("seed", p.seed);
+      doc.set("topology_fingerprint", p.topology->fingerprint());
+      doc.set("deadlock_channels", t.deadlock.channels_used);
+      doc.set("deadlock_dependencies", t.deadlock.dependencies);
+    } else {
+      doc.set("scheme", p.scheme == NetworkScheme::kFull ? "full" : "noc");
+      doc.set("level", p.level);
+      doc.set("traffic", p.traffic);
+      doc.set("injection_rate", p.sim.injection_rate);
+      doc.set("seed", p.seed);
       doc.set("power", power_json(t.power));
-      break;
-    case Kind::kSweep:
-      doc.set("injection_rate", sim.injection_rate);
-      break;
-    case Kind::kTopo:
-      doc.set("topology", topology_->kind());
-      doc.set("level", level_);
-      doc.set("traffic", traffic_);
-      doc.set("injection_rate", sim.injection_rate);
-      doc.set("seed", seed_);
-      doc.set("topology_fingerprint", topology_->fingerprint());
-      doc.set("deadlock_channels", deadlock.channels_used);
-      doc.set("deadlock_dependencies", deadlock.dependencies);
-      break;
+    }
   }
+  if (run != nullptr) *run = std::move(t);
   return doc;
 }
 
@@ -280,11 +285,11 @@ json::Value Scenario::aggregate(const std::vector<json::Value>& results,
                                 const char* label) const {
   NOCS_EXPECTS(results.size() == task_count());
   json::Value doc = json::Value::object();
-  if (kind_ == Kind::kSweep) {
+  if (sweep()) {
     if (label != nullptr) doc.set(label, kind_name());
-    doc.set("level", level_);
-    doc.set("traffic", traffic_);
-    doc.set("seed", seed_);
+    doc.set("level", point_.level);
+    doc.set("traffic", point_.traffic);
+    doc.set("seed", point_.seed);
     json::Value points = json::Value::array();
     for (const json::Value& r : results) points.push_back(r);
     doc.set("points", std::move(points));
@@ -292,7 +297,7 @@ json::Value Scenario::aggregate(const std::vector<json::Value>& results,
   }
   // A single run's result leads with its SimResults fields; the label
   // goes right before the scenario keys that follow them.
-  const std::string first = kind_ == Kind::kTopo ? "topology" : "scheme";
+  const std::string first = point_.topology ? "topology" : "scheme";
   for (const auto& [key, value] : results.front().members()) {
     if (label != nullptr && key == first) doc.set(label, kind_name());
     doc.set(key, value);

@@ -24,7 +24,7 @@
 namespace nocs {
 namespace {
 
-// --- ParallelFor / run_tasks / ThreadPool --------------------------------
+// --- ParallelFor / ThreadPool -----------------------------------------------
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   constexpr std::size_t kN = 1000;
@@ -61,14 +61,6 @@ TEST(ParallelFor, PropagatesFirstException) {
           },
           4),
       std::runtime_error);
-}
-
-TEST(RunTasks, RunsEveryTask) {
-  std::atomic<int> ran{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 10; ++i) tasks.push_back([&] { ++ran; });
-  run_tasks(tasks, 3);
-  EXPECT_EQ(ran.load(), 10);
 }
 
 TEST(ThreadPool, SubmitAndWaitIdle) {
