@@ -76,10 +76,18 @@ std::unique_ptr<noc::Network> make_tick_network(
   return net;
 }
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 /// fig13's DRAM-bound closed loop at sprint level 8 on an 8x8 mesh: 4 edge
 /// controllers, 4 tile groups, tree multicast, the example schedule, run
 /// to completion on `sim_threads` shards.  Returns the simulated cycles.
-Cycle run_tile_transfer(int sim_threads) {
+/// `window_rates`, when given, receives the cycles per second of each
+/// successive `window`-cycle slice of the run (the last may be shorter).
+Cycle run_tile_transfer(int sim_threads, Cycle window = 0,
+                        std::vector<double>* window_rates = nullptr) {
   noc::NetworkParams p;
   p.width = 8;
   p.height = 8;
@@ -98,7 +106,18 @@ Cycle run_tile_transfer(int sim_threads) {
                                  mem::partition_groups(active, 4),
                                  {.multicast = true, .chunk_flits = 0});
   driver.install();
-  while (!driver.done() && net.now() < 2'000'000) net.tick();
+  auto t0 = std::chrono::steady_clock::now();
+  Cycle start = net.now();
+  while (!driver.done() && net.now() < 2'000'000) {
+    net.tick();
+    if (window_rates != nullptr &&
+        (net.now() - start == window || driver.done())) {
+      window_rates->push_back(static_cast<double>(net.now() - start) /
+                              seconds_since(t0));
+      t0 = std::chrono::steady_clock::now();
+      start = net.now();
+    }
+  }
   driver.uninstall();
   NOCS_ENSURES(driver.done());
   return net.now();
@@ -279,16 +298,30 @@ BENCHMARK(BM_CalibrateSuite);
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// Ticks `net` for `n` cycles and returns ticks per second.
 double measure_ticks_per_sec(noc::Network& net, Cycle n) {
   const auto t0 = std::chrono::steady_clock::now();
   net.run(n);
   return static_cast<double>(n) / seconds_since(t0);
+}
+
+/// A sharded key is the median of kWindows timing windows that together
+/// spend the key's cycle budget, so one descheduled shard worker costs
+/// one window, not the whole reading.
+constexpr int kWindows = 5;
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
+/// measure_ticks_per_sec over kWindows windows of n / kWindows cycles;
+/// returns the median window's rate.
+double median_ticks_per_sec(noc::Network& net, Cycle n) {
+  std::vector<double> rates;
+  for (int w = 0; w < kWindows; ++w)
+    rates.push_back(measure_ticks_per_sec(net, n / kWindows));
+  return median(rates);
 }
 
 /// Times a small fig11-style injection sweep (fresh 4x4 sprint network per
@@ -378,7 +411,9 @@ void emit_bench_json() {
       for (const int t : {1, 2, 4, 8}) {
         auto net = make_tick_network(m.side, stated_load(m.side), &curve_xy);
         net->set_sim_threads(t);
-        const double tps = measure_ticks_per_sec(*net, m.cycles / div);
+        const double tps =
+            t == 1 ? measure_ticks_per_sec(*net, m.cycles / div)
+                   : median_ticks_per_sec(*net, m.cycles / div);
         if (t == 1) serial_tps = tps;
         metrics.emplace_back(
             mesh + "_t" + std::to_string(t) + "_ticks_per_sec", tps);
@@ -389,21 +424,26 @@ void emit_bench_json() {
     }
     // Two 2-shard 32x32 networks ticking at once on two threads of one
     // process: what a shard team costs when it does not have the host to
-    // itself.  Ticks/sec per network over the pair's wall time.
+    // itself.  Ticks/sec per network over the pair's wall time, median of
+    // kWindows windows.
     {
       std::unique_ptr<noc::Network> pair[2];
       for (auto& net : pair) {
         net = make_tick_network(32, kLoad32x32, &curve_xy);
         net->set_sim_threads(2);
       }
-      const Cycle n = 8000 / div;
-      const auto t0 = std::chrono::steady_clock::now();
-      std::thread other([&] { pair[1]->run(n); });
-      pair[0]->run(n);
-      other.join();
+      const Cycle n = 8000 / div / kWindows;
+      std::vector<double> rates;
+      for (int w = 0; w < kWindows; ++w) {
+        const auto t0 = std::chrono::steady_clock::now();
+        std::thread other([&] { pair[1]->run(n); });
+        pair[0]->run(n);
+        other.join();
+        rates.push_back(static_cast<double>(n) / seconds_since(t0));
+      }
       metrics.emplace_back(
           tick_key("tick", 32, kLoad32x32) + "_t2_x2_ticks_per_sec",
-          static_cast<double>(n) / seconds_since(t0));
+          median(rates));
     }
     auto jammed = make_tick_network(32, kOverloadLoad, &curve_xy);
     metrics.emplace_back(
@@ -434,13 +474,19 @@ void emit_bench_json() {
   }
 
   // Closed-loop tile transfer (one full run per thread count; a run is a
-  // fixed workload, so NOCS_BENCH_FAST does not shrink it).
-  for (const int t : {1, 4}) {
+  // fixed workload, so NOCS_BENCH_FAST does not shrink it).  The serial
+  // key times the whole run, setup included; the sharded one is the
+  // median of kWindows slices of its ticks (runs are bit-identical, so
+  // the serial run's length sizes them).
+  {
     const auto t0 = std::chrono::steady_clock::now();
-    const Cycle cycles = run_tile_transfer(t);
-    metrics.emplace_back(
-        "tile_transfer_8x8_level8_t" + std::to_string(t) + "_cycles_per_sec",
-        static_cast<double>(cycles) / seconds_since(t0));
+    const Cycle cycles = run_tile_transfer(1);
+    metrics.emplace_back("tile_transfer_8x8_level8_t1_cycles_per_sec",
+                         static_cast<double>(cycles) / seconds_since(t0));
+    std::vector<double> rates;
+    run_tile_transfer(4, (cycles + kWindows - 1) / kWindows, &rates);
+    metrics.emplace_back("tile_transfer_8x8_level8_t4_cycles_per_sec",
+                         median(rates));
   }
 
   const double serial = measure_sweep_seconds(1);

@@ -11,6 +11,16 @@
 
 namespace nocs::noc {
 
+/// One field of a struct of uint64 counters and its name.  Each counter
+/// struct lists its fields once, in declaration order, as a table of
+/// these; metric names, report JSON keys and checkpoint order all follow
+/// that table.
+template <class Counters>
+struct CounterField {
+  const char* name;
+  std::uint64_t Counters::*member;
+};
+
 /// Activity of one router over a measurement window.
 struct RouterCounters {
   std::uint64_t buffer_writes = 0;     ///< flits written into input VCs
@@ -38,46 +48,41 @@ struct RouterCounters {
   std::uint64_t mc_replications = 0;  ///< packets re-injected by the relay
   std::uint64_t mc_flits = 0;         ///< flits of those replicated packets
 
-  RouterCounters& operator+=(const RouterCounters& o) {
-    buffer_writes += o.buffer_writes;
-    buffer_reads += o.buffer_reads;
-    xbar_traversals += o.xbar_traversals;
-    vc_allocs += o.vc_allocs;
-    sa_arbitrations += o.sa_arbitrations;
-    link_flits += o.link_flits;
-    active_cycles += o.active_cycles;
-    gated_cycles += o.gated_cycles;
-    waking_cycles += o.waking_cycles;
-    wake_events += o.wake_events;
-    idle_active_cycles += o.idle_active_cycles;
-    flits_corrupted += o.flits_corrupted;
-    reroutes += o.reroutes;
-    wake_failures += o.wake_failures;
-    mc_replications += o.mc_replications;
-    mc_flits += o.mc_flits;
-    return *this;
-  }
+  RouterCounters& operator+=(const RouterCounters& o);
 
   /// Registers every counter under "<prefix>.<field>" (default "router").
   void export_metrics(MetricsRegistry& reg,
-                      const std::string& prefix = "router") const {
-    reg.counter(prefix + ".buffer_writes").set(buffer_writes);
-    reg.counter(prefix + ".buffer_reads").set(buffer_reads);
-    reg.counter(prefix + ".xbar_traversals").set(xbar_traversals);
-    reg.counter(prefix + ".vc_allocs").set(vc_allocs);
-    reg.counter(prefix + ".sa_arbitrations").set(sa_arbitrations);
-    reg.counter(prefix + ".link_flits").set(link_flits);
-    reg.counter(prefix + ".active_cycles").set(active_cycles);
-    reg.counter(prefix + ".gated_cycles").set(gated_cycles);
-    reg.counter(prefix + ".waking_cycles").set(waking_cycles);
-    reg.counter(prefix + ".wake_events").set(wake_events);
-    reg.counter(prefix + ".idle_active_cycles").set(idle_active_cycles);
-    reg.counter(prefix + ".flits_corrupted").set(flits_corrupted);
-    reg.counter(prefix + ".reroutes").set(reroutes);
-    reg.counter(prefix + ".wake_failures").set(wake_failures);
-    reg.counter(prefix + ".mc_replications").set(mc_replications);
-    reg.counter(prefix + ".mc_flits").set(mc_flits);
-  }
+                      const std::string& prefix = "router") const;
 };
+
+inline constexpr CounterField<RouterCounters> kRouterCounterFields[] = {
+    {"buffer_writes", &RouterCounters::buffer_writes},
+    {"buffer_reads", &RouterCounters::buffer_reads},
+    {"xbar_traversals", &RouterCounters::xbar_traversals},
+    {"vc_allocs", &RouterCounters::vc_allocs},
+    {"sa_arbitrations", &RouterCounters::sa_arbitrations},
+    {"link_flits", &RouterCounters::link_flits},
+    {"active_cycles", &RouterCounters::active_cycles},
+    {"gated_cycles", &RouterCounters::gated_cycles},
+    {"waking_cycles", &RouterCounters::waking_cycles},
+    {"wake_events", &RouterCounters::wake_events},
+    {"idle_active_cycles", &RouterCounters::idle_active_cycles},
+    {"flits_corrupted", &RouterCounters::flits_corrupted},
+    {"reroutes", &RouterCounters::reroutes},
+    {"wake_failures", &RouterCounters::wake_failures},
+    {"mc_replications", &RouterCounters::mc_replications},
+    {"mc_flits", &RouterCounters::mc_flits},
+};
+
+inline RouterCounters& RouterCounters::operator+=(const RouterCounters& o) {
+  for (const auto& f : kRouterCounterFields) this->*f.member += o.*f.member;
+  return *this;
+}
+
+inline void RouterCounters::export_metrics(MetricsRegistry& reg,
+                                           const std::string& prefix) const {
+  for (const auto& f : kRouterCounterFields)
+    reg.counter(prefix + "." + f.name).set(this->*f.member);
+}
 
 }  // namespace nocs::noc

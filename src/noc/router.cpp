@@ -566,41 +566,11 @@ void Router::stage_switch_traversal(Cycle now) {
 namespace {
 
 void save_counters(snapshot::Writer& w, const RouterCounters& c) {
-  w.u64(c.buffer_writes);
-  w.u64(c.buffer_reads);
-  w.u64(c.xbar_traversals);
-  w.u64(c.vc_allocs);
-  w.u64(c.sa_arbitrations);
-  w.u64(c.link_flits);
-  w.u64(c.active_cycles);
-  w.u64(c.gated_cycles);
-  w.u64(c.waking_cycles);
-  w.u64(c.wake_events);
-  w.u64(c.idle_active_cycles);
-  w.u64(c.flits_corrupted);
-  w.u64(c.reroutes);
-  w.u64(c.wake_failures);
-  w.u64(c.mc_replications);
-  w.u64(c.mc_flits);
+  for (const auto& f : kRouterCounterFields) w.u64(c.*f.member);
 }
 
 void load_counters(snapshot::Reader& r, RouterCounters& c) {
-  c.buffer_writes = r.u64();
-  c.buffer_reads = r.u64();
-  c.xbar_traversals = r.u64();
-  c.vc_allocs = r.u64();
-  c.sa_arbitrations = r.u64();
-  c.link_flits = r.u64();
-  c.active_cycles = r.u64();
-  c.gated_cycles = r.u64();
-  c.waking_cycles = r.u64();
-  c.wake_events = r.u64();
-  c.idle_active_cycles = r.u64();
-  c.flits_corrupted = r.u64();
-  c.reroutes = r.u64();
-  c.wake_failures = r.u64();
-  c.mc_replications = r.u64();
-  c.mc_flits = r.u64();
+  for (const auto& f : kRouterCounterFields) c.*f.member = r.u64();
 }
 
 }  // namespace

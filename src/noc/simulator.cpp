@@ -342,32 +342,13 @@ json::Value to_json(const SimResults& r) {
   o.set("cycles", r.cycles);
 
   json::Value c = json::Value::object();
-  c.set("buffer_writes", r.counters.buffer_writes);
-  c.set("buffer_reads", r.counters.buffer_reads);
-  c.set("xbar_traversals", r.counters.xbar_traversals);
-  c.set("vc_allocs", r.counters.vc_allocs);
-  c.set("sa_arbitrations", r.counters.sa_arbitrations);
-  c.set("link_flits", r.counters.link_flits);
-  c.set("active_cycles", r.counters.active_cycles);
-  c.set("gated_cycles", r.counters.gated_cycles);
-  c.set("waking_cycles", r.counters.waking_cycles);
-  c.set("wake_events", r.counters.wake_events);
-  c.set("idle_active_cycles", r.counters.idle_active_cycles);
-  c.set("flits_corrupted", r.counters.flits_corrupted);
-  c.set("reroutes", r.counters.reroutes);
-  c.set("wake_failures", r.counters.wake_failures);
-  c.set("mc_replications", r.counters.mc_replications);
-  c.set("mc_flits", r.counters.mc_flits);
+  for (const auto& f : kRouterCounterFields)
+    c.set(f.name, r.counters.*f.member);
   o.set("counters", std::move(c));
 
   json::Value res = json::Value::object();
-  res.set("retransmissions", r.resilience.retransmissions);
-  res.set("timeouts", r.resilience.timeouts);
-  res.set("corrupted_packets", r.resilience.corrupted_packets);
-  res.set("dropped_packets", r.resilience.dropped_packets);
-  res.set("duplicates", r.resilience.duplicates);
-  res.set("acks_sent", r.resilience.acks_sent);
-  res.set("nacks_sent", r.resilience.nacks_sent);
+  for (const auto& f : kResilienceCounterFields)
+    res.set(f.name, r.resilience.*f.member);
   o.set("resilience", std::move(res));
   return o;
 }
@@ -397,31 +378,11 @@ SimResults sim_results_from_json(const json::Value& v) {
   const auto u64_of = [](const json::Value& field) {
     return static_cast<std::uint64_t>(field.as_number());
   };
-  r.counters.buffer_writes = u64_of(c.at("buffer_writes"));
-  r.counters.buffer_reads = u64_of(c.at("buffer_reads"));
-  r.counters.xbar_traversals = u64_of(c.at("xbar_traversals"));
-  r.counters.vc_allocs = u64_of(c.at("vc_allocs"));
-  r.counters.sa_arbitrations = u64_of(c.at("sa_arbitrations"));
-  r.counters.link_flits = u64_of(c.at("link_flits"));
-  r.counters.active_cycles = u64_of(c.at("active_cycles"));
-  r.counters.gated_cycles = u64_of(c.at("gated_cycles"));
-  r.counters.waking_cycles = u64_of(c.at("waking_cycles"));
-  r.counters.wake_events = u64_of(c.at("wake_events"));
-  r.counters.idle_active_cycles = u64_of(c.at("idle_active_cycles"));
-  r.counters.flits_corrupted = u64_of(c.at("flits_corrupted"));
-  r.counters.reroutes = u64_of(c.at("reroutes"));
-  r.counters.wake_failures = u64_of(c.at("wake_failures"));
-  r.counters.mc_replications = u64_of(c.at("mc_replications"));
-  r.counters.mc_flits = u64_of(c.at("mc_flits"));
-
+  for (const auto& f : kRouterCounterFields)
+    r.counters.*f.member = u64_of(c.at(f.name));
   const json::Value& res = v.at("resilience");
-  r.resilience.retransmissions = u64_of(res.at("retransmissions"));
-  r.resilience.timeouts = u64_of(res.at("timeouts"));
-  r.resilience.corrupted_packets = u64_of(res.at("corrupted_packets"));
-  r.resilience.dropped_packets = u64_of(res.at("dropped_packets"));
-  r.resilience.duplicates = u64_of(res.at("duplicates"));
-  r.resilience.acks_sent = u64_of(res.at("acks_sent"));
-  r.resilience.nacks_sent = u64_of(res.at("nacks_sent"));
+  for (const auto& f : kResilienceCounterFields)
+    r.resilience.*f.member = u64_of(res.at(f.name));
   return r;
 }
 

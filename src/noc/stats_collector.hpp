@@ -8,6 +8,7 @@
 #include "common/snapshot.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
+#include "noc/counters.hpp"
 
 namespace nocs::noc {
 
@@ -26,33 +27,41 @@ struct ResilienceCounters {
   std::uint64_t acks_sent = 0;
   std::uint64_t nacks_sent = 0;
 
-  ResilienceCounters& operator+=(const ResilienceCounters& o) {
-    retransmissions += o.retransmissions;
-    timeouts += o.timeouts;
-    corrupted_packets += o.corrupted_packets;
-    dropped_packets += o.dropped_packets;
-    duplicates += o.duplicates;
-    acks_sent += o.acks_sent;
-    nacks_sent += o.nacks_sent;
-    return *this;
-  }
-
-  std::uint64_t total() const {
-    return retransmissions + timeouts + corrupted_packets + dropped_packets +
-           duplicates + acks_sent + nacks_sent;
-  }
+  ResilienceCounters& operator+=(const ResilienceCounters& o);
+  std::uint64_t total() const;
 
   /// Registers every counter under "resilience.<field>".
-  void export_metrics(MetricsRegistry& reg) const {
-    reg.counter("resilience.retransmissions").set(retransmissions);
-    reg.counter("resilience.timeouts").set(timeouts);
-    reg.counter("resilience.corrupted_packets").set(corrupted_packets);
-    reg.counter("resilience.dropped_packets").set(dropped_packets);
-    reg.counter("resilience.duplicates").set(duplicates);
-    reg.counter("resilience.acks_sent").set(acks_sent);
-    reg.counter("resilience.nacks_sent").set(nacks_sent);
-  }
+  void export_metrics(MetricsRegistry& reg) const;
 };
+
+inline constexpr CounterField<ResilienceCounters>
+    kResilienceCounterFields[] = {
+        {"retransmissions", &ResilienceCounters::retransmissions},
+        {"timeouts", &ResilienceCounters::timeouts},
+        {"corrupted_packets", &ResilienceCounters::corrupted_packets},
+        {"dropped_packets", &ResilienceCounters::dropped_packets},
+        {"duplicates", &ResilienceCounters::duplicates},
+        {"acks_sent", &ResilienceCounters::acks_sent},
+        {"nacks_sent", &ResilienceCounters::nacks_sent},
+};
+
+inline ResilienceCounters& ResilienceCounters::operator+=(
+    const ResilienceCounters& o) {
+  for (const auto& f : kResilienceCounterFields)
+    this->*f.member += o.*f.member;
+  return *this;
+}
+
+inline std::uint64_t ResilienceCounters::total() const {
+  std::uint64_t sum = 0;
+  for (const auto& f : kResilienceCounterFields) sum += this->*f.member;
+  return sum;
+}
+
+inline void ResilienceCounters::export_metrics(MetricsRegistry& reg) const {
+  for (const auto& f : kResilienceCounterFields)
+    reg.counter(std::string("resilience.") + f.name).set(this->*f.member);
+}
 
 /// Gathers packet-level statistics from all network interfaces.  The
 /// simulator toggles `set_measuring()` around the measurement window;
@@ -207,13 +216,8 @@ class StatsCollector {
     hops_.save_state(w);
     latency_hist_.save_state(w);
     for (const RunningStat& s : class_latency_) s.save_state(w);
-    w.u64(resilience_.retransmissions);
-    w.u64(resilience_.timeouts);
-    w.u64(resilience_.corrupted_packets);
-    w.u64(resilience_.dropped_packets);
-    w.u64(resilience_.duplicates);
-    w.u64(resilience_.acks_sent);
-    w.u64(resilience_.nacks_sent);
+    for (const auto& f : kResilienceCounterFields)
+      w.u64(resilience_.*f.member);
     w.end_section();
   }
 
@@ -228,13 +232,8 @@ class StatsCollector {
     hops_.load_state(r);
     latency_hist_.load_state(r);
     for (RunningStat& s : class_latency_) s.load_state(r);
-    resilience_.retransmissions = r.u64();
-    resilience_.timeouts = r.u64();
-    resilience_.corrupted_packets = r.u64();
-    resilience_.dropped_packets = r.u64();
-    resilience_.duplicates = r.u64();
-    resilience_.acks_sent = r.u64();
-    resilience_.nacks_sent = r.u64();
+    for (const auto& f : kResilienceCounterFields)
+      resilience_.*f.member = r.u64();
     r.end_section();
   }
 

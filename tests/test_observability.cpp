@@ -372,6 +372,9 @@ TEST(Report, CosimResultRoundTripsFig09Numbers) {
   EXPECT_EQ(back.at("exec_noc").as_number(), r.exec_noc);
   EXPECT_EQ(back.at("full_saturated").as_bool(), r.full_saturated);
   EXPECT_EQ(back.at("noc_saturated").as_bool(), r.noc_saturated);
+  // The fig09/fig10 manifests replay through the inverse.
+  EXPECT_EQ(sprint::to_json(sprint::cosim_result_from_json(back)).dump(),
+            sprint::to_json(r).dump());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/rng.hpp"
 #include "common/snapshot.hpp"
 #include "noc/parallel_sweep.hpp"
 #include "sprint/scenario.hpp"
@@ -232,6 +233,68 @@ TEST(ScenarioFingerprint, DefaultsAndRunEnvironmentKeysDoNotChangeIt) {
             fp);
   EXPECT_EQ(parse("sweep", {{"rates", "0.05:0.05:0.5"}}).fingerprint(),
             parse("sweep", {}).fingerprint());
+}
+
+TEST(ScenarioFingerprint, PinnedStringsNameTheManifestsOldRunsWrote) {
+  // Captured before DesignPoint existed: a manifest written then must
+  // still be found under the same name.
+  EXPECT_EQ(parse("simulate", {}).fingerprint(), "scenario:4055ca8abcfca294");
+  EXPECT_EQ(parse("simulate", {{"level", "8"},
+                               {"classes", "2"},
+                               {"protocol", "true"},
+                               {"faults", "true"},
+                               {"fault_flip_rate", "1e-3"}})
+                .fingerprint(),
+            "scenario:fd335b6058c354af");
+  EXPECT_EQ(parse("sweep", {{"level", "8"}, {"rates", "0.05:0.1:0.25"}})
+                .fingerprint(),
+            "scenario:5aa1b713eb3cf79e");
+  EXPECT_EQ(parse("topo", {{"topology", "ring_circulant"},
+                           {"ring_skip", "4"},
+                           {"level", "8"}})
+                .fingerprint(),
+            "scenario:0eff5635c9012c66");
+}
+
+TEST(DesignPoint, BuiltInCodeRunsAsTheParsedKeys) {
+  const Scenario parsed = parse("simulate", {{"level", "8"},
+                                             {"classes", "2"},
+                                             {"protocol", "true"},
+                                             {"seed", "5"},
+                                             {"injection", "0.05"},
+                                             {"warmup", "200"},
+                                             {"measure", "800"},
+                                             {"faults", "true"},
+                                             {"fault_flip_rate", "1e-3"}});
+  DesignPoint p;
+  p.params.num_classes = 2;
+  p.level = 8;
+  p.request_reply = true;
+  p.seed = 5;
+  p.sim.injection_rate = 0.05;
+  p.sim.warmup = 200;
+  p.sim.measure = 800;
+  p.sim.watchdog_cycles = 50000;  // the watchdog= default under faults
+  p.faults.enabled = true;
+  p.faults.flip_rate = 1e-3;
+  const Scenario built(p);
+  EXPECT_EQ(built.fingerprint(), parsed.fingerprint());
+  EXPECT_EQ(built.run_task(0, {}).dump(), parsed.run_task(0, {}).dump());
+
+  // A sweep is the point plus its rates; point i carries rate i and the
+  // task's own seed.
+  const Scenario parsed_sweep =
+      parse("sweep", {{"level", "8"}, {"rates", "0.1:0.1:0.2"}});
+  DesignPoint q;
+  q.level = 8;
+  q.sim.warmup = 1000;
+  q.sim.measure = 6000;
+  const Scenario built_sweep(q, {0.1, 0.2});
+  EXPECT_EQ(built_sweep.fingerprint(), parsed_sweep.fingerprint());
+  EXPECT_EQ(built_sweep.point(1).sim.injection_rate, 0.2);
+  EXPECT_EQ(built_sweep.point(1).seed, task_seed(1, 1));
+  EXPECT_EQ(built_sweep.run_task(1, {}).dump(),
+            parsed_sweep.run_task(1, {}).dump());
 }
 
 TEST(ScenarioFingerprint, SweepManifestNeverReplaysAnotherLevel) {
