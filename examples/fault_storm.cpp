@@ -69,14 +69,18 @@ int main() {
       {order[1]},
   };
   Table d({"failed nodes", "degraded level", "active set", "convex"});
+  const auto join = [](const auto& ids) {
+    std::string s;
+    for (NodeId id : ids) {
+      if (!s.empty()) s += ',';
+      s += std::to_string(id);
+    }
+    return s;
+  };
   for (const auto& failed : failure_sets) {
     const auto healthy =
         sprint::largest_healthy_prefix(mesh, level, failed, 0);
-    std::string failed_str, active_str;
-    for (NodeId id : failed)
-      failed_str += (failed_str.empty() ? "" : ",") + std::to_string(id);
-    for (NodeId id : healthy)
-      active_str += (active_str.empty() ? "" : ",") + std::to_string(id);
+    const std::string failed_str = join(failed), active_str = join(healthy);
     d.add_row({failed_str.empty() ? "-" : failed_str,
                std::to_string(healthy.size()),
                active_str,

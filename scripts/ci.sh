@@ -47,7 +47,8 @@ echo "==== docs checks ===="
 scripts/check_docs_links.sh
 scripts/check_config_docs.sh
 
-run_config build-ci-release -DCMAKE_BUILD_TYPE=Release
+# -Werror on the Release build: a new compiler warning fails CI.
+run_config build-ci-release -DCMAKE_BUILD_TYPE=Release -DNOCSPRINT_WERROR=ON
 run_config build-ci-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNOCS_SANITIZE=address
 # serve rides along under TSan: the scheduler's preemption, watch
 # streaming, and progress atomics are thread-heavy by construction.

@@ -7,6 +7,7 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "common/assert.hpp"
@@ -114,6 +115,9 @@ struct TaskState {
       std::make_shared<std::atomic<std::uint64_t>>(0);
 };
 
+/// A terminal job keeps its id, fingerprint, kind, priority and task
+/// count; the per-task results and the spec's params are released, and a
+/// done job's result stays only as `result`, its compact dump.
 struct JobState {
   enum class State { kActive, kDone, kQuarantined };
 
@@ -123,10 +127,19 @@ struct JobState {
   bool recovered = false;
   State state = State::kActive;
   std::vector<TaskState> tasks;
-  std::vector<json::Value> results;
+  std::vector<json::Value> results;  ///< per task; empty once terminal
   std::size_t done_tasks = 0;
-  json::Value result;  ///< terminal kDone
+  /// Terminal kDone: the aggregate's compact dump, the very bytes of the
+  /// ledger `done` record's result.  Replies parse it back; numbers
+  /// round-trip exactly, so the parsed value dumps to the same bytes.
+  std::string result;
   std::string error;   ///< terminal kQuarantined
+
+  /// Frees what no terminal job reads again.
+  void release_inputs() {
+    std::vector<json::Value>().swap(results);
+    spec.params = json::Value();
+  }
 
   const char* state_name() const {
     switch (state) {
@@ -164,8 +177,9 @@ struct JobScheduler::Impl {
   /// first.
   std::vector<JobState*> order;
   std::uint64_t next_id = 1;
-  /// fingerprint -> (job id, final result) of every completed job.
-  std::map<std::string, std::pair<std::string, json::Value>> cache;
+  /// fingerprint -> completed job.  Keys view the job's own `fp`, which
+  /// lives as long as the never-erased JobState.
+  std::map<std::string_view, const JobState*> cache;
 
   bool is_draining = false;
   bool stopping = false;
@@ -223,11 +237,11 @@ struct JobScheduler::Impl {
     ledger_append(std::move(rec));
   }
 
-  void record_done(const JobState& job) {
+  void record_done(const JobState& job, json::Value result) {
     json::Value rec = json::Value::object();
     rec.set("type", "done");
     rec.set("job", job.id);
-    rec.set("result", job.result);
+    rec.set("result", std::move(result));
     ledger_append(std::move(rec));
   }
 
@@ -376,6 +390,7 @@ struct JobScheduler::Impl {
       NOCS_EXPECTS(active_jobs > 0);
       --active_jobs;
       ++quarantined_jobs;
+      job.release_inputs();
       // Free the workers promptly: sibling results would be discarded
       // anyway, and quarantine is terminal.
       for (TaskState& other : job.tasks)
@@ -409,14 +424,23 @@ struct JobScheduler::Impl {
       for (const json::Value& r : job.results) arr.push_back(r);
       doc.set("tasks", std::move(arr));
     }
-    job.result = std::move(doc);
-    job.state = JobState::State::kDone;
     NOCS_EXPECTS(active_jobs > 0);
     --active_jobs;
     ++done_jobs;
-    cache[job.fp] = {job.id, job.result};
-    record_done(job);
+    settle_done_locked(job, doc.dump());
+    record_done(job, std::move(doc));
     job_cv.notify_all();
+  }
+
+  /// Marks `job` done with `result` (a compact dump) and indexes it in the
+  /// result cache.  Shared by live completion and ledger replay.
+  void settle_done_locked(JobState& job, std::string result) {
+    job.state = JobState::State::kDone;
+    job.result = std::move(result);
+    job.result.shrink_to_fit();  // dump() grows by doubling
+    job.done_tasks = job.tasks.size();
+    job.release_inputs();
+    cache[job.fp] = &job;
   }
 
   // --- supervisor -----------------------------------------------------------
@@ -474,13 +498,12 @@ struct JobScheduler::Impl {
           replay_task_locked(rec);
         } else if (t == "done") {
           JobState& job = *jobs.at(rec.at("job").as_string());
-          job.state = JobState::State::kDone;
-          job.result = rec.at("result");
-          cache[job.fp] = {job.id, job.result};
+          settle_done_locked(job, rec.at("result").dump());
         } else if (t == "failed") {
           JobState& job = *jobs.at(rec.at("job").as_string());
           job.state = JobState::State::kQuarantined;
           job.error = rec.at("error").as_string();
+          job.release_inputs();
         }
       } catch (const std::exception& e) {
         log_message(LogLevel::kWarn,
@@ -557,6 +580,11 @@ struct JobScheduler::Impl {
     const std::size_t index = static_cast<std::size_t>(raw);
     if (raw < 0 || index >= job.tasks.size())
       throw std::invalid_argument("task index out of range");
+    if (job.state != JobState::State::kActive)
+      // Only a hand-damaged log records a task after the job's terminal
+      // record; the job's per-task results are already released.
+      throw std::invalid_argument("task record after " + job.id +
+                                  " finished");
     if (job.tasks[index].done) return;  // duplicate record; keep the first
     job.tasks[index].done = true;
     job.results[index] = rec.at("result");
@@ -580,7 +608,8 @@ struct JobScheduler::Impl {
       // Live progress for pollers; terminal statuses stay byte-stable
       // across runs (cycle snapshots are incidental, results are not).
       v.set("cycles", static_cast<double>(summed_cycles(job)));
-    if (job.state == JobState::State::kDone) v.set("result", job.result);
+    if (job.state == JobState::State::kDone)
+      v.set("result", json::Value::parse(job.result));
     if (job.state == JobState::State::kQuarantined)
       v.set("error", job.error);
     return v;
@@ -701,8 +730,8 @@ SubmitOutcome JobScheduler::submit(const JobSpec& spec) {
   if (hit != impl_->cache.end()) {
     ++impl_->cache_hits;
     out.code = SubmitOutcome::Code::kCached;
-    out.job_id = hit->second.first;
-    out.cached = hit->second.second;
+    out.job_id = hit->second->id;
+    out.cached = json::Value::parse(hit->second->result);
     return out;
   }
   const std::size_t tasks = task_count(spec);

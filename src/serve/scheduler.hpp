@@ -14,7 +14,8 @@
 //    failing after max_attempts;
 //  - result cache: completed jobs are cached by spec fingerprint, so an
 //    identical resubmission replays the stored JSON bit-identically for
-//    zero simulation cycles;
+//    zero simulation cycles; a finished job keeps its result only as
+//    that compact dump (the bytes of its ledger `done` record);
 //  - preemption: a high-priority submission that finds every worker busy
 //    with lower-priority tasks cancels enough of them through their
 //    tokens; the victims checkpoint, re-queue in their own lanes without
@@ -129,7 +130,7 @@ struct SubmitOutcome {
   };
   Code code = Code::kRejected;
   std::string job_id;      ///< kAccepted: the new job; kCached: the donor
-  json::Value cached;      ///< kCached: the stored result
+  json::Value cached;      ///< kCached: the stored result, parsed back
   std::string error;       ///< kRejected / kDraining
 };
 

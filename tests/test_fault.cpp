@@ -254,7 +254,9 @@ TEST(Watchdog, StaysQuietOnHealthyTraffic) {
   fault::Watchdog dog(net, 200);
   for (int i = 0; i < 4000; ++i) {
     net.tick();
-    if (i % 16 == 0) EXPECT_FALSE(dog.poll());
+    if (i % 16 == 0) {
+      EXPECT_FALSE(dog.poll());
+    }
   }
   // An idle-but-drained network must not trip the watchdog either.
   net.set_injection_rate(0.0);

@@ -742,6 +742,148 @@ TEST(Ledger, RecoveryAggregatesWhenOnlyDoneRecordIsMissing) {
   EXPECT_EQ(sched.submit(spec).code, SubmitOutcome::Code::kCached);
 }
 
+/// A finished job keeps its result only as a compact dump, and every reply
+/// parses it back.  A real simulate report (fractional latencies, nested
+/// counters, power) must read the same through `job`, `wait` and a cached
+/// resubmission, live and after the ledger is replayed, and equal a
+/// direct run of the same scenario.
+TEST(Ledger, SimulateResultReadsTheSameLiveAndReplayed) {
+  const std::string path = tmp_path("ledger_simulate.nsrl");
+  std::remove(path.c_str());
+  JobSpec spec;
+  spec.kind = "simulate";
+  spec.params.set("warmup", 200);
+  spec.params.set("measure", 1000);
+  spec.params.set("injection", 0.1);
+  spec.params.set("seed", 5);
+
+  const sprint::Scenario scenario = scenario_of(spec);
+  json::Value direct = scenario.aggregate({scenario.run_task(0, {})});
+  direct.set("kind", "simulate");
+  const std::string want = direct.dump();
+  const double latency = direct.at("avg_packet_latency").as_number();
+  ASSERT_NE(latency, static_cast<double>(static_cast<long long>(latency)))
+      << "the check wants a fractional number in the result";
+
+  const auto expect_every_reply = [&](JobScheduler& sched) {
+    const json::Value waited = sched.wait("job-1");
+    ASSERT_EQ(waited.at("state").as_string(), "done") << waited.dump();
+    EXPECT_EQ(waited.at("result").dump(), want);
+    EXPECT_EQ(sched.job_status("job-1").at("result").dump(), want);
+    const SubmitOutcome cached = sched.submit(spec);
+    ASSERT_EQ(cached.code, SubmitOutcome::Code::kCached);
+    EXPECT_EQ(cached.job_id, "job-1");
+    EXPECT_EQ(cached.cached.dump(), want);
+  };
+  {
+    Ledger ledger(path);
+    JobScheduler sched(fast_limits(), make_sim_runner(""),
+                       make_sim_aggregator(), &ledger);
+    ASSERT_EQ(sched.submit(spec).job_id, "job-1");
+    expect_every_reply(sched);
+  }
+  Ledger reopened(path);
+  JobScheduler sched(fast_limits(), make_sim_runner(""),
+                     make_sim_aggregator(), &reopened);
+  EXPECT_EQ(sched.recovered_jobs(), 0u);
+  expect_every_reply(sched);
+}
+
+/// A crash between a sweep's last `task` record and its `done` record:
+/// recovery aggregates the durable points with the real aggregator and
+/// must produce a fresh run's result byte for byte, running no task.
+TEST(Ledger, RecoveredSweepAggregatesLikeAFreshRun) {
+  const std::string path = tmp_path("ledger_sweep_nodone.nsrl");
+  std::remove(path.c_str());
+  JobSpec spec;
+  spec.kind = "sweep";
+  spec.params.set("level", 8);
+  spec.params.set("rates", "0.05:0.1:0.25");
+  ASSERT_EQ(task_count(spec), 3u);
+
+  std::string fresh;
+  {
+    JobScheduler sched(fast_limits(), make_sim_runner(""),
+                       make_sim_aggregator(), nullptr);
+    const json::Value done = sched.wait(sched.submit(spec).job_id);
+    ASSERT_EQ(done.at("state").as_string(), "done") << done.dump();
+    fresh = done.at("result").dump();
+  }
+  {
+    Ledger ledger(path);
+    json::Value submit = json::Value::object();
+    submit.set("type", "submit");
+    submit.set("job", "job-1");
+    submit.set("spec", spec_to_json(spec));
+    submit.set("fingerprint", fingerprint(spec));
+    ASSERT_TRUE(ledger.append(submit));
+    const sprint::Scenario scenario = scenario_of(spec);
+    // Out of rate order, as parallel workers may finish them.
+    for (const int index : {2, 0, 1}) {
+      json::Value task = json::Value::object();
+      task.set("type", "task");
+      task.set("job", "job-1");
+      task.set("task", index);
+      task.set("result", scenario.run_task(index, {}));
+      ASSERT_TRUE(ledger.append(task));
+    }
+  }
+  Ledger ledger(path);
+  std::atomic<int> runs{0};
+  TaskRunner sim = make_sim_runner("");
+  TaskRunner counted = [&](const JobSpec& s, const TaskContext& ctx) {
+    ++runs;
+    return sim(s, ctx);
+  };
+  JobScheduler sched(fast_limits(), counted, make_sim_aggregator(), &ledger);
+  EXPECT_EQ(sched.recovered_jobs(), 1u);
+  const json::Value status = sched.wait("job-1");
+  ASSERT_EQ(status.at("state").as_string(), "done") << status.dump();
+  EXPECT_EQ(status.at("result").dump(), fresh);
+  EXPECT_EQ(runs.load(), 0);
+  const SubmitOutcome cached = sched.submit(spec);
+  ASSERT_EQ(cached.code, SubmitOutcome::Code::kCached);
+  EXPECT_EQ(cached.cached.dump(), fresh);
+}
+
+/// A done job's per-task results are released at its `done` record, so a
+/// task record after it (only a hand-edited log has one) must be skipped,
+/// not written into the released vector.
+TEST(Ledger, TaskRecordAfterDoneIsSkipped) {
+  const std::string path = tmp_path("ledger_late_task.nsrl");
+  std::remove(path.c_str());
+  const JobSpec spec = selftest_spec(2);
+  {
+    Ledger ledger(path);
+    json::Value submit = json::Value::object();
+    submit.set("type", "submit");
+    submit.set("job", "job-1");
+    submit.set("spec", spec_to_json(spec));
+    submit.set("fingerprint", fingerprint(spec));
+    ASSERT_TRUE(ledger.append(submit));
+    json::Value done = json::Value::object();
+    done.set("type", "done");
+    done.set("job", "job-1");
+    done.set("result", 1.5);
+    ASSERT_TRUE(ledger.append(done));
+    json::Value task = json::Value::object();
+    task.set("type", "task");
+    task.set("job", "job-1");
+    task.set("task", 1);
+    task.set("result", json::Value::object());
+    ASSERT_TRUE(ledger.append(task));
+  }
+  Ledger ledger(path);
+  CountingRunner counting;
+  JobScheduler sched(fast_limits(), counting.fn(), nullptr, &ledger);
+  const json::Value status = sched.job_status("job-1");
+  EXPECT_EQ(status.at("state").as_string(), "done") << status.dump();
+  EXPECT_EQ(status.at("result").dump(), "1.5");
+  EXPECT_EQ(status.at("completed_tasks").as_number(), 2.0);
+  EXPECT_EQ(sched.status().at("tasks").at("recovered").as_number(), 0.0);
+  EXPECT_TRUE(counting.ran.empty());
+}
+
 TEST(Ledger, DamagedTailIsTruncatedAndPrefixReplayed) {
   const std::string path = tmp_path("ledger_damaged.nsrl");
   std::remove(path.c_str());
