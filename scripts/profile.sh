@@ -9,16 +9,22 @@
 # charges the simulator's own code instead of libc's call counting (a
 # compile-time -O2 -pg build spent most of a mesh8_uniform run in mcount).
 # Call counts and the call graph are therefore absent: read self seconds
-# only.  `gprof -l` (per-line) is not used; it aborts on binutils 2.40.
-# perfbench builds with IPO, so the link-time code generation sees -pg
-# too; it instruments only the two thunks it creates itself.  Samples in
-# LTO-local functions can be charged to a neighboring symbol, so compare
-# a function's self seconds per pass between builds rather than trusting
-# every label.
+# only.
+#
+# The flat profile comes from scripts/gmon_flat.py, not `gprof -p`: it
+# charges each histogram bin to the function whose `nm --print-size`
+# range holds it.  gprof 2.40 leaves some GCC clone symbols out of its
+# table and charges their samples to the symbol before them (it printed
+# `Router::stage_vc_allocation [clone .constprop.0]`'s 6-9% as
+# `json::Value::dump [clone .constprop.0]`).  perfbench builds with IPO;
+# LTO-local functions are sized symbols too, so they keep their samples,
+# but a function inlined into another is charged to its caller.  Compare a
+# function's self seconds per pass between builds, i.e. divide by the
+# run's `attempted`.
 #
 # Usage: scripts/profile.sh <workload> [seconds]   (default 10 seconds)
 #
-# Prints the workload's result line, then `gprof -b -p` of the run.
+# Prints the workload's result line, then the flat profile of the run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -42,4 +48,4 @@ mkdir -p "${run}"
 # gmon.out is written to the working directory at exit.
 (cd "${run}" && ../perfbench --workload "${workload}" --seed 1 \
   --seconds "${seconds}" --trace 0 --state-dir state | tail -n 1)
-gprof -b -p "${build}/perfbench" "${run}/gmon.out"
+python3 scripts/gmon_flat.py "${build}/perfbench" "${run}/gmon.out"

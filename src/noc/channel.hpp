@@ -1,24 +1,30 @@
 // Latched fixed-latency channels connecting routers and network interfaces.
 //
-// Flits travel downstream through Pipe<T>.  A value pushed at cycle t
-// becomes visible at t + latency, so the per-cycle evaluation order of
-// routers cannot change simulation results — the property that makes the
-// simulator deterministic.  (Credits travel upstream without a pipe: the
-// network returns them behind its phase barrier, see network.hpp.)
+// A value pushed into a Pipe at cycle t becomes visible at t + latency, so
+// the per-cycle evaluation order of routers cannot change simulation
+// results — the property that makes the simulator deterministic.  A link
+// into a router carries no flit: the sender writes each flit straight into
+// the receiver's input-VC ring slot its credit reserves (see router.hpp),
+// and the link's ArrivalLog, a Pipe of VC ids, says when it may be read.
+// Only the ejection channel (router to NI, which has no VC ring) is a
+// Pipe<Flit>.  (Credits travel upstream without a pipe: the network
+// returns them behind its phase barrier, see network.hpp.)
 //
-// That same property makes Pipe the cross-shard flit channel of the
-// sharded Network::tick, so a pipe whose ends tick on different shards is
-// a single-producer/single-consumer lock-free ring: the producer owns
+// That same property makes Pipe the cross-shard channel of the sharded
+// Network::tick, so a pipe whose ends tick on different shards is a
+// single-producer/single-consumer lock-free ring: the producer owns
 // `pushed_`, the consumer owns `popped_`, and each release-publishes its
-// counter so the other side observes fully-written slots.  Determinism
-// survives the race window on purpose — a value pushed at cycle t is
-// never receivable before t+1 (latency >= 1), so whether the consumer's
-// same-cycle loads observe it or not cannot change what pop/ready return
-// this cycle; by the next phase barrier the write is visible everywhere.
+// counter so the other side observes fully-written slots — and, for an
+// arrival log, the reserved VC slot the producer wrote before its push.
+// Determinism survives the race window on purpose — a value pushed at
+// cycle t is never receivable before t+1 (latency >= 1), so whether the
+// consumer's same-cycle loads observe it or not cannot change what
+// pop/ready return this cycle; by the next phase barrier the write is
+// visible everywhere.
 //
 // The ring never grows: regrowing it under a concurrent consumer would be
 // a data race.  Credit flow control bounds a network pipe's occupancy by
-// the downstream buffering of one port, num_vcs * vc_depth (every flit in
+// the downstream buffering of one port, num_vcs * vc_depth (every value in
 // a pipe holds one of its sender's credits), so the network sizes each
 // ring to exactly that bound, and a push into a full ring is a contract
 // failure: it means credit flow is broken.
@@ -28,7 +34,9 @@
 // the counters and ring slot 0 share the block's first line.  The
 // header's 40 bytes of fields are padded to 48 so that the ring starts
 // 16-byte aligned.  A flit slot is 24 bytes (the ready cycle and a
-// 16-byte Flit), so a Table-1 flit pipe of 16 slots is a 448-byte block.
+// 16-byte Flit), so a Table-1 ejection pipe of 16 slots is a 448-byte
+// block; an arrival slot is 8 bytes (ready << 8 | vc), so a Table-1
+// arrival log is a 192-byte block.
 #pragma once
 
 #include <atomic>
@@ -42,6 +50,7 @@
 #include "common/assert.hpp"
 #include "common/snapshot.hpp"
 #include "common/types.hpp"
+#include "noc/flit.hpp"
 
 namespace nocs::noc {
 
@@ -94,17 +103,45 @@ class WakeSink {
   virtual void on_push(Cycle ready_at) = 0;
 };
 
+/// A pipe slot holding the ready cycle beside the value.
+template <typename T>
+struct TimedSlot {
+  Cycle ready_at = 0;
+  T value{};
+
+  TimedSlot() = default;
+  TimedSlot(Cycle ready, T v) : ready_at(ready), value(std::move(v)) {}
+  Cycle ready() const { return ready_at; }
+  const T& get() const { return value; }
+  T take() { return std::move(value); }
+};
+
+/// An arrival-log slot: the VC a flit arrives on and the cycle it becomes
+/// receivable, packed into 8 bytes as ready << 8 | vc (a VC id is at most
+/// kMaxVcs - 1 = 126, and a ready cycle stays far below 2^56).
+struct VcArrival {
+  std::uint64_t bits = 0;
+
+  VcArrival() = default;
+  VcArrival(Cycle ready, VcId vc)
+      : bits(ready << 8 | static_cast<std::uint8_t>(vc)) {}
+  Cycle ready() const { return bits >> 8; }
+  VcId get() const { return static_cast<VcId>(bits & 0xff); }
+  VcId take() const { return get(); }
+};
+static_assert(kMaxVcs <= 256);
+
 /// FIFO channel with a fixed propagation latency in cycles.
 ///
-/// Storage is a power-of-two ring inline after the header, so a pipe is
-/// only ever built in a block: emplace() in a caller's block, make() in
-/// one of its own.  `pushed_` and `popped_` are monotonic totals and the
-/// slot index is their value masked by the capacity.  Push and pop never
-/// reallocate.
-template <typename T>
+/// Storage is a power-of-two ring of `SlotT` inline after the header, so
+/// a pipe is only ever built in a block: emplace() in a caller's block,
+/// make() in one of its own.  `pushed_` and `popped_` are monotonic totals
+/// and the slot index is their value masked by the capacity.  Push and pop
+/// never reallocate.
+template <typename T, typename SlotT = TimedSlot<T>>
 class alignas(16) Pipe {
  public:
-  using Slot = std::pair<Cycle, T>;
+  using Slot = SlotT;
 
   /// Bytes of the cache-line-aligned block emplace() builds a pipe in.
   static std::size_t block_bytes(int latency, int capacity) {
@@ -145,10 +182,10 @@ class alignas(16) Pipe {
     const std::uint64_t c = popped_.load(std::memory_order_acquire);
     const Cycle ready_at = now + latency_;
     // FIFO ordering requires monotonically non-decreasing ready times.
-    NOCS_ENSURES(p == c || slots_[index(p - 1)].first <= ready_at);
+    NOCS_ENSURES(p == c || slots_[index(p - 1)].ready() <= ready_at);
     NOCS_ENSURES(p - c <= mask_);  // credit flow bounds occupancy
     if (p == c && sink_ != nullptr) sink_->on_push(ready_at);
-    slots_[index(p)] = {ready_at, std::move(value)};
+    slots_[index(p)] = Slot(ready_at, std::move(value));
     pushed_.store(p + 1, std::memory_order_release);
   }
 
@@ -156,20 +193,20 @@ class alignas(16) Pipe {
   bool ready(Cycle now) const {
     const std::uint64_t c = popped_.load(std::memory_order_relaxed);
     const std::uint64_t p = pushed_.load(std::memory_order_acquire);
-    return p != c && slots_[index(c)].first <= now;
+    return p != c && slots_[index(c)].ready() <= now;
   }
 
   /// Peeks the next receivable value; precondition: ready(now).
-  const T& front(Cycle now) const {
+  decltype(auto) front(Cycle now) const {
     NOCS_EXPECTS(ready(now));
-    return slots_[index(popped_.load(std::memory_order_relaxed))].second;
+    return slots_[index(popped_.load(std::memory_order_relaxed))].get();
   }
 
   /// Removes and returns the next receivable value; precondition: ready(now).
   T pop(Cycle now) {
     NOCS_EXPECTS(ready(now));
     const std::uint64_t c = popped_.load(std::memory_order_relaxed);
-    T v = std::move(slots_[index(c)].second);
+    T v = slots_[index(c)].take();
     popped_.store(c + 1, std::memory_order_release);
     return v;
   }
@@ -197,7 +234,7 @@ class alignas(16) Pipe {
     const std::uint64_t p = pushed_.load(std::memory_order_acquire);
     for (std::uint64_t i = popped_.load(std::memory_order_relaxed); i != p;
          ++i)
-      visit(slots_[index(i)].second);
+      visit(slots_[index(i)].get());
   }
 
   /// Ready time of the oldest pending value, or kNoPendingEvent when empty
@@ -205,7 +242,7 @@ class alignas(16) Pipe {
   Cycle next_ready_time() const {
     const std::uint64_t c = popped_.load(std::memory_order_relaxed);
     const std::uint64_t p = pushed_.load(std::memory_order_acquire);
-    return p == c ? kNoPendingEvent : slots_[index(c)].first;
+    return p == c ? kNoPendingEvent : slots_[index(c)].ready();
   }
 
   /// Checkpoint: in-flight values oldest-first with their absolute ready
@@ -219,9 +256,9 @@ class alignas(16) Pipe {
     w.u64(latency_);
     w.i64(static_cast<std::int64_t>(p - c));
     for (std::uint64_t i = c; i != p; ++i) {
-      const auto& slot = slots_[index(i)];
-      w.u64(slot.first);
-      save_elem(w, slot.second);
+      const Slot& slot = slots_[index(i)];
+      w.u64(slot.ready());
+      save_elem(w, slot.get());
     }
     w.end_section();
   }
@@ -245,9 +282,10 @@ class alignas(16) Pipe {
     popped_.store(0, std::memory_order_relaxed);
     pushed_.store(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
     for (std::int64_t i = 0; i < n; ++i) {
-      auto& slot = slots_[static_cast<std::size_t>(i)];
-      slot.first = r.u64();
-      load_elem(r, slot.second);
+      const Cycle ready_at = r.u64();
+      T value{};
+      load_elem(r, value);
+      slots_[static_cast<std::size_t>(i)] = Slot(ready_at, std::move(value));
     }
     r.end_section();
   }
@@ -283,5 +321,12 @@ class alignas(16) Pipe {
 };
 // The header leaves the rest of its first cache line to ring slot 0.
 static_assert(sizeof(Pipe<int>) == 48);
+
+/// A router input link's arrival log: which VC each flit arrived on and
+/// when it becomes receivable.  The flit itself already sits in the
+/// receiving router's input-VC ring, in the slot the sender's credit
+/// reserved; popping the log makes that slot visible (Router::tick).
+using ArrivalLog = Pipe<VcId, VcArrival>;
+static_assert(sizeof(ArrivalLog::Slot) == 8);
 
 }  // namespace nocs::noc

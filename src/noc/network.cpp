@@ -5,6 +5,7 @@
 #include <memory>
 #include <new>
 #include <sstream>
+#include <type_traits>
 
 namespace nocs::noc {
 
@@ -16,6 +17,14 @@ namespace {
 /// the producer's outbox).  Thread-local rather than per-network: a thread
 /// only ever executes one network's phase at a time.
 thread_local int t_current_shard = -1;
+
+/// Credit flow control bounds any channel's occupancy by the downstream
+/// buffering of one port (num_vcs * vc_depth flits), so every ring is
+/// sized to exactly that bound and never reallocates; Pipe::push fails a
+/// contract past it.
+int channel_capacity(const NetworkParams& params) {
+  return params.num_vcs * params.vc_depth;
+}
 
 /// Calls visit(i) for every set bit i of `bits` in ascending order,
 /// re-reading the live word after each visit, so a bit set above the
@@ -34,6 +43,28 @@ void walk_live_bits(const std::vector<std::uint64_t>& bits, Visit&& visit) {
 }
 
 }  // namespace
+
+template <typename LinkLatency>
+std::size_t Network::block_bytes(NodeId id, const LinkLatency& latency) const {
+  const int cap = channel_capacity(params_);
+  const int nports = topo_.num_ports(id);
+  std::size_t bytes = align_up(sizeof(Router), kCacheLine) +
+                      Router::storage_bytes(params_, nports) +
+                      align_up(sizeof(NetworkInterface), kCacheLine) +
+                      ArrivalLog::block_bytes(1, cap) +
+                      Pipe<Flit>::block_bytes(1, cap);
+  for (int p = 1; p < nports; ++p)
+    if (const int l = topo_.link_in(id, p); l >= 0)
+      bytes += ArrivalLog::block_bytes(latency(l), cap);
+  return bytes;
+}
+
+std::size_t Network::node_block_bytes(NodeId id) const {
+  NOCS_EXPECTS(topo_.valid(id));
+  return block_bytes(id, [this](int l) {
+    return input_logs_[static_cast<std::size_t>(l)]->latency();
+  });
+}
 
 Network::Network(const NetworkParams& params, Topology topo,
                  const RoutingPolicy* policy, LinkLatencyFn link_latency)
@@ -63,40 +94,25 @@ Network::Network(const NetworkParams& params, Topology topo,
     max_latency = std::max(max_latency, link_lat[i]);
   }
 
-  // Credit flow control bounds any pipe's occupancy by the downstream
-  // buffering of one port (num_vcs * vc_depth flits), so every ring is
-  // sized to exactly that bound and never reallocates; Pipe::push fails a
-  // contract past it.
-  const int cap = params_.num_vcs * params_.vc_depth;
+  const int cap = channel_capacity(params_);
   const std::size_t router_bytes = align_up(sizeof(Router), kCacheLine);
   const std::size_t ni_bytes = align_up(sizeof(NetworkInterface), kCacheLine);
-  const std::size_t local_flit_bytes = Pipe<Flit>::block_bytes(1, cap);
+  const std::size_t eject_bytes = Pipe<Flit>::block_bytes(1, cap);
 
-  // Pipe k: link k's pipe for k < num_links, then per node the injection
-  // and ejection pipes (see flit_pipes_).
-  const auto local_pipe = [num_links](NodeId id, int which) {
-    return num_links + 2 * static_cast<std::size_t>(id) +
-           static_cast<std::size_t>(which);
-  };
-  constexpr int kInject = 0;
-  constexpr int kEject = 1;
   constexpr auto kLocal = static_cast<std::uint32_t>(Port::kLocal);
   node_blocks_.resize(static_cast<std::size_t>(n));
   routers_.resize(static_cast<std::size_t>(n));
   nis_.resize(static_cast<std::size_t>(n));
-  flit_pipes_.resize(num_links + 2 * static_cast<std::size_t>(n));
-  // One wake hook per pipe, naming the consumer's input.
-  sinks_.reserve(flit_pipes_.size());
+  input_logs_.resize(num_links + static_cast<std::size_t>(n));
+  eject_pipes_.resize(static_cast<std::size_t>(n));
+  // One wake hook per channel, naming the consumer's input.
+  sinks_.reserve(num_channels());
   for (NodeId id = 0; id < n; ++id) {
     const auto i = static_cast<std::size_t>(id);
     const int nports = topo_.num_ports(id);
     const std::size_t router_state = Router::storage_bytes(params_, nports);
-    std::size_t bytes =
-        router_bytes + router_state + ni_bytes + 2 * local_flit_bytes;
-    for (int p = 1; p < nports; ++p)
-      if (const int l = topo_.link_in(id, p); l >= 0)
-        bytes += Pipe<Flit>::block_bytes(
-            link_lat[static_cast<std::size_t>(l)], cap);
+    const std::size_t bytes = block_bytes(
+        id, [&](int l) { return link_lat[static_cast<std::size_t>(l)]; });
     node_blocks_[i] = new_line_block(bytes);
     std::byte* at = node_blocks_[i].get();
     const auto take = [&at](std::size_t size) {
@@ -108,31 +124,35 @@ Network::Network(const NetworkParams& params, Topology topo,
     routers_[i] = ::new (take(router_bytes))
         Router(id, params_, topo_, policy_, take(router_state));
     nis_[i] = ::new (take(ni_bytes)) NetworkInterface(id, params_, &stats_);
-    // The pipes this node consumes, each waking it through `input`.
-    const auto flit_pipe = [&](std::size_t k, int latency,
+    // The channels this node consumes, each waking it through `input`:
+    // input log k (see input_logs_) is router input `input`.
+    const auto input_log = [&](std::size_t k, int latency,
                                std::uint32_t input) {
-      flit_pipes_[k] = Pipe<Flit>::emplace(
-          take(Pipe<Flit>::block_bytes(latency, cap)), latency, cap);
-      flit_pipes_[k]->set_sink(new_sink(wake_code(id, input)));
+      input_logs_[k] = ArrivalLog::emplace(
+          take(ArrivalLog::block_bytes(latency, cap)), latency, cap);
+      input_logs_[k]->set_sink(new_sink(wake_code(id, input)));
     };
-    flit_pipe(local_pipe(id, kInject), 1, kLocal);
+    input_log(num_links + i, 1, kLocal);
     for (int p = 1; p < nports; ++p)
       if (const int l = topo_.link_in(id, p); l >= 0)
-        flit_pipe(static_cast<std::size_t>(l),
+        input_log(static_cast<std::size_t>(l),
                   link_lat[static_cast<std::size_t>(l)],
                   static_cast<std::uint32_t>(p));
-    flit_pipe(local_pipe(id, kEject), 1, kNiInput);
+    eject_pipes_[i] = Pipe<Flit>::emplace(take(eject_bytes), 1, cap);
+    eject_pipes_[i]->set_sink(new_sink(wake_code(id, kNiInput)));
     NOCS_ENSURES(at == node_blocks_[i].get() + bytes);
   }
 
-  // Inter-router links: link l's pipe carries src's flits to dst, and dst
-  // returns their credits to src's output credits for the link.
+  // Inter-router links: src writes link l's flits into dst's input VC
+  // rings and logs their arrivals on link l's log, and dst returns their
+  // credits to src's output credits for the link.
   for (std::size_t i = 0; i < num_links; ++i) {
     const TopoLink& l = links[i];
     Router& src = *routers_[static_cast<std::size_t>(l.src)];
-    src.connect_output(l.src_port, flit_pipes_[i]);
-    routers_[static_cast<std::size_t>(l.dst)]->connect_input(
-        l.dst_port, flit_pipes_[i], src.output_credits(l.src_port));
+    Router& dst = *routers_[static_cast<std::size_t>(l.dst)];
+    src.connect_output(l.src_port, input_logs_[i], dst.input_slots(l.dst_port));
+    dst.connect_input(l.dst_port, input_logs_[i],
+                      src.output_credits(l.src_port));
   }
 
   for (NodeId id = 0; id < n; ++id) {
@@ -150,11 +170,11 @@ Network::Network(const NetworkParams& params, Topology topo,
     ni.set_mc_counters(&r.raw_counters());
 
     // Local NI <-> router channels, each returning credits to its sender.
-    Pipe<Flit>* inj = flit_pipes_[local_pipe(id, kInject)];
-    Pipe<Flit>* ej = flit_pipes_[local_pipe(id, kEject)];
+    ArrivalLog* inj = input_logs_[num_links + static_cast<std::size_t>(id)];
+    Pipe<Flit>* ej = eject_pipes_[static_cast<std::size_t>(id)];
     r.connect_input(Port::kLocal, inj, ni.credits());
-    r.connect_output(Port::kLocal, ej);
-    ni.connect(inj, ej, r.output_credits(kLocal));
+    r.connect_ejection(ej);
+    ni.connect(inj, r.input_slots(kLocal), ej, r.output_credits(kLocal));
   }
 
   // Calendar wheels are sized to cover the farthest-future event a pipe
@@ -168,7 +188,8 @@ Network::Network(const NetworkParams& params, Topology topo,
 
 Network::~Network() {
   // End every object's lifetime before node_blocks_ releases its block.
-  for (auto* p : flit_pipes_) std::destroy_at(p);
+  for (auto* p : input_logs_) std::destroy_at(p);
+  for (auto* p : eject_pipes_) std::destroy_at(p);
   for (auto* ni : nis_) std::destroy_at(ni);
   for (auto* r : routers_) std::destroy_at(r);
 }
@@ -272,7 +293,7 @@ int Network::link_latency(NodeId from, NodeId to) const {
   NOCS_EXPECTS(topo_.valid(from) && topo_.valid(to));
   const int port = topo_.port_to(from, to);
   NOCS_EXPECTS(port > 0);  // adjacent nodes only
-  return flit_pipes_[static_cast<std::size_t>(topo_.link_out(from, port))]
+  return input_logs_[static_cast<std::size_t>(topo_.link_out(from, port))]
       ->latency();
 }
 
@@ -537,15 +558,17 @@ bool Network::drained_reference() const {
     if (!ni->idle()) return false;
   for (const auto& r : routers_)
     if (!r->drained()) return false;
-  for (const auto& p : flit_pipes_)
+  for (const auto& p : input_logs_)
+    if (!p->empty()) return false;
+  for (const auto& p : eject_pipes_)
     if (!p->empty()) return false;
   return true;
 }
 
 bool Network::input_wakes_armed() const {
-  const auto armed = [this](const Pipe<Flit>& pipe, NodeId id, int port) {
-    if (pipe.empty()) return true;
-    const Cycle t = pipe.next_ready_time();
+  const auto armed = [this](const ArrivalLog& log, NodeId id, int port) {
+    if (log.empty()) return true;
+    const Cycle t = log.next_ready_time();
     if (t <= now_ &&
         routers_[static_cast<std::size_t>(id)]->input_pending(port))
       return true;
@@ -557,16 +580,9 @@ bool Network::input_wakes_armed() const {
                      wake_code(id, static_cast<std::uint32_t>(port))) !=
            bucket.end();
   };
-  // Pipes are allocated per link in links() order, then per node the
-  // injection and ejection pipes.
-  const std::vector<TopoLink>& links = topo_.links();
-  for (std::size_t i = 0; i < links.size(); ++i)
-    if (!armed(*flit_pipes_[i], links[i].dst, links[i].dst_port))
-      return false;
-  for (NodeId id = 0; id < num_nodes(); ++id) {
-    const std::size_t k = links.size() + 2 * static_cast<std::size_t>(id);
-    if (!armed(*flit_pipes_[k], id, static_cast<int>(Port::kLocal)))
-      return false;
+  for (std::size_t k = 0; k < input_logs_.size(); ++k) {
+    const auto [reader, port] = log_reader(k);
+    if (!armed(*input_logs_[k], reader->id(), port)) return false;
   }
   return true;
 }
@@ -580,8 +596,25 @@ std::int64_t Network::flits_in_flight() const {
 std::int64_t Network::counted_flits() const {
   std::int64_t n = 0;
   for (const auto& r : routers_) n += r->buffered_flits();
-  for (const auto& p : flit_pipes_) n += static_cast<std::int64_t>(p->size());
+  for (const auto& p : input_logs_) n += static_cast<std::int64_t>(p->size());
+  for (const auto& p : eject_pipes_) n += static_cast<std::int64_t>(p->size());
   return n;
+}
+
+std::pair<Router*, int> Network::log_reader(std::size_t k) const {
+  const std::vector<TopoLink>& links = topo_.links();
+  if (k < links.size())
+    return {routers_[static_cast<std::size_t>(links[k].dst)],
+            links[k].dst_port};
+  return {routers_[k - links.size()], static_cast<int>(Port::kLocal)};
+}
+
+std::int16_t* Network::log_writer_tails(std::size_t k) const {
+  const std::vector<TopoLink>& links = topo_.links();
+  if (k < links.size())
+    return routers_[static_cast<std::size_t>(links[k].src)]->output_tails(
+        links[k].src_port);
+  return nis_[k - links.size()]->tails();
 }
 
 void Network::check_flit_conservation() const {
@@ -592,7 +625,11 @@ void Network::check_packet_records() const {
   std::vector<RecordRef> held;
   const auto hold = [&held](const Flit& f) { held.push_back(f.record); };
   for (const auto& r : routers_) r->for_each_buffered(hold);
-  for (const auto& p : flit_pipes_) p->for_each(hold);
+  for (std::size_t k = 0; k < input_logs_.size(); ++k) {
+    auto arrival = pending_walk(k);
+    input_logs_[k]->for_each([&](VcId vc) { hold(arrival(vc)); });
+  }
+  for (const auto& p : eject_pipes_) p->for_each(hold);
   for (const auto& ni : nis_)
     if (const auto ref = ni->injecting_record()) held.push_back(*ref);
   records_.check_live(held);
@@ -600,40 +637,56 @@ void Network::check_packet_records() const {
 
 void Network::check_credit_conservation() const {
   const int nv = params_.num_vcs;
-  std::vector<int> in_pipe(static_cast<std::size_t>(nv));
-  // held(vc) = `credits`(vc) + that VC's flits in `pipe` + occupancy(vc)
-  // must be vc_depth for every VC.
-  const auto check = [&](const Pipe<Flit>& pipe, const auto& credits,
+  std::vector<int> in_flight(static_cast<std::size_t>(nv));
+  // held(vc) = `credits`(vc) + that VC's values in `channel` +
+  // occupancy(vc) must be vc_depth for every VC; the counts stay in
+  // in_flight.
+  const auto check = [&](const auto& channel, const auto& credits,
                          const auto& occupancy) {
-    std::fill(in_pipe.begin(), in_pipe.end(), 0);
-    pipe.for_each([&](const Flit& f) {
-      NOCS_ENSURES(f.vc >= 0 && f.vc < nv);
-      ++in_pipe[static_cast<std::size_t>(f.vc)];
+    std::fill(in_flight.begin(), in_flight.end(), 0);
+    channel.for_each([&](const auto& value) {
+      VcId vc = 0;
+      if constexpr (std::is_same_v<std::decay_t<decltype(value)>, Flit>)
+        vc = value.vc;
+      else
+        vc = value;
+      NOCS_ENSURES(vc >= 0 && vc < nv);
+      ++in_flight[static_cast<std::size_t>(vc)];
     });
     for (int vc = 0; vc < nv; ++vc)
-      NOCS_ENSURES(credits(vc) + in_pipe[static_cast<std::size_t>(vc)] +
+      NOCS_ENSURES(credits(vc) + in_flight[static_cast<std::size_t>(vc)] +
                        occupancy(vc) ==
                    params_.vc_depth);
+  };
+  // Input log k's sender names the slot after each VC's pending flits.
+  const auto check_tails = [&](std::size_t k) {
+    const auto [reader, port] = log_reader(k);
+    const std::int16_t* tails = log_writer_tails(k);
+    for (int vc = 0; vc < nv; ++vc)
+      NOCS_ENSURES(tails[vc] == reader->input_buffer(port, vc).tail(
+                                    in_flight[static_cast<std::size_t>(vc)]));
   };
   const std::vector<TopoLink>& links = topo_.links();
   for (std::size_t i = 0; i < links.size(); ++i) {
     const Router& src = *routers_[static_cast<std::size_t>(links[i].src)];
     const Router& dst = *routers_[static_cast<std::size_t>(links[i].dst)];
     check(
-        *flit_pipes_[i],
+        *input_logs_[i],
         [&](int vc) { return src.output_credits(links[i].src_port, vc); },
         [&](int vc) { return dst.buffered_flits(links[i].dst_port, vc); });
+    check_tails(i);
   }
   constexpr int kLocal = static_cast<int>(Port::kLocal);
   for (NodeId id = 0; id < num_nodes(); ++id) {
-    const Router& r = *routers_[static_cast<std::size_t>(id)];
-    const NetworkInterface& ni = *nis_[static_cast<std::size_t>(id)];
-    const std::size_t k = links.size() + 2 * static_cast<std::size_t>(id);
+    const auto i = static_cast<std::size_t>(id);
+    const Router& r = *routers_[i];
+    const NetworkInterface& ni = *nis_[i];
     check(
-        *flit_pipes_[k], [&](int vc) { return ni.credits(vc); },
+        *input_logs_[links.size() + i], [&](int vc) { return ni.credits(vc); },
         [&](int vc) { return r.buffered_flits(kLocal, vc); });
+    check_tails(links.size() + i);
     check(
-        *flit_pipes_[k + 1],
+        *eject_pipes_[i],
         [&](int vc) { return r.output_credits(kLocal, vc); },
         [](int) { return 0; });
   }
@@ -696,22 +749,33 @@ void Network::save_state(snapshot::Writer& w) const {
   w.u64(topo_.fingerprint());
   w.i64(static_cast<std::int64_t>(endpoints_.size()));
   for (const NodeId e : endpoints_) w.i64(e);
-  // The credit-channel count: one per flit pipe (see the credit sections
-  // below).
-  w.i64(static_cast<std::int64_t>(flit_pipes_.size()));
-  w.i64(static_cast<std::int64_t>(flit_pipes_.size()));
+  // The flit- and credit-channel counts: one per input log and ejection
+  // pipe (see the credit sections below).
+  w.i64(static_cast<std::int64_t>(num_channels()));
+  w.i64(static_cast<std::int64_t>(num_channels()));
 
   w.u64(now_);
   for (const auto& r : routers_) r->save_state(w, records_);
   for (const auto& ni : nis_) ni->save_state(w);
-  const auto save_flit = [this](snapshot::Writer& sw, const Flit& f) {
-    records_.save(sw, f);
+  // A flit channel's section holds its flits with their ready times in
+  // arrival order; an input log's flits are its reader's pending slots.
+  const auto save_log = [&](std::size_t k) {
+    auto arrival = pending_walk(k);
+    input_logs_[k]->save_state(w, [&](snapshot::Writer& sw, VcId vc) {
+      records_.save(sw, arrival(vc));
+    });
   };
-  for (const auto& p : flit_pipes_) p->save_state(w, save_flit);
-  // The format keeps one credit-pipe section per flit pipe.  Credits are
-  // returned within the cycle their slots free, so none is ever in
+  const std::size_t num_links = topo_.links().size();
+  for (std::size_t k = 0; k < num_links; ++k) save_log(k);
+  for (std::size_t i = 0; i < eject_pipes_.size(); ++i) {
+    save_log(num_links + i);
+    eject_pipes_[i]->save_state(
+        w, [this](snapshot::Writer& sw, const Flit& f) { records_.save(sw, f); });
+  }
+  // The format keeps one credit-pipe section per flit channel.  Credits
+  // are returned within the cycle their slots free, so none is ever in
   // flight between ticks: every section is a latency-1 pipe holding none.
-  for (std::size_t k = 0; k < flit_pipes_.size(); ++k) {
+  for (std::size_t k = 0; k < num_channels(); ++k) {
     w.begin_section("pipe");
     w.u64(1);
     w.i64(0);
@@ -749,8 +813,8 @@ void Network::load_state(snapshot::Reader& r) {
       throw snapshot::SnapshotError(
           "checkpoint endpoint set disagrees with this network's "
           "configuration");
-  if (r.i64() != static_cast<std::int64_t>(flit_pipes_.size()) ||
-      r.i64() != static_cast<std::int64_t>(flit_pipes_.size()))
+  if (r.i64() != static_cast<std::int64_t>(num_channels()) ||
+      r.i64() != static_cast<std::int64_t>(num_channels()))
     throw snapshot::SnapshotError(
         "checkpoint channel count disagrees with this network's topology");
 
@@ -760,17 +824,46 @@ void Network::load_state(snapshot::Reader& r) {
   now_ = r.u64();
   for (auto& rt : routers_) rt->load_state(r, restore);
   for (auto& ni : nis_) ni->load_state(r);
-  const auto load_flit = [&restore](snapshot::Reader& sr, Flit& f) {
-    restore.load(sr, f);
+  // An input log's flits go back into its reader's pending slots, after
+  // the buffered flits Router::load_state rebuilt from slot 0, and its
+  // sender's tails name the slots after them.
+  const int nv = params_.num_vcs;
+  const auto load_log = [&](std::size_t k) {
+    const auto [reader, port] = log_reader(k);
+    std::vector<int> pending(static_cast<std::size_t>(nv));
+    input_logs_[k]->load_state(r, [&](snapshot::Reader& sr, VcId& vc) {
+      Flit f;
+      restore.load(sr, f);
+      if (f.vc < 0 || f.vc >= nv)
+        throw snapshot::SnapshotError(
+            "flit on a router input in checkpoint names no VC of the port");
+      VcBuffer& buf = reader->input_buffer(port, f.vc);
+      int& n = pending[static_cast<std::size_t>(f.vc)];
+      if (buf.size() + n >= buf.capacity())
+        throw snapshot::SnapshotError(
+            "flits on a router input in checkpoint overfill an input VC");
+      buf.pending(n++) = f;
+      vc = f.vc;
+    });
+    std::int16_t* tails = log_writer_tails(k);
+    for (int vc = 0; vc < nv; ++vc)
+      tails[vc] = static_cast<std::int16_t>(reader->input_buffer(port, vc).tail(
+          pending[static_cast<std::size_t>(vc)]));
   };
-  for (auto& p : flit_pipes_) p->load_state(r, load_flit);
+  const std::size_t num_links = topo_.links().size();
+  for (std::size_t k = 0; k < num_links; ++k) load_log(k);
+  for (std::size_t i = 0; i < eject_pipes_.size(); ++i) {
+    load_log(num_links + i);
+    eject_pipes_[i]->load_state(
+        r, [&restore](snapshot::Reader& sr, Flit& f) { restore.load(sr, f); });
+  }
   for (auto& ni : nis_) ni->restore_record(restore);
   // Credit-pipe sections: empty when this code wrote them.  A checkpoint
   // from a build that sent credits through pipes may hold some; every one
   // was receivable by now_ (1-cycle pipes), so it folds into the counter
   // its receiver would have added it to before its next allocation.
   const std::vector<TopoLink>& links = topo_.links();
-  for (std::size_t k = 0; k < flit_pipes_.size(); ++k) {
+  for (std::size_t k = 0; k < num_channels(); ++k) {
     std::int16_t* counters = nullptr;
     if (k < links.size()) {
       counters = routers_[static_cast<std::size_t>(links[k].src)]
@@ -810,7 +903,7 @@ void Network::load_state(snapshot::Reader& r) {
   // simply cool again after one tick.  It also makes restoring under a
   // different sim_threads than the checkpoint was written with exact.
   // The flit balance is not serialized: it is re-derived from the
-  // restored buffers and pipes, so the snapshot format is unchanged.
+  // restored buffers and channels, so the snapshot format is unchanged.
   // rebuild_shards also hands the free records back to the shards' pools.
   rebuild_shards();
   flit_base_ = counted_flits();

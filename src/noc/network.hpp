@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -188,6 +189,9 @@ class Network {
     return *nis_.at(static_cast<std::size_t>(id));
   }
 
+  /// Bytes of node `id`'s state block (see node_blocks_).
+  std::size_t node_block_bytes(NodeId id) const;
+
   /// Number of routers scheduled to tick next cycle (fast-path
   /// instrumentation): a popcount of the shards' hot-router bitsets.
   int hot_routers() const {
@@ -207,7 +211,7 @@ class Network {
   StatsCollector& stats() { return stats_; }
   const StatsCollector& stats() const { return stats_; }
 
-  /// True when no flit is anywhere in the network (buffers, pipes, NIs).
+  /// True when no flit is anywhere in the network (buffers, links, NIs).
   /// Exact and cheap: O(shards) while any flit is in flight (the flit
   /// balance is nonzero), otherwise one idle() check per NI up to the
   /// first busy one.  Every true answer is re-verified against
@@ -215,22 +219,24 @@ class Network {
   bool drained() const;
 
   /// The reference O(nodes * VCs + pipes) drain scan drained() must agree
-  /// with: every NI idle, every router drained, every flit pipe empty.
+  /// with: every NI idle, every router drained, every arrival log and
+  /// ejection pipe empty.
   bool drained_reference() const;
 
   /// The input-bit invariant, checked by brute force between ticks: every
-  /// non-empty router input pipe has a wake for that input waiting in its
+  /// non-empty router input log has a wake for that input waiting in its
   /// owner's wheel at the head's ready time, unless its bit is set and the
   /// head is due by the next cycle.
   /// O(pipes * wake entries per bucket); for tests.
   bool input_wakes_armed() const;
 
   /// Credit conservation law, checked between ticks: for every link and
-  /// VC, the sender's credits plus that VC's flits in the link's pipe plus
-  /// the receiver's input-VC occupancy equal vc_depth; the same for the
-  /// NI -> router injection pair and the router -> NI ejection pair (the
-  /// NI buffers nothing).  Aborts on a violation.  O(links * VCs + flits
-  /// in pipes).
+  /// VC, the sender's credits plus that VC's arrivals on the link's log
+  /// plus the receiver's input-VC occupancy equal vc_depth, and the
+  /// sender's tail index names the slot after the VC's last pending flit;
+  /// the same for the NI -> router injection pair, and the credit law for
+  /// the router -> NI ejection pair (the NI buffers nothing).  Aborts on a
+  /// violation.  O(links * VCs + flits in flight).
   void check_credit_conservation() const;
 
   /// Flits between NI injection and NI ejection: the shards' signed flit
@@ -238,11 +244,13 @@ class Network {
   std::int64_t flits_in_flight() const;
 
   /// Flit conservation law: aborts unless flits_in_flight() equals the
-  /// flits counted in router input buffers plus flit-pipe occupancy.
+  /// flits counted in router input buffers plus the arrivals logged on
+  /// router inputs (each one pending flit in a reserved slot) plus the
+  /// ejection pipes' flits.
   void check_flit_conservation() const;
 
   /// Packet record conservation law: aborts unless the live records are
-  /// exactly the packets with a flit in a router buffer or flit pipe plus
+  /// exactly the packets with a flit buffered, pending or ejecting plus
   /// those an NI is mid-way through injecting, with no record released
   /// twice.  O(records + flits).
   void check_packet_records() const;
@@ -274,16 +282,16 @@ class Network {
   // --- active-node fast path + spatial sharding ----------------------------
   //
   // tick() only visits routers/NIs whose hot bit is set.  A node stays hot
-  // while it self-reports work (busy_next_cycle()).  Every flit pipe push
-  // into an empty queue schedules a wake for the consumer via the pipe's
-  // NodeSink, which names the consumer and, for a router, the input port
-  // of that pipe; the wake waits in a calendar wheel indexed by its ready
-  // time masked to the wheel's power-of-two size.  When it fires it sets
-  // the router's input bit and the hot bit.
+  // while it self-reports work (busy_next_cycle()).  Every push into an
+  // empty arrival log or ejection pipe schedules a wake for the consumer
+  // via the channel's NodeSink, which names the consumer and, for a
+  // router, the input port of that log; the wake waits in a calendar
+  // wheel indexed by its ready time masked to the wheel's power-of-two
+  // size.  When it fires it sets the router's input bit and the hot bit.
   // A router reads only the inputs whose bit is set and keeps a bit only
-  // while its pipe's head is due by the next cycle: it clears the bit of
-  // an empty pipe and re-arms a later head's wake (Pipe::rearm).  So the
-  // invariant is: every non-empty router input pipe has a wheel or outbox
+  // while its log's head is due by the next cycle: it clears the bit of
+  // an empty log and re-arms a later head's wake (Pipe::rearm).  So the
+  // invariant is: every non-empty router input log has a wheel or outbox
   // wake pending at its head's ready time, unless its bit is set and the
   // head is due by the next cycle.  A router cooling with no bit set
   // therefore needs no re-arm, and is ticked on the cycles a wake-driven
@@ -301,8 +309,10 @@ class Network {
   //
   //   phase 1 (tick):       each shard processes its own wheel bucket and
   //                         ticks its hot NIs then hot routers, ascending
-  //                         id.  Pushes into neighbor-shard pipes notify
-  //                         the consumer via schedule(), which appends the
+  //                         id.  A flit sent to a neighbor-shard router
+  //                         goes into that router's reserved ring slot,
+  //                         and the push onto its arrival log notifies the
+  //                         consumer via schedule(), which appends the
   //                         wake to the *producer* shard's outbox instead
   //                         of touching foreign wheels.
   //   phase 2 (cool/re-arm): each shard imports wakes addressed to it from
@@ -340,6 +350,16 @@ class Network {
   // node-id order — bit-identical floating-point accumulation for any
   // thread count (pipes guarantee a ≥1-cycle latency, so shards never
   // observe same-cycle neighbor state; see docs/ARCHITECTURE.md).
+  //
+  // Reserved-slot rule.  A sender writes a flit into the receiver's
+  // input-VC ring in phase 1, at the slot its own tail index names, and
+  // only then pushes the VC onto the arrival log, whose release store
+  // publishes the slot.  The receiver reads a slot only after popping its
+  // arrival (an acquire), and the sender writes a slot only with a credit
+  // for it: the credit returns in phase 2, after the receiver's switch
+  // traversal emptied the slot in phase 1.  So the sender's writes and the
+  // receiver's reads of a slot never overlap, each tail index has one
+  // writer (the sender) and each head and count one (the receiver).
 
   /// Wake encoding: node id << kInputBits | input, where input is a
   /// router input port (< kMaxPorts) or kNiInput.
@@ -349,7 +369,7 @@ class Network {
     return (static_cast<std::uint32_t>(id) << kInputBits) | input;
   }
 
-  /// Per-pipe wake hook: routes Pipe push notifications to schedule().
+  /// Per-channel wake hook: routes Pipe push notifications to schedule().
   struct NodeSink final : WakeSink {
     Network* net = nullptr;
     std::uint32_t enc = 0;  ///< wake_code of the consumer
@@ -421,8 +441,35 @@ class Network {
   void rebuild_shards();
   void tick_phase1(int s);
   void tick_phase2(int s);
-  /// Flits counted where they sit: router input buffers plus flit pipes.
+  /// Flits counted where they sit: router input buffers, arrivals on
+  /// router inputs, and ejection pipes.
   std::int64_t counted_flits() const;
+
+  /// Input log `k`'s reader (see input_logs_) and the port it reads on.
+  std::pair<Router*, int> log_reader(std::size_t k) const;
+  /// The tail indices of input log `k`'s sender, one per VC.
+  std::int16_t* log_writer_tails(std::size_t k) const;
+  /// Returns a walk over input log `k`'s pending flits: called with each
+  /// logged VC in arrival order, it returns that arrival's flit (the
+  /// reader's next pending slot on the VC).
+  auto pending_walk(std::size_t k) const {
+    const auto [reader, port] = log_reader(k);
+    return [reader, port,
+            seen = std::vector<int>(static_cast<std::size_t>(
+                params_.num_vcs))](VcId vc) mutable -> const Flit& {
+      return reader->input_buffer(port, vc).pending(
+          seen[static_cast<std::size_t>(vc)]++);
+    };
+  }
+  /// Bytes of node `id`'s block when link l into it has latency
+  /// `latency(l)`.
+  template <typename LinkLatency>
+  std::size_t block_bytes(NodeId id, const LinkLatency& latency) const;
+  /// Sections one per input log and ejection pipe (the checkpoint's flit
+  /// channels, and its credit channels one for one).
+  std::size_t num_channels() const {
+    return input_logs_.size() + eject_pipes_.size();
+  }
 
   NetworkParams params_;
   Topology topo_;
@@ -431,9 +478,9 @@ class Network {
 
   /// Node-major state: one cache-line-aligned block per node, allocated
   /// in ascending id order, holding the node's router and the router's
-  /// state block, its NI, and every pipe the node consumes (router flit
-  /// inputs by port, then the NI's ejection pipe), each pipe with its
-  /// ring inline.  The
+  /// state block (its input-VC rings among it), its NI, and every channel
+  /// the node consumes (router input arrival logs by port, then the NI's
+  /// ejection pipe), each with its ring inline.  The
   /// vectors below point into the blocks, and ~Network ends those
   /// objects' lifetimes before the blocks are freed.  (A block is a few
   /// KiB, so the allocator reuses freed ones for the next network; one
@@ -442,17 +489,21 @@ class Network {
   std::vector<LineBlock> node_blocks_;
   std::vector<Router*> routers_;
   std::vector<NetworkInterface*> nis_;
-  /// One per topology link in links() order, then per node the injection
-  /// and ejection pipes.  Checkpoints walk them in this order, which does
-  /// not depend on where the pipes sit in memory.
-  std::vector<Pipe<Flit>*> flit_pipes_;
+  /// Router input logs: one per topology link in links() order, then per
+  /// node the injection log (NI -> router).
+  std::vector<ArrivalLog*> input_logs_;
+  /// Per node, the ejection pipe (router -> NI).
+  std::vector<Pipe<Flit>*> eject_pipes_;
+  // Checkpoints write a flit channel per link in links() order, then per
+  // node its injection log and ejection pipe; that order does not depend
+  // on where the channels sit in memory.
 
   std::vector<NodeId> endpoints_;
   std::unique_ptr<TrafficPattern> traffic_;
   std::vector<std::vector<NodeId>> mcast_groups_;
   std::function<void(Cycle)> pre_tick_;
 
-  std::vector<NodeSink> sinks_;  // one per pipe
+  std::vector<NodeSink> sinks_;  // one per channel
   int sim_threads_ = 1;
   int wheel_slots_ = 0;  // per-shard wheel size: bit_ceil(max latency + 2)
   Cycle wheel_mask() const { return static_cast<Cycle>(wheel_slots_ - 1); }

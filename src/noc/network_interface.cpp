@@ -13,15 +13,18 @@ NetworkInterface::NetworkInterface(NodeId id, const NetworkParams& params,
       stats_(stats),
       rng_(0x9e3779b9u + static_cast<std::uint64_t>(id)),
       credits_(static_cast<std::size_t>(params.num_vcs),
-               static_cast<std::int16_t>(params.vc_depth)) {
+               static_cast<std::int16_t>(params.vc_depth)),
+      tails_(static_cast<std::size_t>(params.num_vcs), std::int16_t{0}) {
   NOCS_EXPECTS(stats != nullptr);
   ejected_vcs_.reserve(
       static_cast<std::size_t>(params.num_vcs * params.vc_depth));
 }
 
-void NetworkInterface::connect(Pipe<Flit>* to_router, Pipe<Flit>* from_router,
+void NetworkInterface::connect(ArrivalLog* to_router, Flit* router_slots,
+                               Pipe<Flit>* from_router,
                                std::int16_t* router_credits) {
   to_router_ = to_router;
+  router_slots_ = router_slots;
   from_router_ = from_router;
   router_credits_ = router_credits;
 }
@@ -446,8 +449,13 @@ void NetworkInterface::inject(Cycle now) {
   f.measured = current_.measured;
   f.kind = current_.kind;
 
-  --credits_[static_cast<std::size_t>(current_vc_)];
-  to_router_->push(now, f);
+  const auto v = static_cast<std::size_t>(current_vc_);
+  --credits_[v];
+  // The credit just spent reserves the router's input slot at the tail.
+  router_slots_[current_vc_ * params_.vc_depth + tails_[v]] = f;
+  tails_[v] = static_cast<std::int16_t>(
+      tails_[v] + 1 == params_.vc_depth ? 0 : tails_[v] + 1);
+  to_router_->push(now, current_vc_);
   ++*flit_balance_;
   ++flits_sent_;
   if (f.is_tail) {
@@ -498,7 +506,7 @@ void NetworkInterface::save_state(snapshot::Writer& w) const {
   for (const std::uint64_t s : rng_.state()) w.u64(s);
 
   w.i64(static_cast<std::int64_t>(source_queue_.size()));
-  for (const PendingPacket& p : source_queue_) save_pending(w, p);
+  source_queue_.for_each([&w](const PendingPacket& p) { save_pending(w, p); });
 
   w.i64(static_cast<std::int64_t>(credits_.size()));
   for (const std::int16_t c : credits_) w.i64(c);

@@ -74,6 +74,7 @@ Router::Layout Router::layout(const NetworkParams& params, int nports) {
   place(l.input_vcs, slots * sizeof(InputVc), alignof(InputVc));
   place(l.output_vcs, slots * sizeof(OutputVc), alignof(OutputVc));
   place(l.credits, slots * sizeof(std::int16_t), alignof(std::int16_t));
+  place(l.tails, slots * sizeof(std::int16_t), alignof(std::int16_t));
   place(l.masks,
         (3 + static_cast<std::size_t>(params.num_classes) + ports) *
             mask_words * sizeof(std::uint64_t),
@@ -125,16 +126,20 @@ Router::Router(NodeId id, const NetworkParams& params, const Topology& topo,
   std::uninitialized_value_construct_n(output_vcs_, slots);
   credits_ = reinterpret_cast<std::int16_t*>(storage + l.credits);
   std::fill_n(credits_, slots, static_cast<std::int16_t>(params_.vc_depth));
+  tails_ = reinterpret_cast<std::int16_t*>(storage + l.tails);
+  std::fill_n(tails_, slots, std::int16_t{0});
 }
 
-void Router::connect_input(int port, Pipe<Flit>* flit_in,
+void Router::connect_input(int port, ArrivalLog* arrivals,
                            std::int16_t* credit_out) {
-  ports_[port].flit_in = flit_in;
+  ports_[port].flit_in = arrivals;
   ports_[port].credit_out = credit_out;
 }
 
-void Router::connect_output(int port, Pipe<Flit>* flit_out) {
-  ports_[port].flit_out = flit_out;
+void Router::connect_output(int port, ArrivalLog* arrivals, Flit* slots) {
+  NOCS_EXPECTS(port != static_cast<int>(Port::kLocal));
+  ports_[port].flit_out = arrivals;
+  ports_[port].slots_out = slots;
 }
 
 void Router::set_gated(bool gated) {
@@ -328,20 +333,23 @@ void Router::update_dynamic_gating() {
 void Router::receive_flits(Cycle now) {
   for (std::uint32_t ports = pending_inputs_; ports != 0; ports &= ports - 1) {
     const int p = std::countr_zero(ports);
-    auto* pipe = ports_[p].flit_in;
-    while (pipe->ready(now)) {
-      Flit f = pipe->pop(now);
-      NOCS_EXPECTS(f.vc >= 0 && f.vc < params_.num_vcs);
-      auto& ivc = in_vc(p, f.vc);
-      NOCS_ENSURES(!ivc.buf.full());  // credit flow control guarantees space
+    auto* log = ports_[p].flit_in;
+    while (log->ready(now)) {
+      const VcId vc = log->pop(now);
+      NOCS_EXPECTS(vc >= 0 && vc < params_.num_vcs);
+      auto& ivc = in_vc(p, vc);
+      // The sender wrote the flit into the slot its credit reserved;
+      // accepting it is the buffer write.  Credit flow control guarantees
+      // the space.
+      const Flit& f = ivc.buf.accept();
+      NOCS_EXPECTS(f.vc == vc);
       if (ivc.stage == InputVc::Stage::kIdle) {
         NOCS_EXPECTS(f.is_head);
         // Flits must arrive on a VC of their own class (partition
         // discipline upheld by the upstream allocator / NI).
-        NOCS_EXPECTS(params_.class_of_vc(f.vc) == f.msg_class);
+        NOCS_EXPECTS(params_.class_of_vc(vc) == f.msg_class);
         begin_packet(ivc, f, now);
       }
-      ivc.buf.push(f);
       ++counters_.buffer_writes;
     }
     keep_input_if_due(p, now);
@@ -518,10 +526,11 @@ void Router::stage_switch_traversal(Cycle now) {
     ++counters_.xbar_traversals;
 
     const int op = ivc.out_port;
-    auto& ovc = out_vc(op, ivc.out_vc);
+    const int ov = ivc.out_vc;
+    auto& ovc = out_vc(op, ov);
     NOCS_EXPECTS(ovc.allocated && ovc.owner_port == g.in_port &&
                  ovc.owner_vc == g.in_vc);
-    std::int16_t& credit = credits(op, ivc.out_vc);
+    std::int16_t& credit = credits(op, ov);
     NOCS_EXPECTS(credit > 0);
     --credit;
 
@@ -529,7 +538,7 @@ void Router::stage_switch_traversal(Cycle now) {
     // behind the phase barrier (return_credits).
     if (ports_[g.in_port].credit_out != nullptr) freed_[num_freed_++] = g;
 
-    f.vc = static_cast<std::int8_t>(ivc.out_vc);
+    f.vc = static_cast<std::int8_t>(ov);
     if (op != 0) {
       NOCS_ENSURES(f.hops < kMaxHops);
       ++f.hops;
@@ -542,9 +551,19 @@ void Router::stage_switch_traversal(Cycle now) {
         }
       }
     }
-    auto* out_pipe = ports_[op].flit_out;
-    NOCS_EXPECTS(out_pipe != nullptr);
-    out_pipe->push(now, f);
+    if (op == 0) {
+      NOCS_EXPECTS(eject_ != nullptr);
+      eject_->push(now, f);
+    } else {
+      // The credit just spent reserves the downstream slot at the tail.
+      const PortState& out = ports_[op];
+      NOCS_EXPECTS(out.flit_out != nullptr);
+      std::int16_t& tail = tails_[op * params_.num_vcs + ov];
+      out.slots_out[ov * params_.vc_depth + tail] = f;
+      tail = static_cast<std::int16_t>(tail + 1 == params_.vc_depth ? 0
+                                                                    : tail + 1);
+      out.flit_out->push(now, ov);
+    }
 
     if (f.is_tail) {
       ovc.allocated = false;

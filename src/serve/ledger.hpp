@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -71,6 +72,13 @@ class Ledger {
   /// in append order.  Unparseable-JSON records inside valid frames are
   /// skipped during the scan (logged), not fatal.
   const std::vector<json::Value>& replayed() const { return replayed_; }
+
+  /// Hands the replayed records over, leaving none here: the scheduler
+  /// reads them once at startup, and a daemon holding every replayed
+  /// record for its whole life grows with the ledger it was opened on.
+  std::vector<json::Value> take_replayed() {
+    return std::exchange(replayed_, {});
+  }
 
   /// True when the open-time scan found and truncated a damaged tail.
   bool truncated_on_open() const { return truncated_on_open_; }

@@ -487,7 +487,9 @@ struct JobScheduler::Impl {
   std::size_t recover() {
     NOCS_EXPECTS(ledger != nullptr);
     std::lock_guard<std::mutex> lock(mu);
-    for (const json::Value& rec : ledger->replayed()) {
+    // Taken, not copied: the records are freed once recovery is done.
+    const std::vector<json::Value> records = ledger->take_replayed();
+    for (const json::Value& rec : records) {
       const json::Value* type = rec.find("type");
       if (type == nullptr || !type->is_string()) continue;
       const std::string& t = type->as_string();

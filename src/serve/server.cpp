@@ -289,6 +289,8 @@ int Server::port() const { return impl_->bound_port; }
 
 JobScheduler& Server::scheduler() { return *impl_->sched; }
 
+const Ledger& Server::ledger() const { return *impl_->ledger; }
+
 json::Value Server::handle_line(const std::string& line) {
   return impl_->handle_line_impl(line);
 }

@@ -51,6 +51,9 @@ class Server {
 
   int port() const;  ///< actual bound port (after ephemeral assignment)
   JobScheduler& scheduler();
+  /// The daemon's write-ahead job ledger (recovery has taken its
+  /// replayed records by the time the constructor returns).
+  const Ledger& ledger() const;
 
   /// Accept/serve loop; returns after a shutdown request (signal or
   /// `drain` op) once the scheduler has drained.

@@ -28,6 +28,22 @@ TEST(Network, ConstructionWiresAllNodes) {
   }
 }
 
+TEST(Network, InteriorTableOneNodeBlockFitsItsBudget) {
+  // An interior Table-1 node's block: the router and its state block (the
+  // 20 input-VC rings among it), the NI, five 192-byte arrival logs (the
+  // injection log and four links; 8-byte slots) and one 448-byte ejection
+  // pipe (24-byte flit slots).  It was 5,952 B when router inputs were
+  // flit pipes, and 11,520 B with 48-byte flits.
+  const NetworkParams p;
+  const XyRouting xy;
+  Network net(p, &xy);
+  ASSERT_EQ(net.topology().num_ports(5), 5);
+  EXPECT_EQ(ArrivalLog::block_bytes(1, 16), 192u);
+  EXPECT_EQ(Pipe<Flit>::block_bytes(1, 16), 448u);
+  EXPECT_EQ(net.node_block_bytes(5), 4672u);
+  EXPECT_LE(net.node_block_bytes(5), 4700u);
+}
+
 TEST(Network, SinglePacketDelivery) {
   const NetworkParams p = small_params();
   XyRouting xy;

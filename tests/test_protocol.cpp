@@ -124,14 +124,17 @@ TEST(MessageClasses, WrongClassVcArrivalDies) {
   // a hand-built network instead: craft via the router's local input by
   // sending with a mismatched class through the NI (the NI would not do
   // this, so drive the router directly).
-  const auto pipe = Pipe<Flit>::make(1);
+  const auto log = ArrivalLog::make(1);
   const Topology topo = Topology::mesh(p.width, p.height);
   const LineBlock state =
       new_line_block(Router::storage_bytes(p, topo.num_ports(5)));
   Router r(5, p, topo, &xy, state.get());
   std::int16_t upstream_credits[4] = {};
-  r.connect_input(Port::kWest, pipe.get(), upstream_credits);
-  pipe->push(0, f);
+  r.connect_input(Port::kWest, log.get(), upstream_credits);
+  // As a sender would: the flit into VC 0's first slot, its arrival onto
+  // the log.
+  r.input_slots(static_cast<int>(Port::kWest))[0] = f;
+  log->push(0, f.vc);
   r.note_input(static_cast<int>(Port::kWest));  // no network wakes it
   r.tick(0);
   EXPECT_DEATH(r.tick(1), "precondition");

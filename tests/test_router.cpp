@@ -14,17 +14,20 @@
 namespace nocs::noc {
 namespace {
 
-/// Sets a router input bit on every push into an empty pipe.  Without a
+/// Sets a router input bit on every push into an empty log.  Without a
 /// network's wake wheel the bit is set at push time rather than at the
-/// value's ready time, which only makes the router read the pipe early.
+/// value's ready time, which only makes the router read the log early.
 struct InputSink final : WakeSink {
   Router* router = nullptr;
   int bit = 0;
   void on_push(Cycle) override { router->note_input(bit); }
 };
 
-/// Harness wiring one router's inputs and outputs to test pipes, and each
-/// input's returned credits to a per-VC upstream counter starting at 0.
+/// Harness wiring one router's inputs and outputs to test channels, and
+/// each input's returned credits to a per-VC upstream counter starting at
+/// 0.  It plays every sender (writing each injected flit into the router's
+/// input slot at its own per-VC tail) and every receiver (its output
+/// ports' VC rings, read in arrival order).
 class RouterHarness {
  public:
   explicit RouterHarness(NodeId id = 5, NetworkParams params = {})
@@ -33,28 +36,40 @@ class RouterHarness {
         state_(new_line_block(
             Router::storage_bytes(params, topo_.num_ports(id)))),
         router_(id, params, topo_, &xy_, state_.get()) {
-    // Test pipes hold everything a test pushes or the router sends before
-    // the test reads it.
+    // Test channels hold everything a test pushes or the router sends
+    // before the test reads it.
     constexpr int kCapacity = 64;
+    const auto nv = static_cast<std::size_t>(params.num_vcs);
     for (int p = 0; p < kNumPorts; ++p) {
-      in_flits_.emplace_back(Pipe<Flit>::make(1, kCapacity));
-      upstream_credits_.emplace_back(
-          static_cast<std::size_t>(params.num_vcs), std::int16_t{0});
-      out_flits_.emplace_back(Pipe<Flit>::make(1, kCapacity));
-      router_.connect_input(static_cast<Port>(p), in_flits_.back().get(),
+      in_logs_.emplace_back(ArrivalLog::make(1, kCapacity));
+      in_tails_.emplace_back(nv, 0);
+      upstream_credits_.emplace_back(nv, std::int16_t{0});
+      router_.connect_input(static_cast<Port>(p), in_logs_.back().get(),
                             upstream_credits_.back().data());
-      router_.connect_output(static_cast<Port>(p), out_flits_.back().get());
       sinks_[p].router = &router_;
       sinks_[p].bit = p;
-      in_flits_.back()->set_sink(&sinks_[p]);
+      in_logs_.back()->set_sink(&sinks_[p]);
+      out_logs_.emplace_back(ArrivalLog::make(1, kCapacity));
+      out_rings_.emplace_back(nv * static_cast<std::size_t>(params.vc_depth));
+      out_heads_.emplace_back(nv, 0);
+      if (p != static_cast<int>(Port::kLocal))
+        router_.connect_output(static_cast<Port>(p), out_logs_.back().get(),
+                               out_rings_.back().data());
     }
+    router_.connect_ejection(eject_.get());
   }
   RouterHarness(const RouterHarness&) = delete;
   RouterHarness& operator=(const RouterHarness&) = delete;
 
-  /// Sends one flit into `port` at the current cycle.
+  /// Sends one flit into `port` at the current cycle: into the input slot
+  /// its VC's next credit reserves, with its arrival on the port's log.
   void inject(Port port, const Flit& f) {
-    in_flits_[static_cast<std::size_t>(port)]->push(now_, f);
+    const auto p = static_cast<std::size_t>(port);
+    int& tail = in_tails_[p][static_cast<std::size_t>(f.vc)];
+    router_.input_slots(static_cast<int>(port))[f.vc * params_.vc_depth +
+                                                tail] = f;
+    tail = (tail + 1) % params_.vc_depth;
+    in_logs_[p]->push(now_, f.vc);
   }
 
   /// One cycle: the router's tick, then the credit return the network
@@ -65,18 +80,24 @@ class RouterHarness {
   }
   void tick_without_credit_return() { router_.tick(now_++); }
 
-  /// Ticks until `port`'s output pipe has a flit or `budget` cycles pass.
+  /// Ticks until `port` has output a flit or `budget` cycles pass.
   bool tick_until_output(Port port, int budget) {
     for (int i = 0; i < budget; ++i) {
-      if (out_flits_[static_cast<std::size_t>(port)]->ready(now_))
-        return true;
+      if (output_ready(port)) return true;
       tick();
     }
-    return out_flits_[static_cast<std::size_t>(port)]->ready(now_);
+    return output_ready(port);
   }
 
   Flit take_output(Port port) {
-    return out_flits_[static_cast<std::size_t>(port)]->pop(now_);
+    if (port == Port::kLocal) return eject_->pop(now_);
+    const auto p = static_cast<std::size_t>(port);
+    const VcId vc = out_logs_[p]->pop(now_);
+    int& head = out_heads_[p][static_cast<std::size_t>(vc)];
+    const Flit f = out_rings_[p][static_cast<std::size_t>(
+        vc * params_.vc_depth + head)];
+    head = (head + 1) % params_.vc_depth;
+    return f;
   }
 
   /// Credits the router has returned for input `port`'s VC `vc`.
@@ -100,15 +121,25 @@ class RouterHarness {
   }
 
  private:
+  bool output_ready(Port port) const {
+    return port == Port::kLocal
+               ? eject_->ready(now_)
+               : out_logs_[static_cast<std::size_t>(port)]->ready(now_);
+  }
+
   NetworkParams params_;
   Topology topo_;
   XyRouting xy_;
   LineBlock state_;
   Router router_;
   Cycle now_ = 0;
-  std::vector<Pipe<Flit>::Owner> in_flits_;
+  std::vector<ArrivalLog::Owner> in_logs_;
+  std::vector<std::vector<int>> in_tails_;
   std::vector<std::vector<std::int16_t>> upstream_credits_;
-  std::vector<Pipe<Flit>::Owner> out_flits_;
+  std::vector<ArrivalLog::Owner> out_logs_;
+  std::vector<std::vector<Flit>> out_rings_;
+  std::vector<std::vector<int>> out_heads_;
+  Pipe<Flit>::Owner eject_ = Pipe<Flit>::make(1, 64);
   std::array<InputSink, kNumPorts> sinks_;
 };
 

@@ -1316,6 +1316,34 @@ TEST(Scheduler, FaultedSweepMatchesTheCliScenarioRun) {
             0.0);
 }
 
+TEST(Server, ReopenedDaemonKeepsNoReplayedLedgerRecords) {
+  // Recovery reads the replayed records once; the daemon must not keep
+  // them for its whole life (they grow with the ledger it reopened).
+  const std::string dir = tmp_path("serve_replay_memory");
+  wipe_state_dir(dir);
+  const std::string submit =
+      "{\"op\":\"submit\",\"kind\":\"selftest\","
+      "\"params\":{\"tasks\":3,\"sleep_ms\":1}}";
+  std::string result;
+  {
+    Server server(test_server_options(dir));
+    const json::Value submitted = server.handle_line(submit);
+    ASSERT_TRUE(submitted.at("ok").as_bool()) << submitted.dump();
+    const json::Value done = server.handle_line(
+        "{\"op\":\"wait\",\"job\":\"" +
+        submitted.at("job").as_string() + "\",\"timeout_ms\":10000}");
+    ASSERT_EQ(done.at("state").as_string(), "done") << done.dump();
+    result = done.at("result").dump();
+  }
+  Server server(test_server_options(dir));
+  EXPECT_TRUE(server.ledger().replayed().empty());
+  // Recovery still seeded the result cache from those records.
+  const json::Value cached = server.handle_line(submit);
+  ASSERT_TRUE(cached.at("ok").as_bool()) << cached.dump();
+  EXPECT_TRUE(cached.at("cached").as_bool()) << cached.dump();
+  EXPECT_EQ(cached.at("result").dump(), result);
+}
+
 TEST(Server, InterruptedCampaignResumesAcrossRestart) {
   const std::string dir = tmp_path("serve_restart");
   wipe_state_dir(dir);

@@ -4,6 +4,7 @@
 // faults on and off), and manifest-based sweep resume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -991,6 +992,143 @@ struct ProtectedRig {
   }
 };
 
+/// A 6x6 XY mesh with 1-5 cycle links, dynamic gating (a 6-cycle wake-up
+/// after 2 idle cycles) and router 14 frozen from cycle 0, under uniform
+/// 0.06 from every node.  Router 14 never reads its inputs, so the flits
+/// sent to it pile up there: by cycle 400 its 5-cycle input from router 15
+/// holds a whole credit window (4 VCs x 4 flits) that has arrived but was
+/// never buffered, while the routers around it gate and wake.
+struct FrozenWindowRig {
+  static constexpr NodeId kFrozen = 14;
+  static constexpr NodeId kFeeder = 15;
+  noc::NetworkParams params = [] {
+    noc::NetworkParams p;
+    p.width = 6;
+    p.height = 6;
+    p.wakeup_latency = 6;
+    p.gate_idle_threshold = 2;
+    return p;
+  }();
+  noc::XyRouting xy;
+  noc::Network net{params, &xy,
+                   [](NodeId a, NodeId b) { return 1 + (a * 7 + b) % 5; }};
+  fault::FaultInjector injector{params.shape(), [] {
+                                  fault::FaultParams fp;
+                                  fp.enabled = true;
+                                  fp.stuck = {kFrozen};
+                                  fp.stuck_from = 0;
+                                  return fp;
+                                }()};
+  noc::SimConfig sim;
+
+  explicit FrozenWindowRig(int threads) {
+    net.set_endpoints(params.shape().all_nodes(),
+                      noc::make_traffic("uniform", 36));
+    net.set_seed(17);
+    net.set_dynamic_gating(true);
+    net.enable_resilience(&injector, nullptr);
+    net.set_sim_threads(threads);
+    sim.warmup = 200;
+    sim.measure = 800;
+    sim.drain_max = 1500;
+    sim.injection_rate = 0.06;
+  }
+  noc::SimResults run(noc::CheckpointConfig ckpt) {
+    ckpt.extras.emplace_back("fault", &injector);
+    return noc::run_simulation(net, sim, ckpt);
+  }
+};
+
+TEST(ReservedSlots, FrozenRouterHoldsAWholeCreditWindowUnbuffered) {
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
+    FrozenWindowRig rig(threads);
+    noc::CheckpointConfig stop;
+    stop.stop_at = 400;
+    ASSERT_TRUE(rig.run(stop).interrupted);
+    const noc::Network& net = rig.net;
+    ASSERT_EQ(net.link_latency(FrozenWindowRig::kFeeder,
+                               FrozenWindowRig::kFrozen),
+              5);
+    const int out = net.topology().port_to(FrozenWindowRig::kFeeder,
+                                           FrozenWindowRig::kFrozen);
+    const int in = net.topology().port_to(FrozenWindowRig::kFrozen,
+                                          FrozenWindowRig::kFeeder);
+    // Every credit of the link is spent and nothing is buffered, so by
+    // credit conservation all num_vcs * vc_depth flits are on the link.
+    for (int vc = 0; vc < rig.params.num_vcs; ++vc) {
+      EXPECT_EQ(net.router(FrozenWindowRig::kFeeder).output_credits(out, vc),
+                0);
+      EXPECT_EQ(net.router(FrozenWindowRig::kFrozen).buffered_flits(in, vc),
+                0);
+    }
+    net.check_credit_conservation();
+    net.check_flit_conservation();
+    net.check_packet_records();
+  }
+}
+
+TEST(ReservedSlots, FlitsThatWouldOverfillAnInputVcAreRejected) {
+  // A 2x1 mesh whose router 1 is frozen: four single-flit packets from
+  // node 0 fill the link into it, a whole credit window (2 VCs x 2 flits)
+  // that router 1 never buffers.
+  noc::NetworkParams p;
+  p.width = 2;
+  p.height = 1;
+  p.num_vcs = 2;
+  p.vc_depth = 2;
+  const noc::XyRouting xy;
+  fault::FaultParams fp;
+  fp.enabled = true;
+  fp.stuck = {1};
+  fault::FaultInjector injector(p.shape(), fp);
+  noc::Network net(p, &xy);
+  net.enable_resilience(&injector, nullptr);
+  for (int i = 0; i < 4; ++i) net.ni(0).send_packet(0, 1, 0, 1);
+  net.run(40);
+  const int east = net.topology().port_to(0, 1);
+  for (int vc = 0; vc < 2; ++vc)
+    ASSERT_EQ(net.router(0).output_credits(east, vc), 0);
+  snapshot::Writer w;
+  net.save_state(w);
+  const std::vector<std::uint8_t> good = w.bytes();
+
+  // The link's section: the first "pipe" section holding four flits.
+  // After its name and length come the latency and the count, then per
+  // flit its ready cycle and the 85-byte flit record, whose VC is at
+  // byte 34.
+  const std::string name = "pipe";
+  std::size_t flits = 0;
+  for (std::size_t at = 0; at + 36 <= good.size() && flits == 0; ++at) {
+    if (good[at] == name.size() &&
+        std::equal(name.begin(), name.end(), good.begin() + at + 8) &&
+        good[at + 28] == 4)
+      flits = at + 36;
+  }
+  ASSERT_NE(flits, 0u);
+  constexpr std::size_t kEntry = 8 + 85;
+  constexpr std::size_t kVc = 8 + 34;
+  int on_vc1 = 0;
+  std::vector<std::uint8_t> bad = good;
+  for (std::size_t i = 0; i < 4; ++i)
+    if (good[flits + i * kEntry + kVc] == 1 && on_vc1++ == 0)
+      bad[flits + i * kEntry + kVc] = 0;  // one VC-1 flit onto VC 0
+  ASSERT_EQ(on_vc1, 2);
+
+  noc::Network restored(p, &xy);
+  snapshot::Reader ok(good);
+  EXPECT_NO_THROW(restored.load_state(ok));
+  noc::Network overfilled(p, &xy);
+  snapshot::Reader r(bad);
+  try {
+    overfilled.load_state(r);
+    ADD_FAILURE() << "a VC-0 flit past the credit window was accepted";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("overfill"), std::string::npos)
+        << e.what();
+  }
+}
+
 // The two files below were written by the build whose flits still carried
 // every packet field (packet, created, injected, ack_for, src), cut mid-run
 // with multicast relays and protection retransmissions in flight.  This
@@ -1047,6 +1185,31 @@ TEST(SnapshotResume, ProtectedCheckpointFromAnOlderBuildResumesExactly) {
         EXPECT_EQ(r.avg_packet_latency, 35.134517766497481);
         EXPECT_EQ(r.counters.buffer_writes, 13043u);
         EXPECT_EQ(r.resilience.retransmissions, 59u);
+      });
+}
+
+// Written by the build whose router inputs were flit pipes, cut at cycle
+// 400 with 16 flits waiting on router 14's 5-cycle input (more than the
+// link's latency + 1).  This build writes the same bytes from its arrival
+// logs and reserved slots, and restores them into the same places.
+TEST(SnapshotResume, FrozenWindowCheckpointFromAnOlderBuildResumesExactly) {
+  expect_older_checkpoint_resumes<FrozenWindowRig>(
+      "frozen_window_6x6_cut400.nocsnap", 400, [](const noc::SimResults& r) {
+        EXPECT_EQ(r.cycles, 2500u);
+        EXPECT_EQ(r.packets_generated, 334u);
+        EXPECT_EQ(r.packets_ejected, 195u);
+        EXPECT_EQ(r.avg_packet_latency, 49.830769230769249);
+        EXPECT_EQ(r.accepted_rate, 0.033854166666666664);
+        EXPECT_EQ(r.counters.buffer_writes, 9868u);
+        EXPECT_EQ(r.counters.xbar_traversals, 9325u);
+        EXPECT_EQ(r.counters.vc_allocs, 1902u);
+        EXPECT_EQ(r.counters.sa_arbitrations, 9325u);
+        EXPECT_EQ(r.counters.link_flits, 7630u);
+        EXPECT_EQ(r.counters.active_cycles, 78999u);
+        EXPECT_EQ(r.counters.idle_active_cycles, 65142u);
+        EXPECT_EQ(r.counters.gated_cycles, 8925u);
+        EXPECT_EQ(r.counters.waking_cycles, 2076u);
+        EXPECT_EQ(r.counters.wake_events, 346u);
       });
 }
 
