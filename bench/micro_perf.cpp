@@ -195,7 +195,7 @@ BENCHMARK(BM_TileTransfer)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 namespace {
 
 /// The pre-ring VcBuffer implementation, kept here as the comparison
-/// baseline for BM_VcBuffer (std::deque allocates/frees chunks as flits
+/// baseline for BM_VcBufferRing (std::deque allocates/frees chunks as flits
 /// stream through, which is what the ring rewrite removed).
 class DequeVcBuffer {
  public:
@@ -215,18 +215,15 @@ class DequeVcBuffer {
   std::deque<noc::Flit> q_;
 };
 
-/// Streams 4-flit bursts through `buf`, an empty buffer of capacity 4.
-template <typename Buffer>
-void run_buffer_benchmark(benchmark::State& state, Buffer& buf) {
+/// Streams 4-flit bursts through `buf`, an empty buffer of capacity 4:
+/// `fill(buf, f)` stores one burst, then the loop drains it.
+template <typename Buffer, typename Fill>
+void run_buffer_benchmark(benchmark::State& state, Buffer& buf, Fill fill) {
   noc::Flit f;
   f.record = 42;
   std::int64_t items = 0;
   for (auto _ : state) {
-    // One wormhole burst: fill the VC, then drain it.
-    for (int i = 0; i < 4; ++i) {
-      f.index = i;
-      buf.push(f);
-    }
+    fill(buf, f);
     while (!buf.empty()) benchmark::DoNotOptimize(buf.pop());
     items += 4;
   }
@@ -235,16 +232,29 @@ void run_buffer_benchmark(benchmark::State& state, Buffer& buf) {
 
 }  // namespace
 
+// The router's path: the sender writes each flit at its tail index into
+// the reserved slot, the link's arrival accepts it, switch traversal pops.
 static void BM_VcBufferRing(benchmark::State& state) {
   noc::Flit slots[4];
   noc::VcBuffer buf(slots, 4);
-  run_buffer_benchmark(state, buf);
+  run_buffer_benchmark(state, buf, [](noc::VcBuffer& b, noc::Flit& f) {
+    for (int i = 0; i < 4; ++i) {
+      f.index = static_cast<std::int16_t>(i);
+      b.storage()[b.tail(i)] = f;
+    }
+    for (int i = 0; i < 4; ++i) benchmark::DoNotOptimize(b.accept());
+  });
 }
 BENCHMARK(BM_VcBufferRing);
 
 static void BM_VcBufferDeque(benchmark::State& state) {
   DequeVcBuffer buf(4);
-  run_buffer_benchmark(state, buf);
+  run_buffer_benchmark(state, buf, [](DequeVcBuffer& b, noc::Flit& f) {
+    for (int i = 0; i < 4; ++i) {
+      f.index = static_cast<std::int16_t>(i);
+      b.push(f);
+    }
+  });
 }
 BENCHMARK(BM_VcBufferDeque);
 
