@@ -42,7 +42,7 @@
 //   mode=simulate restore=run.nocsnap
 //       -> resume a checkpointed run (same config required); results are
 //          bit-identical to the uninterrupted run
-//   mode=sweep checkpoint=sweep.manifest.json
+//   mode=sweep checkpoint=sweep.manifest.nsrl
 //       -> per-task completion ledger; a killed sweep re-run with the same
 //          arguments skips every already-finished point
 //
@@ -63,6 +63,7 @@
 
 #include "cmp/perf_model.hpp"
 #include "common/config.hpp"
+#include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "common/shutdown.hpp"
 #include "common/table.hpp"
@@ -116,7 +117,7 @@ void print_run(const sprint::TaskRun& run) {
 
 /// Writes `doc` to `path` when set and says so.
 void write_report(const std::string& path, const json::Value& doc) {
-  if (!path.empty() && noc::write_report(path, doc))
+  if (!path.empty() && json::write_file(path, doc))
     std::printf("report written to %s\n", path.c_str());
 }
 

@@ -88,6 +88,12 @@ check_cli() {
   local dir
   dir="$(mktemp -d -p "${work}")"
   (cd "${dir}" && env "${envs[@]}" "${cli}" "$@" >stdout.txt)
+  compare_cli "${name}" "${label}" "${dir}"
+}
+# compare_cli <name> <label> <dir>: compares every tests/golden/cli_<name>.*
+# golden with the file of the same name in <dir>.
+compare_cli() {
+  local name="$1" label="$2" dir="$3"
   local golden file ok=1
   for golden in tests/golden/cli_"${name}".*; do
     file="${golden#tests/golden/cli_${name}.}"
@@ -119,6 +125,43 @@ for run in "${cli_runs[@]}"; do
   for shards in 3 4; do
     check_cli "${name}" "NOCS_SIM_THREADS=${shards}" \
       NOCS_SIM_THREADS="${shards}" -- "${args[@]}" "${extra[@]}"
+  done
+done
+
+# Torn-manifest resume, on the sweep_faults run and its goldens: the sweep
+# runs with checkpoint=m.nsrl, its manifest is cut 7 bytes short of the
+# end of its third record (a torn task append) or of its first (a torn
+# header: a fresh start), and the same command re-run must print and
+# report exactly the golden bytes, serially and at 3 shards.  Cutting the
+# file stands in for a kill -9 mid-append deterministically: a whole
+# faulted sweep is too short to kill reliably between two records.
+# manifest_cut <file> <n>: the offset 7 bytes before the n-th frame ends
+# (frame: magic u32 | length u64 | checksum u64 | payload, little-endian).
+manifest_cut() {
+  local at=0 len i
+  for ((i = 0; i < $2; ++i)); do
+    len=$(od -An -t u8 -j $((at + 4)) -N 8 "$1" | tr -d ' ')
+    at=$((at + 20 + len))
+  done
+  echo $((at - 7))
+}
+for run in "${cli_runs[@]}"; do
+  [[ "${run%%|*}" == sweep_faults ]] && read -r -a args <<<"${run#*|}"
+done
+for record in 3 1; do
+  for shards in 1 3; do
+    dir="$(mktemp -d -p "${work}")"
+    envs=(NOCS_SIM_THREADS="${shards}")
+    sweep=("${cli}" "${args[@]}" threads=1 checkpoint=m.nsrl)
+    label="NOCS_SIM_THREADS=${shards}, manifest cut in record ${record}"
+    (cd "${dir}" && env "${envs[@]}" "${sweep[@]}" >/dev/null)
+    truncate -s "$(manifest_cut "${dir}/m.nsrl" "${record}")" "${dir}/m.nsrl"
+    (cd "${dir}" && env "${envs[@]}" "${sweep[@]}" >stdout.txt 2>stderr.txt)
+    if ! grep -q "damaged tail" "${dir}/stderr.txt"; then
+      echo "FAIL  cli_sweep_faults (${label}): the cut manifest was not read"
+      failed=1
+    fi
+    compare_cli sweep_faults "resumed, ${label}" "${dir}"
   done
 done
 exit "${failed}"

@@ -2,8 +2,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 
@@ -234,9 +234,15 @@ Reader load_file(const std::string& path) {
 
 // --- append-only record log -------------------------------------------------
 
+namespace {
+
+constexpr std::size_t kFrameSize = 4 + 8 + 8;
+
+/// Writes one framed record without flushing: a rewrite frames many
+/// records and syncs once at the end.
 bool write_record(std::FILE* f, const std::uint8_t* data, std::size_t size) {
   NOCS_EXPECTS(f != nullptr);
-  std::uint8_t frame[4 + 8 + 8];
+  std::uint8_t frame[kFrameSize];
   put_u32(frame, kRecordMagic);
   put_u64(frame + 4, size);
   put_u64(frame + 12, fnv1a(data, size));
@@ -244,6 +250,16 @@ bool write_record(std::FILE* f, const std::uint8_t* data, std::size_t size) {
   if (size != 0 && std::fwrite(data, 1, size, f) != size) return false;
   return true;
 }
+
+// The stream's end-of-file offset (0 on error).  "ab" streams report
+// position 0 until the first write, so size tracking seeks explicitly.
+std::uint64_t file_size_bytes(std::FILE* f) {
+  if (std::fseek(f, 0, SEEK_END) != 0) return 0;
+  const long at = std::ftell(f);
+  return at > 0 ? static_cast<std::uint64_t>(at) : 0;
+}
+
+}  // namespace
 
 bool append_record(std::FILE* f, const std::uint8_t* data, std::size_t size) {
   if (!write_record(f, data, size)) return false;
@@ -263,11 +279,19 @@ RecordScan scan_records(const std::string& path) {
   const long file_size = std::ftell(f);
   std::fseek(f, 0, SEEK_SET);
 
-  std::uint8_t frame[4 + 8 + 8];
+  std::uint8_t frame[kFrameSize];
+  std::uint8_t magic[4];
+  put_u32(magic, kRecordMagic);
   for (;;) {
     const std::size_t at = scan.valid_bytes;
     const std::size_t got = std::fread(frame, 1, sizeof frame, f);
     if (got == 0) break;  // clean EOF
+    if (at == 0 && std::memcmp(frame, magic, std::min(got, sizeof magic)) != 0) {
+      scan.damaged = true;
+      scan.foreign = true;
+      scan.damage = "no record frame at byte 0";
+      break;
+    }
     if (got < sizeof frame) {
       scan.damaged = true;
       scan.damage = "truncated record header at byte " + std::to_string(at);
@@ -307,135 +331,174 @@ RecordScan scan_records(const std::string& path) {
   return scan;
 }
 
-// --- TaskManifest -----------------------------------------------------------
+// --- RecordLog --------------------------------------------------------------
 
-namespace {
+RecordLog::RecordLog(std::string path, const json::Value& header)
+    : path_(std::move(path)), tmp_path_(path_ + ".compact.tmp") {
+  // A temp file left behind by a rewrite that died before its rename is
+  // garbage by definition: the rename is the commit point, so the old
+  // log is still the authoritative one.
+  if (std::remove(tmp_path_.c_str()) == 0)
+    log_message(LogLevel::kWarn,
+                "removed stale rewrite temp %s (a rewrite was interrupted; "
+                "the log itself is intact)",
+                tmp_path_.c_str());
 
-std::size_t skip_ws(const std::string& s, std::size_t pos) {
-  while (pos < s.size() &&
-         std::isspace(static_cast<unsigned char>(s[pos])) != 0)
-    ++pos;
-  return pos;
-}
-
-/// Extent of one JSON value starting at `pos`: tracks brace/bracket depth
-/// and string state, so a complete value of any type is spanned exactly.
-/// Returns std::string::npos when the value never closes (truncation).
-std::size_t value_end(const std::string& s, std::size_t pos) {
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = pos; i < s.size(); ++i) {
-    const char c = s[i];
-    if (in_string) {
-      if (c == '\\') ++i;  // skip the escaped character
-      else if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      if (depth == 0) return i;  // primitive ended by the container close
-      if (--depth == 0) return i + 1;
-    } else if (depth == 0 && (c == ',' || c == '\n')) {
-      return i;  // primitive value ends at the separator
-    }
-  }
-  // Ran off the end: even a parseable primitive here may itself be
-  // truncated (a number missing digits still parses), so treat it as
-  // damage rather than risk recovering a wrong value.
-  return std::string::npos;
-}
-
-}  // namespace
-
-std::map<std::size_t, json::Value> recover_manifest_prefix(
-    const std::string& text, const std::string& fingerprint) {
-  std::map<std::size_t, json::Value> recovered;
-  // The header fields precede the completed map in every manifest this
-  // code writes; without a textually intact magic + matching fingerprint
-  // nothing after them can be trusted.
-  if (text.find("\"magic\": \"nocs-sweep-manifest\"") == std::string::npos)
-    return recovered;
-  if (text.find("\"fingerprint\": " + json::escape(fingerprint)) ==
-      std::string::npos)
-    return recovered;
-  std::size_t pos = text.find("\"completed\"");
-  if (pos == std::string::npos) return recovered;
-  pos = text.find('{', pos);
-  if (pos == std::string::npos) return recovered;
-  ++pos;
-
-  for (;;) {
-    pos = skip_ws(text, pos);
-    if (pos >= text.size() || text[pos] == '}') break;
-    if (text[pos] == ',') {
-      ++pos;
-      continue;
-    }
-    // One "index": value entry; keys are plain decimal strings.
-    if (text[pos] != '"') break;
-    const std::size_t key_end = text.find('"', pos + 1);
-    if (key_end == std::string::npos) break;
-    const std::string key = text.substr(pos + 1, key_end - pos - 1);
-    pos = skip_ws(text, key_end + 1);
-    if (pos >= text.size() || text[pos] != ':') break;
-    pos = skip_ws(text, pos + 1);
-    const std::size_t end = value_end(text, pos);
-    if (end == std::string::npos) break;
+  RecordScan scan = scan_records(path_);
+  const std::string& magic = header.at("magic").as_string();
+  const std::string foreign = path_ + " is not a " + magic + " record log";
+  if (scan.foreign)
+    throw SnapshotError(foreign + " (no record frame at byte 0)");
+  for (std::size_t i = 0; i < scan.records.size(); ++i) {
+    const Bytes& bytes = scan.records[i];
+    json::Value record;
     try {
-      json::Value value = json::Value::parse(text.substr(pos, end - pos));
-      recovered[static_cast<std::size_t>(std::stoull(key))] =
-          std::move(value);
-    } catch (const std::exception&) {
-      break;  // first unparseable record ends the valid prefix
+      record = json::Value::parse(std::string(bytes.begin(), bytes.end()));
+    } catch (const std::exception& e) {
+      if (i == 0) throw SnapshotError(foreign);
+      // A frame whose checksum held but whose payload is not JSON means a
+      // writer bug, not bit rot; skip it rather than dropping the rest.
+      log_message(LogLevel::kWarn, "%s record %zu is not JSON (%s); skipping",
+                  path_.c_str(), i, e.what());
+      continue;
     }
-    pos = end;
+    if (i > 0) {
+      records_.push_back(std::move(record));
+      continue;
+    }
+    const json::Value* found = record.find("magic");
+    if (found == nullptr || !found->is_string() ||
+        found->as_string() != magic)
+      throw SnapshotError(foreign);
+    header_ = std::move(record);
   }
-  return recovered;
-}
 
-TaskManifest::TaskManifest(const std::string& path,
-                           const std::string& fingerprint)
-    : path_(path), fingerprint_(fingerprint) {
-  if (path_.empty()) return;
-  std::FILE* f = std::fopen(path_.c_str(), "rb");
-  if (f == nullptr) return;  // no prior run: start fresh
-  std::string text;
-  char chunk[4096];
-  std::size_t n;
-  while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0) text.append(chunk, n);
-  std::fclose(f);
-  try {
-    const json::Value doc = json::Value::parse(text);
-    if (doc.at("magic").as_string() != "nocs-sweep-manifest" ||
-        doc.at("version").as_number() != 1.0)
-      throw SnapshotError("not a sweep manifest");
-    if (doc.at("fingerprint").as_string() != fingerprint_) {
-      log_message(LogLevel::kWarn,
-                  "sweep manifest %s was written for a different sweep "
-                  "configuration; starting fresh",
+  if (scan.damaged) {
+    log_message(LogLevel::kWarn,
+                "%s has a damaged tail (%s); keeping the valid prefix of "
+                "%zu record(s) and truncating",
+                path_.c_str(), scan.damage.c_str(), scan.records.size());
+    truncated_on_open_ = true;
+    // Appending after garbage would bury the damage mid-file where the
+    // next replay stops early; cut the file back to its valid prefix.
+    // When the cut itself fails there is no safe place to append, so the
+    // log fails closed: replay still works, writes are refused.
+    if (::truncate(path_.c_str(), static_cast<off_t>(scan.valid_bytes)) !=
+        0) {
+      log_message(LogLevel::kError,
+                  "cannot truncate the damaged tail of %s; refusing "
+                  "further appends",
                   path_.c_str());
       return;
     }
-    for (const auto& [key, value] : doc.at("completed").members())
-      results_.emplace(static_cast<std::size_t>(std::stoull(key)), value);
-  } catch (const std::exception& e) {
-    // Truncated or half-written (e.g. the process died while a non-atomic
-    // copy was in flight, or the filesystem ate the tail): salvage the
-    // valid prefix of completed-task records rather than redoing the
-    // whole sweep.
-    results_ = recover_manifest_prefix(text, fingerprint_);
-    if (!results_.empty()) {
+  }
+
+  file_ = std::fopen(path_.c_str(), "ab");
+  if (file_ == nullptr)
+    throw SnapshotError("cannot open record log for append: " + path_);
+  if (scan.records.empty()) {
+    header_ = header;
+    if (!append(header.dump()))
+      throw SnapshotError("cannot write record log header: " + path_);
+  }
+  size_bytes_ = file_size_bytes(file_);
+}
+
+RecordLog::~RecordLog() {
+  if (file_ != nullptr) std::fclose(file_);
+}
+
+bool RecordLog::append(std::string_view payload) {
+  if (file_ == nullptr) return false;
+  if (!append_record(file_,
+                     reinterpret_cast<const std::uint8_t*>(payload.data()),
+                     payload.size())) {
+    log_message(LogLevel::kError,
+                "short write to %s; refusing further appends", path_.c_str());
+    std::fclose(file_);
+    file_ = nullptr;
+    return false;
+  }
+  size_bytes_ = file_size_bytes(file_);
+  return true;
+}
+
+bool RecordLog::rewrite(const std::vector<const Bytes*>& records) {
+  if (file_ == nullptr) return false;
+  std::FILE* out = std::fopen(tmp_path_.c_str(), "wb");
+  if (out == nullptr) {
+    log_message(LogLevel::kError, "cannot open %s for a rewrite",
+                tmp_path_.c_str());
+    return false;
+  }
+  bool ok = true;
+  for (const Bytes* r : records)
+    ok = ok && write_record(out, r->data(), r->size());
+  ok = ok && std::fflush(out) == 0;
+  if (ok) ::fsync(::fileno(out));
+  ok = std::fclose(out) == 0 && ok;
+  if (!ok) {
+    log_message(LogLevel::kError, "short write rewriting to %s",
+                tmp_path_.c_str());
+    std::remove(tmp_path_.c_str());
+    return false;
+  }
+
+  // The commit point.  Close the old handle first: after the rename it
+  // would reference the unlinked inode and appends would vanish.
+  std::fclose(file_);
+  const bool renamed = std::rename(tmp_path_.c_str(), path_.c_str()) == 0;
+  if (!renamed) {
+    log_message(LogLevel::kError, "cannot rename %s over %s",
+                tmp_path_.c_str(), path_.c_str());
+    std::remove(tmp_path_.c_str());
+  }
+  // Renamed or not, the file at path_ is a complete log.
+  file_ = std::fopen(path_.c_str(), "ab");
+  if (file_ == nullptr) {
+    log_message(LogLevel::kError,
+                "cannot reopen %s after a rewrite; refusing further appends",
+                path_.c_str());
+    return false;
+  }
+  size_bytes_ = file_size_bytes(file_);
+  return renamed;
+}
+
+// --- TaskManifest -----------------------------------------------------------
+
+TaskManifest::TaskManifest(const std::string& path,
+                           const std::string& fingerprint) {
+  if (path.empty()) return;
+  json::Value header = json::Value::object();
+  header.set("magic", "nocs-sweep-manifest");
+  // Version 1 was a single JSON document, which RecordLog refuses.
+  header.set("version", 2);
+  header.set("fingerprint", fingerprint);
+  log_.emplace(path, header);
+  if (log_->header().dump() != header.dump()) {
+    log_message(LogLevel::kWarn,
+                "sweep manifest %s was written for a different sweep "
+                "configuration; starting fresh",
+                path.c_str());
+    const std::string text = header.dump();
+    const RecordLog::Bytes bytes(text.begin(), text.end());
+    log_->rewrite({&bytes});
+    return;
+  }
+  for (const json::Value& rec : log_->take_records()) {
+    try {
+      const double task = rec.at("task").as_number();
+      if (!(task >= 0))
+        throw std::invalid_argument("negative task index");
+      results_[static_cast<std::size_t>(task)] = rec.at("result");
+    } catch (const std::exception& e) {
+      // A record that parsed but is no task record means a writer bug,
+      // not a torn tail; skip it, keep the rest.
       log_message(LogLevel::kWarn,
-                  "sweep manifest %s is damaged (%s); recovered the valid "
-                  "prefix of %zu completed task(s)",
-                  path_.c_str(), e.what(), results_.size());
-    } else {
-      log_message(LogLevel::kWarn,
-                  "ignoring unreadable sweep manifest %s: %s", path_.c_str(),
-                  e.what());
+                  "sweep manifest %s: skipping an unreadable task record "
+                  "(%s)",
+                  path.c_str(), e.what());
     }
   }
 }
@@ -461,30 +524,13 @@ json::Value TaskManifest::result(std::size_t index) const {
 
 void TaskManifest::record(std::size_t index, json::Value result) {
   if (!enabled()) return;
+  json::Value rec = json::Value::object();
+  rec.set("task", static_cast<std::uint64_t>(index));
+  rec.set("result", result);
+  const std::string text = rec.dump();
   const std::lock_guard<std::mutex> lock(mu_);
   results_[index] = std::move(result);
-  persist_locked();
-}
-
-void TaskManifest::persist_locked() const {
-  json::Value doc = json::Value::object();
-  doc.set("magic", "nocs-sweep-manifest");
-  doc.set("version", 1);
-  doc.set("fingerprint", fingerprint_);
-  json::Value done = json::Value::object();
-  for (const auto& [index, value] : results_)
-    done.set(std::to_string(index), value);
-  doc.set("completed", std::move(done));
-
-  // Same atomic tmp + rename discipline as binary snapshots: a sweep
-  // killed mid-record leaves the previous complete ledger behind.
-  const std::string tmp = path_ + ".tmp";
-  if (!json::write_file(tmp, doc)) return;
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    log_message(LogLevel::kError, "manifest: cannot rename %s to %s",
-                tmp.c_str(), path_.c_str());
-    std::remove(tmp.c_str());
-  }
+  log_->append(text);
 }
 
 }  // namespace nocs::snapshot

@@ -10,18 +10,22 @@
 // makes periodic autosave safe against being killed mid-write.  The format
 // is documented in docs/SNAPSHOT_FORMAT.md.
 //
-// The companion TaskManifest is the sweep-level resume mechanism: a JSON
-// ledger of per-task results keyed by task index, rewritten atomically
-// after every completion, so an interrupted parallel sweep restarts from
-// the last finished task instead of from zero.
+// RecordLog is the one crash-safe append-only log: checksummed record
+// frames, fsynced one at a time, a torn tail truncated on open.  The serve
+// daemon's job ledger and the companion TaskManifest (the sweep-level
+// resume mechanism: one record per finished task) both sit on it, so an
+// interrupted campaign restarts from the last finished task instead of
+// from zero.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -125,21 +129,16 @@ bool save_file(const std::string& path, const Writer& w);
 
 // --- append-only record log -------------------------------------------------
 //
-// The framing under write-ahead ledgers (the serve daemon's job ledger):
-// each record is `magic u32 | payload length u64 | FNV-1a-64 checksum u64 |
-// payload bytes`, appended and flushed/fsynced one record at a time.  A
-// process killed mid-append leaves a truncated or garbage tail;
-// scan_records recovers the valid prefix and reports the damage instead
-// of failing the whole log, so replay after `kill -9` loses at most the
-// record that was being written.
+// The framing under RecordLog (the serve daemon's job ledger and the
+// sweep task manifests): each record is `magic u32 | payload length u64 |
+// FNV-1a-64 checksum u64 | payload bytes`, appended and flushed/fsynced
+// one record at a time.  A process killed mid-append leaves a truncated
+// or garbage tail; scan_records recovers the valid prefix and reports the
+// damage instead of failing the whole log, so replay after `kill -9`
+// loses at most the record that was being written.
 
 /// Magic opening every log record ("NSRL", little-endian).
 inline constexpr std::uint32_t kRecordMagic = 0x4C52534Eu;
-
-/// Writes one framed record to an open binary stream without flushing.
-/// The bulk-rewrite path (ledger compaction) frames many records and
-/// syncs once at the end; durable appends go through append_record.
-bool write_record(std::FILE* f, const std::uint8_t* data, std::size_t size);
 
 /// Appends one framed record to an open (binary, append-mode) stream and
 /// flushes it through to the kernel (fflush + fsync).  Returns false on a
@@ -153,6 +152,9 @@ struct RecordScan {
   /// clean again (appending after garbage would hide it mid-file).
   std::size_t valid_bytes = 0;
   bool damaged = false;   ///< a truncated/corrupt tail was dropped
+  /// The file does not begin with a record frame (or a prefix of one):
+  /// it is no record log at all, so nothing in it is a torn tail.
+  bool foreign = false;
   std::string damage;     ///< human-readable description when `damaged`
 };
 
@@ -161,50 +163,102 @@ struct RecordScan {
 /// mismatch, or foreign bytes end the scan at the last good record.
 RecordScan scan_records(const std::string& path);
 
+/// A durable log of framed JSON records whose first record is a header
+/// object naming the log's kind in its "magic" field.  The mechanics
+/// shared by the serve daemon's job ledger and the sweep task manifest;
+/// what the records mean is theirs.  Not thread-safe: owners serialize
+/// calls.
+class RecordLog {
+ public:
+  using Bytes = std::vector<std::uint8_t>;
+
+  /// Opens (creating if absent) the log at `path`, removing a stale
+  /// `<path>.compact.tmp` left by an interrupted rewrite.  The file is
+  /// refused (SnapshotError, its bytes untouched) when it does not begin
+  /// with a record frame, or when its first record is not a JSON object
+  /// with `header`'s "magic".  A damaged tail is truncated to the valid
+  /// prefix; when that cut fails the log fails closed: its records still
+  /// replay, appends are refused.  A log without a valid record gets
+  /// `header` as its first.  A checksummed record that is not JSON (a
+  /// writer bug, not a torn tail) is logged and skipped.  Throws
+  /// SnapshotError when the file cannot be opened for appending.
+  RecordLog(std::string path, const json::Value& header);
+  ~RecordLog();
+
+  RecordLog(const RecordLog&) = delete;
+  RecordLog& operator=(const RecordLog&) = delete;
+
+  const std::string& path() const { return path_; }
+  /// The header record as found at open (or as written there).
+  const json::Value& header() const { return header_; }
+  /// Hands over the records after the header, in append order.
+  std::vector<json::Value> take_records() {
+    return std::exchange(records_, {});
+  }
+  /// True when the open-time scan found and truncated a damaged tail.
+  bool truncated_on_open() const { return truncated_on_open_; }
+  /// False once the log has failed closed (see append and rewrite).
+  bool healthy() const { return file_ != nullptr; }
+  /// On-disk size in bytes, updated after every append and rewrite.
+  std::uint64_t size_bytes() const { return size_bytes_; }
+
+  /// Appends one record and fsyncs it.  Returns false when the log is
+  /// unhealthy or the write fails; a failed write fails the log closed
+  /// (after logging), since the file now ends in a torn frame.
+  bool append(std::string_view payload);
+
+  /// Replaces the file with `records` (header first): written to
+  /// `<path>.compact.tmp`, fsynced, renamed over the log, and reopened
+  /// for appending, so a kill at any instant leaves the complete old log
+  /// or the complete new one.  Returns false after logging when it
+  /// cannot complete; the old log then stays appendable unless it cannot
+  /// be reopened either, which fails the log closed.
+  bool rewrite(const std::vector<const Bytes*>& records);
+
+ private:
+  std::string path_;
+  std::string tmp_path_;
+  std::FILE* file_ = nullptr;
+  json::Value header_;
+  std::vector<json::Value> records_;
+  bool truncated_on_open_ = false;
+  std::uint64_t size_bytes_ = 0;
+};
+
 /// Reads and validates a snapshot file: magic, version, payload length,
 /// and checksum.  Throws SnapshotError on any mismatch (missing file,
 /// truncation, bit rot, foreign format, version skew).
 Reader load_file(const std::string& path);
 
-/// Best-effort recovery of a sweep-manifest JSON document that no longer
-/// parses (half-written, truncated, or tail-corrupted): verifies the
-/// magic and fingerprint textually, then re-parses completed-task records
-/// one by one and returns every record of the valid prefix.  An
-/// unverifiable fingerprint (or none recovered) yields an empty map.
-/// TaskManifest falls back to this instead of discarding the whole
-/// ledger, so a damaged manifest costs at most the record being written.
-std::map<std::size_t, json::Value> recover_manifest_prefix(
-    const std::string& text, const std::string& fingerprint);
-
 /// Per-task completion ledger for resumable parallel sweeps.
 ///
 /// With an empty path the manifest is disabled: completed() is always
 /// false and record() is a no-op, so call sites need no branching.  With a
-/// path, construction loads any existing ledger whose fingerprint matches
-/// (a mismatched fingerprint — different rates, seed, or configuration —
-/// is logged and the ledger starts fresh), and record() rewrites the file
-/// atomically after every task, making progress survive a kill at any
-/// point.  record() is thread-safe; parallel sweep workers call it
-/// concurrently.
+/// path, the manifest is a RecordLog: a header record carrying the
+/// sweep's fingerprint, then one `{"task":i,"result":...}` record per
+/// finished task (the last record of a task wins on replay).  Opening a
+/// manifest written under another fingerprint — different rates, seed,
+/// or configuration — logs a warning and starts fresh; a file that is no
+/// sweep manifest is refused (SnapshotError).  record() appends one
+/// fsynced record, so progress survives a kill at any point, and is
+/// thread-safe: parallel sweep workers call it concurrently.
 class TaskManifest {
  public:
   TaskManifest() = default;  ///< disabled
   TaskManifest(const std::string& path, const std::string& fingerprint);
 
-  bool enabled() const { return !path_.empty(); }
+  bool enabled() const { return log_.has_value(); }
   std::size_t completed_count() const;
   bool completed(std::size_t index) const;
   /// The recorded result of a completed task (throws when not completed).
   json::Value result(std::size_t index) const;
-  /// Records a task result and persists the ledger (no-op when disabled).
+  /// Records a task result and appends it to the log (no-op when
+  /// disabled).
   void record(std::size_t index, json::Value result);
 
  private:
-  void persist_locked() const;
-
   mutable std::mutex mu_;
-  std::string path_;
-  std::string fingerprint_;
+  std::optional<RecordLog> log_;
   std::map<std::size_t, json::Value> results_;
 };
 

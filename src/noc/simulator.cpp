@@ -386,8 +386,4 @@ SimResults sim_results_from_json(const json::Value& v) {
   return r;
 }
 
-bool write_report(const std::string& path, const json::Value& v) {
-  return json::write_file(path, v);
-}
-
 }  // namespace nocs::noc

@@ -81,11 +81,6 @@ json::Value to_json(const SimResults& r);
 /// job's result, a manifest entry) equals the run that wrote it.
 SimResults sim_results_from_json(const json::Value& v);
 
-/// Writes `v` to `path` (pretty-printed, trailing newline); false after
-/// logging when the file cannot be opened.  Thin alias of
-/// json::write_file so report call sites read uniformly.
-bool write_report(const std::string& path, const json::Value& v);
-
 /// Checkpoint/restore policy for one run (all off by default, in which
 /// case run_simulation behaves exactly as without it).
 struct CheckpointConfig {

@@ -1,148 +1,43 @@
 #include "serve/ledger.hpp"
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <map>
-#include <stdexcept>
-#include <utility>
+#include <string>
+#include <vector>
 
 #include "common/log.hpp"
-#include "common/snapshot.hpp"
 
 namespace nocs::serve {
 
 namespace {
 
-// Returns the stream's current end-of-file offset (0 on error).  "ab"
-// streams report position 0 until the first write, so size tracking
-// always seeks explicitly.
-std::uint64_t file_size_bytes(std::FILE* f) {
-  if (f == nullptr) return 0;
-  if (std::fseek(f, 0, SEEK_END) != 0) return 0;
-  const long at = std::ftell(f);
-  return at > 0 ? static_cast<std::uint64_t>(at) : 0;
-}
-
-bool write_framed(std::FILE* f, const std::vector<std::uint8_t>& payload) {
-  return snapshot::write_record(
-      f, payload.empty() ? nullptr : payload.data(), payload.size());
+json::Value ledger_header() {
+  json::Value open = json::Value::object();
+  open.set("type", "open");
+  open.set("magic", "nocs-serve-ledger");
+  open.set("version", kLedgerVersion);
+  return open;
 }
 
 }  // namespace
 
 Ledger::Ledger(const std::string& path, std::uint64_t compact_bytes)
-    : path_(path),
-      tmp_path_(path + ".compact.tmp"),
-      compact_bytes_(compact_bytes) {
-  // A temp file left behind by a compaction that died before its rename
-  // is garbage by definition: the rename is the commit point, so the old
-  // log is still the authoritative one.
-  if (std::remove(tmp_path_.c_str()) == 0)
-    log_message(LogLevel::kWarn,
-                "ledger: removed stale compaction temp %s (compaction was "
-                "interrupted; the log itself is intact)",
-                tmp_path_.c_str());
-
-  snapshot::RecordScan scan = snapshot::scan_records(path_);
-  if (scan.damaged) {
-    log_message(LogLevel::kWarn,
-                "ledger %s has a damaged tail (%s); replaying the valid "
-                "prefix of %zu record(s) and truncating",
-                path_.c_str(), scan.damage.c_str(), scan.records.size());
-    truncated_on_open_ = true;
-    // Appending after garbage would bury the damage mid-file where the
-    // next replay stops early; cut the file back to its valid prefix.
-    // When the cut itself fails there is no safe place to append, so the
-    // ledger fails closed: replay still works, writes are refused.
-    if (::truncate(path_.c_str(),
-                   static_cast<off_t>(scan.valid_bytes)) != 0) {
-      log_message(LogLevel::kError,
-                  "ledger: cannot truncate damaged tail of %s; refusing "
-                  "further appends (submissions will be rejected)",
-                  path_.c_str());
-      healthy_ = false;
-    }
-  }
-
-  bool saw_header = false;
-  for (std::size_t i = 0; i < scan.records.size(); ++i) {
-    const auto& bytes = scan.records[i];
-    json::Value record;
-    try {
-      record = json::Value::parse(
-          std::string(reinterpret_cast<const char*>(bytes.data()),
-                      bytes.size()));
-    } catch (const std::exception& e) {
-      // A frame whose checksum held but whose payload is not JSON means a
-      // writer bug, not bit rot; skip it rather than dropping the rest.
-      log_message(LogLevel::kWarn,
-                  "ledger %s record %zu is not JSON (%s); skipping",
-                  path_.c_str(), i, e.what());
-      continue;
-    }
-    if (i == 0) {
-      const json::Value* magic = record.find("magic");
-      if (magic == nullptr || !magic->is_string() ||
-          magic->as_string() != "nocs-serve-ledger")
-        throw std::runtime_error(path_ + " is not a serve ledger");
-      saw_header = true;
-      continue;
-    }
-    replayed_.push_back(std::move(record));
-  }
-
-  if (!healthy_) return;  // fail closed: replay-only, no append handle
-
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr)
-    throw std::runtime_error("cannot open ledger for append: " + path_);
-
-  if (!saw_header) {
-    json::Value open = json::Value::object();
-    open.set("type", "open");
-    open.set("magic", "nocs-serve-ledger");
-    open.set("version", kLedgerVersion);
-    const std::string text = open.dump();
-    if (!snapshot::append_record(
-            file_, reinterpret_cast<const std::uint8_t*>(text.data()),
-            text.size())) {
-      std::fclose(file_);
-      file_ = nullptr;
-      throw std::runtime_error("cannot write ledger header: " + path_);
-    }
-  }
-  size_bytes_ = file_size_bytes(file_);
-}
-
-Ledger::~Ledger() {
-  if (file_ != nullptr) std::fclose(file_);
-}
+    : log_(path, ledger_header()),
+      replayed_(log_.take_records()),
+      compact_bytes_(compact_bytes) {}
 
 bool Ledger::healthy() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return healthy_ && file_ != nullptr;
+  return log_.healthy();
 }
 
 bool Ledger::append(const json::Value& record) {
   const std::string text = record.dump();
   const std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr || !healthy_) return false;
-  if (!snapshot::append_record(
-          file_, reinterpret_cast<const std::uint8_t*>(text.data()),
-          text.size())) {
-    // The file now ends in a torn frame; appending more would bury the
-    // damage mid-file where the next replay silently stops.  Fail closed.
-    log_message(LogLevel::kError,
-                "ledger: short write to %s; refusing further appends",
-                path_.c_str());
-    healthy_ = false;
-    return false;
-  }
+  if (!log_.append(text)) return false;
   ++appended_;
-  size_bytes_ = file_size_bytes(file_);
-  if (compact_bytes_ > 0 && size_bytes_ >= compact_bytes_ &&
-      size_bytes_ >= 2 * last_compacted_bytes_)
+  const std::uint64_t size = log_.size_bytes();
+  if (compact_bytes_ > 0 && size >= compact_bytes_ &&
+      size >= 2 * last_compacted_bytes_)
     compact_locked();  // best effort: failure keeps the intact old log
   return true;
 }
@@ -157,10 +52,8 @@ bool Ledger::compact() {
 // byte-for-byte), so replay semantics — including the first-record-wins
 // rule for duplicate task indices — are exactly preserved.
 bool Ledger::compact_locked() {
-  if (file_ == nullptr || !healthy_) return false;
-  std::fflush(file_);
-
-  snapshot::RecordScan scan = snapshot::scan_records(path_);
+  if (!log_.healthy()) return false;
+  const snapshot::RecordScan scan = snapshot::scan_records(log_.path());
   if (scan.damaged) {
     // append() fsyncs every frame, so a damaged tail mid-life means the
     // device is lying or failing; rewriting on top of that would risk
@@ -168,11 +61,12 @@ bool Ledger::compact_locked() {
     log_message(LogLevel::kError,
                 "ledger: %s scan found damage during compaction (%s); "
                 "leaving the log as-is",
-                path_.c_str(), scan.damage.c_str());
+                log_.path().c_str(), scan.damage.c_str());
     return false;
   }
+  if (scan.records.empty()) return false;  // no header: nothing to rewrite
 
-  using Bytes = std::vector<std::uint8_t>;
+  using Bytes = snapshot::RecordLog::Bytes;
   struct Group {
     const Bytes* submit = nullptr;
     const Bytes* terminal = nullptr;
@@ -186,9 +80,7 @@ bool Ledger::compact_locked() {
     const Bytes& bytes = scan.records[i];
     json::Value rec;
     try {
-      rec = json::Value::parse(
-          std::string(reinterpret_cast<const char*>(bytes.data()),
-                      bytes.size()));
+      rec = json::Value::parse(std::string(bytes.begin(), bytes.end()));
     } catch (const std::exception&) {
       misc.push_back(&bytes);
       continue;
@@ -220,85 +112,37 @@ bool Ledger::compact_locked() {
     }
   }
 
-  std::FILE* out = std::fopen(tmp_path_.c_str(), "wb");
-  if (out == nullptr) {
-    log_message(LogLevel::kError, "ledger: cannot open %s for compaction",
-                tmp_path_.c_str());
-    return false;
-  }
-  bool ok = scan.records.empty()
-                ? false  // no header on disk: nothing sane to rewrite
-                : write_framed(out, scan.records[0]);
+  std::vector<const Bytes*> out = {&scan.records[0]};  // the header
   for (const std::string& id : order) {
-    if (!ok) break;
     const Group& g = groups.at(id);
-    ok = write_framed(out, *g.submit);
-    if (ok && g.terminal != nullptr) {
+    out.push_back(g.submit);
+    if (g.terminal != nullptr) {
       // Finished job: its per-task records are dead weight — the replay
       // only needs the terminal result to seed the cache.
-      ok = write_framed(out, *g.terminal);
+      out.push_back(g.terminal);
     } else {
-      for (const auto& [index, bytes] : g.tasks) {
-        if (!ok) break;
-        ok = write_framed(out, *bytes);
-      }
+      for (const auto& [index, bytes] : g.tasks) out.push_back(bytes);
     }
   }
   // Task/terminal records whose job has no submit record are unreplayable
   // either way; groups without a submit only arise from hand-damaged
   // logs.  Preserve their bytes at the tail rather than dropping data.
   for (const auto& [id, g] : groups) {
-    if (!ok) break;
     if (g.submit != nullptr) continue;
-    if (g.terminal != nullptr) ok = write_framed(out, *g.terminal);
-    for (const auto& [index, bytes] : g.tasks) {
-      if (!ok) break;
-      ok = write_framed(out, *bytes);
-    }
+    if (g.terminal != nullptr) out.push_back(g.terminal);
+    for (const auto& [index, bytes] : g.tasks) out.push_back(bytes);
   }
-  for (const Bytes* bytes : misc) {
-    if (!ok) break;
-    ok = write_framed(out, *bytes);
-  }
-  ok = ok && std::fflush(out) == 0;
-  if (ok) ::fsync(::fileno(out));
-  std::fclose(out);
-  if (!ok) {
-    log_message(LogLevel::kError, "ledger: short write compacting to %s",
-                tmp_path_.c_str());
-    std::remove(tmp_path_.c_str());
-    return false;
-  }
+  out.insert(out.end(), misc.begin(), misc.end());
 
-  // The commit point.  Close the old handle first: after the rename it
-  // would reference the unlinked inode and appends would vanish.
-  std::fclose(file_);
-  file_ = nullptr;
-  if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-    log_message(LogLevel::kError, "ledger: cannot rename %s over %s",
-                tmp_path_.c_str(), path_.c_str());
-    std::remove(tmp_path_.c_str());
-    file_ = std::fopen(path_.c_str(), "ab");  // old log is still intact
-    if (file_ == nullptr) healthy_ = false;
-    return false;
-  }
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr) {
-    log_message(LogLevel::kError,
-                "ledger: cannot reopen %s after compaction; refusing "
-                "further appends",
-                path_.c_str());
-    healthy_ = false;
-    return false;
-  }
-  const std::uint64_t before = size_bytes_;
-  size_bytes_ = file_size_bytes(file_);
-  last_compacted_bytes_ = size_bytes_;
+  const std::uint64_t before = log_.size_bytes();
+  if (!log_.rewrite(out)) return false;
+  last_compacted_bytes_ = log_.size_bytes();
   ++compactions_;
   log_message(LogLevel::kInfo,
               "ledger: compacted %s (%llu -> %llu bytes, %zu job(s))",
-              path_.c_str(), static_cast<unsigned long long>(before),
-              static_cast<unsigned long long>(size_bytes_), order.size());
+              log_.path().c_str(), static_cast<unsigned long long>(before),
+              static_cast<unsigned long long>(last_compacted_bytes_),
+              order.size());
   return true;
 }
 
@@ -309,7 +153,7 @@ std::size_t Ledger::appended_count() const {
 
 std::uint64_t Ledger::size_bytes() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return size_bytes_;
+  return log_.size_bytes();
 }
 
 std::size_t Ledger::compactions() const {

@@ -1,14 +1,14 @@
 // Write-ahead job ledger: the serve daemon's source of truth.
 //
 // Every state transition that must survive a crash is appended as one
-// JSON record inside a checksummed snapshot::append_record frame *before*
-// the transition is acknowledged to a client: `submit` before the accept
-// reply, `task` after each task completes, `done`/`failed` when a job
-// reaches a terminal state.  Startup replays the log: terminal jobs seed
-// the result cache, non-terminal jobs are re-enqueued minus their
-// already-recorded tasks — so a `kill -9` at any byte loses at most the
-// record that was mid-append (the frame checksum catches it, and the
-// damaged tail is truncated away before new appends).
+// JSON record to a snapshot::RecordLog (checksummed, fsynced frames)
+// *before* the transition is acknowledged to a client: `submit` before
+// the accept reply, `task` after each task completes, `done`/`failed`
+// when a job reaches a terminal state.  Startup replays the log: terminal
+// jobs seed the result cache, non-terminal jobs are re-enqueued minus
+// their already-recorded tasks — so a `kill -9` at any byte loses at most
+// the record that was mid-append (the frame checksum catches it, and the
+// record log truncates the damaged tail before new appends).
 //
 // Record types (all objects with a "type" field):
 //   {"type":"open","magic":"nocs-serve-ledger","version":1}
@@ -23,7 +23,7 @@
 // every finished campaign forever.  compact() rewrites the file as a
 // snapshot of live state — per job: the `submit` record, then either its
 // terminal record (task records of finished jobs are dead weight) or its
-// completed `task` records — using the atomic tmp + rename pattern
+// completed `task` records — through RecordLog::rewrite's tmp + rename
 // (`<path>.compact.tmp`), so a kill -9 at any instant leaves either the
 // complete old log or the complete new one.  Record payload bytes are
 // copied verbatim, never re-serialized, so a replay after compaction is
@@ -33,13 +33,13 @@
 // appends from turning every write into an O(file) rewrite).
 #pragma once
 
-#include <cstdio>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/snapshot.hpp"
 
 namespace nocs::serve {
 
@@ -50,23 +50,18 @@ inline constexpr int kLedgerVersion = 1;
 /// compaction.
 class Ledger {
  public:
-  /// Opens (creating if absent) the ledger at `path`: removes a stale
-  /// compaction temp file, scans the existing records, truncates any
-  /// damaged tail so the file is clean again, and positions for
-  /// appending.  Throws std::runtime_error when the file cannot be
-  /// opened for appending or is not a serve ledger — except when the
-  /// damaged-tail truncation itself fails, which leaves the ledger open
-  /// read-only (`healthy() == false`): the valid prefix still replays,
-  /// but every append is refused rather than buried after corrupt bytes.
+  /// Opens (creating if absent) the ledger at `path` as a RecordLog:
+  /// a damaged tail is truncated so the file is clean again.  Throws
+  /// std::runtime_error when the file cannot be opened for appending or
+  /// is not a serve ledger (its bytes are then left alone).  When the
+  /// damaged-tail truncation itself fails the ledger opens read-only
+  /// (`healthy() == false`): the valid prefix still replays, but every
+  /// append is refused rather than buried after corrupt bytes.
   /// `compact_bytes` > 0 arms automatic compaction at that file size
   /// (0 = only explicit compact() calls).
   explicit Ledger(const std::string& path, std::uint64_t compact_bytes = 0);
-  ~Ledger();
 
-  Ledger(const Ledger&) = delete;
-  Ledger& operator=(const Ledger&) = delete;
-
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
   /// Records replayed from disk at open (excluding the "open" header),
   /// in append order.  Unparseable-JSON records inside valid frames are
@@ -81,7 +76,7 @@ class Ledger {
   }
 
   /// True when the open-time scan found and truncated a damaged tail.
-  bool truncated_on_open() const { return truncated_on_open_; }
+  bool truncated_on_open() const { return log_.truncated_on_open(); }
 
   /// False once the ledger has failed closed: the damaged tail could not
   /// be truncated at open, or an append suffered a short write.  An
@@ -115,16 +110,11 @@ class Ledger {
  private:
   bool compact_locked();
 
-  std::string path_;
-  std::string tmp_path_;
   mutable std::mutex mu_;
-  std::FILE* file_ = nullptr;
+  snapshot::RecordLog log_;
   std::vector<json::Value> replayed_;
-  bool truncated_on_open_ = false;
-  bool healthy_ = true;
   std::size_t appended_ = 0;
   std::uint64_t compact_bytes_ = 0;
-  std::uint64_t size_bytes_ = 0;
   std::uint64_t last_compacted_bytes_ = 0;
   std::size_t compactions_ = 0;
 };

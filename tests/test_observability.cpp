@@ -297,7 +297,7 @@ TEST(Report, SimResultsRoundTripExactly) {
   ASSERT_GT(r.packets_ejected, 0u);
 
   const std::string path = tmp_path("report.json");
-  ASSERT_TRUE(noc::write_report(path, noc::to_json(r)));
+  ASSERT_TRUE(json::write_file(path, noc::to_json(r)));
   const json::Value back = json::Value::parse(slurp(path));
   std::remove(path.c_str());
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -390,7 +391,7 @@ TEST(ResumableDriver, ReturnsResultsInIndexOrder) {
 }
 
 TEST(ResumableDriver, StopFlagStartsNoNewTaskAndKeepsPartialRunsOut) {
-  const std::string path = ::testing::TempDir() + "driver_stop.json";
+  const std::string path = ::testing::TempDir() + "driver_stop.nsrl";
   std::remove(path.c_str());
   snapshot::TaskManifest manifest(path, "stop-test");
   std::atomic<bool> stop{false};
@@ -422,6 +423,48 @@ TEST(ResumableDriver, StopFlagStartsNoNewTaskAndKeepsPartialRunsOut) {
                                        });
   EXPECT_EQ(calls, 0);
   for (const json::Value& r : none) EXPECT_TRUE(r.is_null());
+  std::remove(path.c_str());
+}
+
+TEST(ResumableDriver, ConcurrentRecordsReplayBitExactly) {
+  // Four workers append to one manifest at once; reopened, it replays
+  // every result bit for bit (doubles of every magnitude, incl. ones
+  // with no short decimal form).
+  const std::string path = ::testing::TempDir() + "driver_concurrent.nsrl";
+  std::remove(path.c_str());
+  const auto body = [](std::size_t i) {
+    const std::uint64_t seed = task_seed(13, i);
+    json::Value v = json::Value::object();
+    v.set("task", static_cast<std::uint64_t>(i));
+    v.set("ratio", static_cast<double>(seed % 1000003) / 7.0);
+    v.set("tiny", std::ldexp(static_cast<double>(seed >> 11), -1070));
+    v.set("huge", std::ldexp(static_cast<double>(seed >> 11), 900));
+    json::Value samples = json::Value::array();
+    for (int k = 1; k <= 4; ++k) samples.push_back(1.0 / (k * (i + 3.0)));
+    v.set("samples", std::move(samples));
+    return v;
+  };
+  constexpr std::size_t kTasks = 64;
+  std::vector<json::Value> ran;
+  {
+    snapshot::TaskManifest manifest(path, "concurrent-test");
+    ran = noc::run_resumable(kTasks, 4, &manifest, nullptr, body);
+    EXPECT_EQ(manifest.completed_count(), kTasks);
+  }
+  snapshot::TaskManifest reopened(path, "concurrent-test");
+  ASSERT_EQ(reopened.completed_count(), kTasks);
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(reopened.result(i).dump(), body(i).dump()) << "task " << i;
+    EXPECT_EQ(reopened.result(i).dump(), ran[i].dump()) << "task " << i;
+  }
+  int calls = 0;
+  const auto replayed =
+      noc::run_resumable(kTasks, 4, &reopened, nullptr, [&](std::size_t) {
+        ++calls;
+        return json::Value();
+      });
+  EXPECT_EQ(calls, 0);
+  expect_identical(replayed, ran);
   std::remove(path.c_str());
 }
 

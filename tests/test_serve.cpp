@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -936,6 +937,105 @@ TEST(Ledger, RejectsForeignFiles) {
     std::fclose(f);
   }
   EXPECT_THROW(Ledger ledger(path), std::runtime_error);
+}
+
+TEST(Ledger, RefusesAFileThatIsNotARecordLog) {
+  // A file with no record frame at byte 0 is someone else's data, not a
+  // ledger with a damaged tail: refused, and not one byte is cut.
+  const std::string path = tmp_path("ledger_not_a_log.json");
+  const std::string text =
+      "{\"magic\": \"nocs-sweep-manifest\", \"version\": 1, \"completed\": {}}";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+  }
+  EXPECT_THROW(Ledger ledger(path), std::runtime_error);
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string after(text.size() + 1, '\0');
+  after.resize(std::fread(after.data(), 1, after.size(), f));
+  std::fclose(f);
+  EXPECT_EQ(after, text);
+  std::remove(path.c_str());
+}
+
+/// tests/data/ledger_parent.nsrl: a ledger an earlier build wrote — two
+/// finished 4x4 `simulate` jobs, then a 3-point `sweep` job (job-3)
+/// killed after its first task record.
+TEST(Ledger, ReplaysALedgerAnEarlierBuildWrote) {
+  const std::string fixture =
+      std::string(NOCS_TEST_DATA_DIR) + "/ledger_parent.nsrl";
+  const std::string path = tmp_path("ledger_parent_copy.nsrl");
+  {
+    std::FILE* in = std::fopen(fixture.c_str(), "rb");
+    ASSERT_NE(in, nullptr) << fixture;
+    std::FILE* out = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(out, nullptr);
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, in)) > 0)
+      std::fwrite(buf, 1, n, out);
+    std::fclose(in);
+    std::fclose(out);
+  }
+  // The finished jobs' results exactly as the earlier build wrote them.
+  std::vector<std::pair<JobSpec, std::string>> finished;
+  std::map<std::string, JobSpec> specs;
+  for (const auto& bytes : snapshot::scan_records(fixture).records) {
+    const std::string text(bytes.begin(), bytes.end());
+    const json::Value rec = json::Value::parse(text);
+    const std::string type = rec.at("type").as_string();
+    if (type == "submit")
+      specs[rec.at("job").as_string()] = spec_from_json(rec.at("spec"));
+    if (type != "done") continue;
+    const std::string marker = "\"result\":";
+    const std::size_t at = text.find(marker);
+    ASSERT_NE(at, std::string::npos);
+    // The result object runs to the record's closing brace.
+    finished.emplace_back(specs.at(rec.at("job").as_string()),
+                          text.substr(at + marker.size(),
+                                      text.size() - at - marker.size() - 1));
+  }
+  ASSERT_EQ(finished.size(), 2u);
+
+  Ledger ledger(path);
+  EXPECT_FALSE(ledger.truncated_on_open());
+  std::mutex mu;
+  std::vector<std::size_t> ran;
+  const TaskRunner sim = make_sim_runner("");
+  const TaskRunner counting = [&](const JobSpec& spec,
+                                  const TaskContext& ctx) {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      ran.push_back(ctx.task_index);
+    }
+    return sim(spec, ctx);
+  };
+  JobScheduler sched(fast_limits(), counting, make_sim_aggregator(), &ledger);
+  EXPECT_EQ(sched.recovered_jobs(), 1u);
+  const json::Value sweep = sched.wait("job-3");
+  ASSERT_EQ(sweep.at("state").as_string(), "done") << sweep.dump();
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    std::sort(ran.begin(), ran.end());
+    // Only the two tasks the kill cut off run again.
+    EXPECT_EQ(ran, (std::vector<std::size_t>{1, 2}));
+  }
+  for (const auto& [spec, parent_result] : finished) {
+    const SubmitOutcome cached = sched.submit(spec);
+    ASSERT_EQ(cached.code, SubmitOutcome::Code::kCached);
+    EXPECT_EQ(cached.cached.dump(), parent_result);
+  }
+  // The resumed sweep equals an uninterrupted run under this build.
+  JobScheduler fresh(fast_limits(), make_sim_runner(""),
+                     make_sim_aggregator(), nullptr);
+  const SubmitOutcome direct = fresh.submit(specs.at("job-3"));
+  ASSERT_EQ(direct.code, SubmitOutcome::Code::kAccepted);
+  EXPECT_EQ(fresh.wait(direct.job_id).at("result").dump(),
+            sweep.at("result").dump());
+  std::remove(path.c_str());
 }
 
 // --- ledger compaction ------------------------------------------------------

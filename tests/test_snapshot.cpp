@@ -1278,7 +1278,7 @@ void expect_same_points(const std::vector<json::Value>& a,
 }
 
 TEST(SweepResume, ManifestRecordsAndReplays) {
-  const std::string path = tmp_path("sweep_manifest.json");
+  const std::string path = tmp_path("sweep_manifest.nsrl");
   std::remove(path.c_str());
   const std::vector<double> rates = {0.05, 0.1, 0.15};
   const std::uint64_t seed = 21;
@@ -1310,7 +1310,7 @@ TEST(SweepResume, ManifestRecordsAndReplays) {
 }
 
 TEST(SweepResume, PartialManifestRunsOnlyMissingTasks) {
-  const std::string path = tmp_path("sweep_partial.json");
+  const std::string path = tmp_path("sweep_partial.nsrl");
   std::remove(path.c_str());
   const std::vector<double> rates = {0.05, 0.1, 0.15, 0.2};
   const std::uint64_t seed = 22;
@@ -1335,7 +1335,7 @@ TEST(SweepResume, PartialManifestRunsOnlyMissingTasks) {
 }
 
 TEST(SweepResume, FingerprintMismatchStartsFresh) {
-  const std::string path = tmp_path("sweep_fingerprint.json");
+  const std::string path = tmp_path("sweep_fingerprint.nsrl");
   std::remove(path.c_str());
   {
     snapshot::TaskManifest manifest(path, "fingerprint-a");
@@ -1459,59 +1459,89 @@ TEST(RecordLog, CorruptPayloadByteStopsTheScanThere) {
   std::remove(path.c_str());
 }
 
-// --- lenient manifest loading -----------------------------------------------
+// --- torn and foreign manifests --------------------------------------------
 
-TEST(ManifestRecovery, TruncatedManifestRecoversCompletePrefix) {
-  const std::string path = tmp_path("manifest_truncated.json");
+std::string slurp_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Byte offsets at which each record frame of a record log starts.
+std::vector<std::size_t> record_starts(const std::string& path) {
+  std::vector<std::size_t> starts;
+  std::size_t at = 0;
+  for (const auto& bytes : snapshot::scan_records(path).records) {
+    starts.push_back(at);
+    at += 4 + 8 + 8 + bytes.size();
+  }
+  return starts;
+}
+
+TEST(ManifestRecovery, TornLastRecordReplaysEveryEarlierTask) {
+  const std::string path = tmp_path("manifest_torn.nsrl");
+  const std::string cut_path = tmp_path("manifest_torn_cut.nsrl");
   std::remove(path.c_str());
   const std::vector<double> rates = {0.05, 0.1, 0.15};
   const std::uint64_t seed = 33;
   const std::string fp = tiny_fingerprint(rates, seed);
+  const auto plain = plain_sweep(rates, seed);
   {
     snapshot::TaskManifest manifest(path, fp);
     noc::run_resumable(rates.size(), 1, &manifest, nullptr,
                        tiny_body(rates, seed));
   }
-  // Chop the file mid-way through the last completed entry — a half-
-  // written copy left behind by a dying process.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  const std::size_t cut = text.find("\"2\"");
-  ASSERT_NE(cut, std::string::npos);
-  f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(text.data(), 1, cut + 2, f);
-  std::fclose(f);
+  const std::string whole = slurp_bytes(path);
+  const std::vector<std::size_t> starts = record_starts(path);
+  ASSERT_EQ(starts.size(), 4u);  // header + three tasks
+  const std::size_t last = starts.back();
 
-  // Loading must not abort: entries 0 and 1 are salvaged, only the torn
-  // entry 2 is re-run.
-  snapshot::TaskManifest manifest(path, fp);
-  EXPECT_EQ(manifest.completed_count(), 2u);
-  EXPECT_TRUE(manifest.completed(0));
-  EXPECT_TRUE(manifest.completed(1));
-  EXPECT_FALSE(manifest.completed(2));
+  // A kill mid-append leaves any prefix of the last record on disk: every
+  // cut inside it replays exactly tasks 0 and 1 and trims the torn bytes.
+  for (std::size_t cut = last + 1; cut < whole.size(); ++cut) {
+    write_bytes(cut_path, whole.substr(0, cut));
+    snapshot::TaskManifest manifest(cut_path, fp);
+    ASSERT_EQ(manifest.completed_count(), 2u) << "cut at byte " << cut;
+    EXPECT_FALSE(manifest.completed(2)) << "cut at byte " << cut;
+    EXPECT_EQ(manifest.result(0).dump(), plain[0].dump());
+    EXPECT_EQ(manifest.result(1).dump(), plain[1].dump());
+    EXPECT_EQ(slurp_bytes(cut_path), whole.substr(0, last));
+  }
+
+  // The resumed sweep re-runs only the torn task and leaves the file a
+  // byte-identical copy of the uninterrupted one.
+  snapshot::TaskManifest manifest(cut_path, fp);
   int calls = 0;
   const auto points = noc::run_resumable(rates.size(), 1, &manifest, nullptr,
                                          tiny_body(rates, seed, &calls));
   EXPECT_EQ(calls, 1);
-  expect_same_points(points, plain_sweep(rates, seed));
+  expect_same_points(points, plain);
+  EXPECT_EQ(slurp_bytes(cut_path), whole);
   std::remove(path.c_str());
+  std::remove(cut_path.c_str());
 }
 
-TEST(ManifestRecovery, GarbageManifestStartsFreshInsteadOfAborting) {
-  const std::string path = tmp_path("manifest_garbage.json");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("{\"magic\": \"nocs-sweep-manifest\", \"ver", f);
-  std::fclose(f);
+TEST(ManifestRecovery, TornHeaderFrameStartsFresh) {
+  const std::string path = tmp_path("manifest_torn_header.nsrl");
+  std::remove(path.c_str());
   const std::vector<double> rates = {0.05, 0.1};
-  snapshot::TaskManifest manifest(path, tiny_fingerprint(rates, 34));
-  EXPECT_EQ(manifest.completed_count(), 0u);
+  const std::string fp = tiny_fingerprint(rates, 34);
+  std::string header;
+  {
+    snapshot::TaskManifest manifest(path, fp);
+    header = slurp_bytes(path);
+  }
+  for (std::size_t cut = 1; cut < header.size(); ++cut) {
+    write_bytes(path, header.substr(0, cut));
+    snapshot::TaskManifest manifest(path, fp);
+    EXPECT_EQ(manifest.completed_count(), 0u) << "cut at byte " << cut;
+    EXPECT_EQ(slurp_bytes(path), header) << "cut at byte " << cut;
+  }
+  snapshot::TaskManifest manifest(path, fp);
   int calls = 0;
   noc::run_resumable(rates.size(), 1, &manifest, nullptr,
                      tiny_body(rates, 34, &calls));
@@ -1519,31 +1549,22 @@ TEST(ManifestRecovery, GarbageManifestStartsFreshInsteadOfAborting) {
   std::remove(path.c_str());
 }
 
-TEST(ManifestRecovery, PrefixOfOtherFingerprintIsNotSalvaged) {
-  const std::string path = tmp_path("manifest_wrong_fp.json");
-  std::remove(path.c_str());
+TEST(ManifestRecovery, RefusesAFileThatIsNotARecordLog) {
+  // A manifest of the old single-JSON-document format, or any file that
+  // does not begin with a record frame: refused by name, bytes untouched.
+  const std::string path = tmp_path("manifest_foreign.json");
+  const std::string text =
+      "{\"magic\": \"nocs-sweep-manifest\", \"version\": 1, \"completed\": {}}\n";
+  write_bytes(path, text);
   const std::vector<double> rates = {0.05, 0.1};
-  {
-    snapshot::TaskManifest manifest(path,
-                                    tiny_fingerprint(rates, 35));
-    noc::run_resumable(rates.size(), 1, &manifest, nullptr,
-                       tiny_body(rates, 35));
+  try {
+    snapshot::TaskManifest manifest(path, tiny_fingerprint(rates, 35));
+    ADD_FAILURE() << "a foreign file was opened as a manifest";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
   }
-  // Truncate so the strict parse fails, then load under a *different*
-  // fingerprint: recovery must refuse foreign task results.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(text.data(), 1, text.size() - 4, f);
-  std::fclose(f);
-  snapshot::TaskManifest manifest(path, tiny_fingerprint(rates, 36));
-  EXPECT_EQ(manifest.completed_count(), 0u);
+  EXPECT_EQ(slurp_bytes(path), text);
   std::remove(path.c_str());
 }
 
